@@ -87,9 +87,7 @@ recordToKv(const ChampionRecord &record)
            hex16(std::bit_cast<uint64_t>(record.seconds)));
     kv.set("champion.configFingerprint",
            hex16(record.configFingerprint));
-    KvFile configKv = record.config.toKv();
-    for (const std::string &key : configKv.keys())
-        kv.set("config." + key, configKv.get(key));
+    record.config.saveValues(kv, "config.");
     kv.set("portfolio.checksum", hex16(contentChecksum(kv)));
     return kv;
 }
@@ -118,14 +116,9 @@ recordFromFile(const std::string &path)
     // The benchmark's seed config is the deserialization schema, as
     // everywhere else (checkpoints, choice files). Unknown benchmark
     // names throw here and quarantine the file.
-    KvFile configKv;
-    const std::string prefix = "config.";
-    for (const std::string &key : kv.keys())
-        if (key.rfind(prefix, 0) == 0)
-            configKv.set(key.substr(prefix.size()), kv.get(key));
     record.config =
         apps::findBenchmark(record.benchmark)->seedConfig();
-    record.config.loadValues(configKv);
+    record.config.loadValues(kv.section("config."));
     if (record.config.valueFingerprint() != record.configFingerprint)
         PB_FATAL("'" << path << "' config does not match its stored "
                      << "fingerprint");

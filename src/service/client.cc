@@ -20,13 +20,19 @@ KvFile
 Client::command(const std::string &method, const std::string &target,
                 const std::string &body)
 {
-    std::ostringstream request;
-    request << method << ' ' << target << " HTTP/1.1\r\n"
-            << "Host: " << host_ << "\r\n"
-            << "Content-Length: " << body.size() << "\r\n"
-            << "Connection: keep-alive\r\n\r\n"
-            << body;
-    stream_.writeAll(request.str());
+    std::string request;
+    request.reserve(96 + method.size() + target.size() + host_.size() +
+                    body.size());
+    request += method;
+    request += ' ';
+    request += target;
+    request += " HTTP/1.1\r\nHost: ";
+    request += host_;
+    request += "\r\nContent-Length: ";
+    request += std::to_string(body.size());
+    request += "\r\nConnection: keep-alive\r\n\r\n";
+    request += body;
+    stream_.writeAll(request);
 
     // ---- Read one response (headers, then Content-Length body) --------
     lastTransientWas503_ = false;

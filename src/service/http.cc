@@ -82,16 +82,27 @@ HttpRequest::intParam(const std::string &key, int64_t fallback) const
 std::string
 HttpResponse::serialize() const
 {
-    std::ostringstream out;
-    out << "HTTP/1.1 " << status << ' ' << reasonPhrase(status) << "\r\n"
-        << "Content-Type: " << contentType << "\r\n"
-        << "Content-Length: " << body.size() << "\r\n";
-    if (retryAfterSeconds > 0)
-        out << "Retry-After: " << retryAfterSeconds << "\r\n";
-    out << "Connection: " << (keepAlive ? "keep-alive" : "close")
-        << "\r\n\r\n"
-        << body;
-    return out.str();
+    std::string out;
+    out.reserve(128 + contentType.size() + body.size());
+    out += "HTTP/1.1 ";
+    out += std::to_string(status);
+    out += ' ';
+    out += reasonPhrase(status);
+    out += "\r\nContent-Type: ";
+    out += contentType;
+    out += "\r\nContent-Length: ";
+    out += std::to_string(body.size());
+    out += "\r\n";
+    if (retryAfterSeconds > 0) {
+        out += "Retry-After: ";
+        out += std::to_string(retryAfterSeconds);
+        out += "\r\n";
+    }
+    out += "Connection: ";
+    out += keepAlive ? "keep-alive" : "close";
+    out += "\r\n\r\n";
+    out += body;
+    return out;
 }
 
 HttpResponse

@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <poll.h>
+#include <string_view>
 #include <vector>
 
 #include "benchmarks/registry.h"
@@ -85,6 +86,27 @@ routesToWorker(const std::string &path)
     return path == "/step" || path == "/create" || path == "/champion" ||
            path == "/resume" || path == "/stop" ||
            path == "/portfolio/tune" || path == "/portfolio/champion";
+}
+
+/**
+ * The `/stats` name requests for @p path count under: the command
+ * for every path dispatch() serves, one "unknown" bucket for the
+ * rest. A raw path must never become a key: one decoded from `%3D` or
+ * `%0A` would make every later `/stats` fail, and junk paths would
+ * grow the table without bound.
+ */
+std::string
+commandName(const std::string &path)
+{
+    static constexpr std::string_view kCommands[] = {
+        "ping", "healthz", "create", "step", "status", "champion",
+        "stop", "resume", "list", "machines", "portfolio",
+        "portfolio/champion", "portfolio/tune", "stats", "shutdown"};
+    if (path.starts_with('/'))
+        for (std::string_view command : kCommands)
+            if (path.compare(1, std::string::npos, command) == 0)
+                return std::string(command);
+    return "unknown";
 }
 
 /** 16-digit lower-case hex, the wire form for every fingerprint. */
@@ -258,10 +280,7 @@ TuningServer::workerLoop()
                 503, "request spent too long queued (deadline "
                          + std::to_string(deadline) + "s)");
             response.retryAfterSeconds = 1;
-            recordCommand(item.request.path.empty()
-                              ? std::string("?")
-                              : item.request.path.substr(1),
-                          response.status, 0.0);
+            recordCommand(item.request.path, response.status, 0.0);
         } else {
             response = timedDispatch(item.request);
         }
@@ -308,10 +327,7 @@ TuningServer::pumpRequests(uint64_t connId, Connection &connection)
                              : "worker queue is full");
                 busy.retryAfterSeconds = draining ? 5 : 1;
                 connection.outbox += busy.serialize();
-                recordCommand(request->path.empty()
-                                  ? std::string("?")
-                                  : request->path.substr(1),
-                              busy.status, 0.0);
+                recordCommand(request->path, busy.status, 0.0);
                 continue;
             }
             if (request->path == "/step" &&
@@ -366,18 +382,17 @@ TuningServer::timedDispatch(const HttpRequest &request)
     } catch (const std::exception &error) {
         response = HttpResponse::error(500, error.what());
     }
-    std::string command =
-        request.path.empty() ? std::string("?") : request.path.substr(1);
-    recordCommand(command, response.status, microsSince(start));
+    recordCommand(request.path, response.status, microsSince(start));
     return response;
 }
 
 void
-TuningServer::recordCommand(const std::string &command, int status,
+TuningServer::recordCommand(const std::string &path, int status,
                             double micros)
 {
+    std::string command = commandName(path);
     std::lock_guard<std::mutex> lock(statsMutex_);
-    CommandStats &stats = commandStats_[command];
+    CommandStats &stats = commandStats_[std::move(command)];
     ++stats.count;
     if (status >= 400)
         ++stats.errors;
@@ -555,9 +570,7 @@ TuningServer::dispatch(const HttpRequest &request)
         kv.setDouble("dispatch.pricedSeconds", decision.pricedSeconds);
         kv.set("dispatch.pricedSecondsBits",
                hex16(std::bit_cast<uint64_t>(decision.pricedSeconds)));
-        KvFile config = decision.champion.config.toKv();
-        for (const std::string &key : config.keys())
-            kv.set("config." + key, config.get(key));
+        decision.champion.config.saveValues(kv, "config.");
         return HttpResponse::ok(kv.toString());
     }
 

@@ -217,7 +217,10 @@ class TuningServer
     /** dispatch() + per-command stats accounting. */
     HttpResponse timedDispatch(const HttpRequest &request);
 
-    void recordCommand(const std::string &command, int status,
+    /** Count a request for @p path under its command's `/stats`
+     * entry; every path dispatch() does not serve shares one
+     * `command.unknown` entry. */
+    void recordCommand(const std::string &path, int status,
                        double micros);
 
     ServerOptions options_;

@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "support/crashpoint.h"
 #include "support/error.h"
@@ -17,12 +19,12 @@ namespace petabricks {
 
 namespace {
 
-std::string
-trim(const std::string &s)
+std::string_view
+trim(std::string_view s)
 {
     size_t begin = s.find_first_not_of(" \t\r\n");
-    if (begin == std::string::npos)
-        return "";
+    if (begin == std::string_view::npos)
+        return {};
     size_t end = s.find_last_not_of(" \t\r\n");
     return s.substr(begin, end - begin + 1);
 }
@@ -30,14 +32,14 @@ trim(const std::string &s)
 } // namespace
 
 void
-KvFile::set(const std::string &key, const std::string &value)
+KvFile::set(std::string key, std::string value)
 {
     PB_ASSERT(key.find('=') == std::string::npos &&
                   key.find('\n') == std::string::npos,
               "invalid key '" << key << "'");
     PB_ASSERT(value.find('\n') == std::string::npos,
               "value for '" << key << "' contains newline");
-    entries_[key] = value;
+    entries_.insert_or_assign(std::move(key), std::move(value));
 }
 
 void
@@ -49,23 +51,27 @@ KvFile::setInt(const std::string &key, int64_t value)
 void
 KvFile::setDouble(const std::string &key, double value)
 {
-    std::ostringstream oss;
-    oss.precision(17);
-    oss << value;
-    set(key, oss.str());
+    // The text an ostream prints at precision 17: "%.17g" round-trips
+    // every double, and renders inf/nan the same way.
+    char text[32];
+    int length = std::snprintf(text, sizeof(text), "%.17g", value);
+    set(key, std::string(text, static_cast<size_t>(length)));
 }
 
 void
 KvFile::setIntList(const std::string &key,
                    const std::vector<int64_t> &values)
 {
-    std::ostringstream oss;
+    std::string text;
+    char digits[24]; // "-9223372036854775808" is 20 characters
     for (size_t i = 0; i < values.size(); ++i) {
         if (i)
-            oss << ",";
-        oss << values[i];
+            text += ',';
+        text.append(digits,
+                    std::to_chars(digits, digits + sizeof(digits), values[i])
+                        .ptr);
     }
-    set(key, oss.str());
+    set(key, std::move(text));
 }
 
 bool
@@ -128,7 +134,7 @@ KvFile::getIntList(const std::string &key) const
     std::string item;
     while (std::getline(iss, item, ',')) {
         try {
-            values.push_back(std::stoll(trim(item)));
+            values.push_back(std::stoll(std::string(trim(item))));
         } catch (const std::exception &) {
             PB_FATAL("bad int list element in '" << key << "': " << item);
         }
@@ -152,35 +158,61 @@ KvFile::keys() const
     return out;
 }
 
+KvFile
+KvFile::section(const std::string &prefix) const
+{
+    KvFile out;
+    for (auto it = entries_.lower_bound(prefix);
+         it != entries_.end() && it->first.starts_with(prefix); ++it)
+        out.entries_.emplace_hint(out.entries_.end(),
+                                  it->first.substr(prefix.size()),
+                                  it->second);
+    return out;
+}
+
 std::string
 KvFile::toString() const
 {
-    std::ostringstream oss;
+    size_t bytes = 0;
     for (const auto &kv : entries_)
-        oss << kv.first << " = " << kv.second << "\n";
-    return oss.str();
+        bytes += kv.first.size() + kv.second.size() + 4;
+    std::string text;
+    text.reserve(bytes);
+    for (const auto &kv : entries_) {
+        text += kv.first;
+        text += " = ";
+        text += kv.second;
+        text += '\n';
+    }
+    return text;
 }
 
 KvFile
 KvFile::fromString(const std::string &text)
 {
     KvFile kv;
-    std::istringstream iss(text);
-    std::string line;
+    std::string_view rest = text;
     int lineno = 0;
-    while (std::getline(iss, line)) {
+    // Lines as std::getline splits them: on '\n', with a final line
+    // that lacks one still counted.
+    while (!rest.empty()) {
+        size_t newline = rest.find('\n');
+        std::string_view line = rest.substr(0, newline);
+        rest.remove_prefix(newline == std::string_view::npos
+                               ? rest.size()
+                               : newline + 1);
         ++lineno;
-        std::string stripped = trim(line);
+        std::string_view stripped = trim(line);
         if (stripped.empty() || stripped[0] == '#')
             continue;
         size_t eq = stripped.find('=');
-        if (eq == std::string::npos)
+        if (eq == std::string_view::npos)
             PB_FATAL("config line " << lineno << " has no '=': " << line);
-        std::string key = trim(stripped.substr(0, eq));
-        std::string value = trim(stripped.substr(eq + 1));
+        std::string_view key = trim(stripped.substr(0, eq));
+        std::string_view value = trim(stripped.substr(eq + 1));
         if (key.empty())
             PB_FATAL("config line " << lineno << " has empty key");
-        kv.entries_[key] = value;
+        kv.entries_.insert_or_assign(std::string(key), std::string(value));
     }
     return kv;
 }

@@ -23,7 +23,7 @@ class KvFile
 {
   public:
     /** Set (or overwrite) a key. */
-    void set(const std::string &key, const std::string &value);
+    void set(std::string key, std::string value);
     void setInt(const std::string &key, int64_t value);
     void setDouble(const std::string &key, double value);
     void setIntList(const std::string &key,
@@ -43,6 +43,12 @@ class KvFile
 
     /** All keys in sorted order. */
     std::vector<std::string> keys() const;
+
+    /**
+     * The entries whose keys start with @p prefix, prefix stripped: one
+     * ordered range of the map, however many other keys the file has.
+     */
+    KvFile section(const std::string &prefix) const;
 
     size_t size() const { return entries_.size(); }
 

@@ -12,7 +12,9 @@
 #define PETABRICKS_SUPPORT_RNG_H
 
 #include <cstdint>
+#include <optional>
 #include <random>
+#include <string>
 
 namespace petabricks {
 
@@ -22,18 +24,67 @@ namespace petabricks {
  * Provides the distributions the autotuner needs, notably the lognormal
  * scaling used by cutoff mutators (Section 5.2 of the paper: "a value is
  * equally likely be halved as it is to be doubled").
+ *
+ * Rng is itself the uniform random bit generator its distributions
+ * draw from, and it counts every engine call. Since nothing can reach
+ * the engine around that count, (seed, draws) is the generator's whole
+ * state: a checkpoint stores two numbers instead of the twister's
+ * 312-word dump, and restore() rebuilds the identical stream.
  */
 class Rng
 {
   public:
-    explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull) : engine_(seed) {}
+    explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull)
+        : seed_(seed), engine_(seed)
+    {}
+
+    /** @{ UniformRandomBitGenerator, with the twister's range, so the
+     * distributions draw exactly the values they would from it. */
+    using result_type = std::mt19937_64::result_type;
+    static constexpr result_type min() { return std::mt19937_64::min(); }
+    static constexpr result_type max() { return std::mt19937_64::max(); }
+
+    result_type
+    operator()()
+    {
+        ++draws_;
+        return engine_();
+    }
+    /** @} */
+
+    /** The seed this stream started from. */
+    uint64_t seed() const { return seed_; }
+
+    /** Engine calls made since seeding. */
+    uint64_t draws() const { return draws_; }
+
+    /** Become Rng(@p seed) after @p draws engine calls. */
+    void
+    restore(uint64_t seed, uint64_t draws)
+    {
+        seed_ = seed;
+        engine_.seed(seed);
+        engine_.discard(draws);
+        draws_ = draws;
+    }
+
+    /**
+     * The draw count at which Rng(@p seed) reaches @p engineDump, a
+     * std::mt19937_64 state in its `operator<<` text form (how
+     * checkpoints stored the RNG before draw counts). Searches at most
+     * @p maxDraws draws; nullopt when the text does not parse or the
+     * state is not on the seed's stream within that bound.
+     */
+    static std::optional<uint64_t>
+    drawsToReach(uint64_t seed, const std::string &engineDump,
+                 uint64_t maxDraws);
 
     /** Uniform integer in [lo, hi] inclusive. */
     int64_t
     uniformInt(int64_t lo, int64_t hi)
     {
         std::uniform_int_distribution<int64_t> dist(lo, hi);
-        return dist(engine_);
+        return dist(*this);
     }
 
     /** Uniform real in [lo, hi). */
@@ -41,7 +92,7 @@ class Rng
     uniformReal(double lo, double hi)
     {
         std::uniform_real_distribution<double> dist(lo, hi);
-        return dist(engine_);
+        return dist(*this);
     }
 
     /** Bernoulli trial with probability p of returning true. */
@@ -49,7 +100,7 @@ class Rng
     chance(double p)
     {
         std::bernoulli_distribution dist(p);
-        return dist(engine_);
+        return dist(*this);
     }
 
     /**
@@ -63,20 +114,15 @@ class Rng
     lognormalScale(int64_t value, double sigma = 0.6931471805599453)
     {
         std::lognormal_distribution<double> dist(0.0, sigma);
-        double scaled = static_cast<double>(value) * dist(engine_);
+        double scaled = static_cast<double>(value) * dist(*this);
         if (scaled < 1.0)
             return 1;
         return static_cast<int64_t>(scaled);
     }
 
-    /** Underlying engine, for std::shuffle and custom distributions. */
-    std::mt19937_64 &engine() { return engine_; }
-
-    /** Const view of the engine, for checkpointing its state (the
-     * twister streams its full state via operator<<). */
-    const std::mt19937_64 &engine() const { return engine_; }
-
   private:
+    uint64_t seed_;
+    uint64_t draws_ = 0;
     std::mt19937_64 engine_;
 };
 

@@ -111,11 +111,11 @@ Selector::setCutoff(size_t index, int64_t value)
 }
 
 void
-Selector::save(KvFile &kv) const
+Selector::save(KvFile &kv, const std::string &prefix) const
 {
-    kv.setIntList(name_ + ".cutoffs", cutoffs_);
+    kv.setIntList(prefix + name_ + ".cutoffs", cutoffs_);
     std::vector<int64_t> algs(algorithms_.begin(), algorithms_.end());
-    kv.setIntList(name_ + ".algorithms", algs);
+    kv.setIntList(prefix + name_ + ".algorithms", algs);
 }
 
 Selector
@@ -250,11 +250,17 @@ KvFile
 Config::toKv() const
 {
     KvFile kv;
-    for (const auto &[name, selector] : selectors_)
-        selector.save(kv);
-    for (const auto &[name, tunable] : tunables_)
-        kv.setInt(name, tunable.value);
+    saveValues(kv, "");
     return kv;
+}
+
+void
+Config::saveValues(KvFile &kv, const std::string &prefix) const
+{
+    for (const auto &[name, selector] : selectors_)
+        selector.save(kv, prefix);
+    for (const auto &[name, tunable] : tunables_)
+        kv.setInt(prefix + name, tunable.value);
 }
 
 void

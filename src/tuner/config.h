@@ -69,8 +69,9 @@ class Selector
     void setCutoff(size_t index, int64_t value);
     /** @} */
 
-    /** Write into @p kv under this selector's key prefix. */
-    void save(KvFile &kv) const;
+    /** Write into @p kv under this selector's key prefix, itself
+     * prefixed by @p prefix. */
+    void save(KvFile &kv, const std::string &prefix = "") const;
 
     /** Read back a selector saved by save(). */
     static Selector load(const KvFile &kv, const std::string &name,
@@ -184,6 +185,12 @@ class Config
 
     /** Serialize to the choice configuration file format. */
     KvFile toKv() const;
+
+    /**
+     * Write toKv()'s entries straight into @p kv, each key prefixed by
+     * @p prefix (how a checkpoint stores its population members).
+     */
+    void saveValues(KvFile &kv, const std::string &prefix) const;
 
     /**
      * Deserialize values into a structurally identical config (this

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -370,6 +369,43 @@ memberPrefix(size_t index)
     return "population." + std::to_string(index) + ".";
 }
 
+/**
+ * The checkpoint's RNG position as a draw count from @p seed, the
+ * session's seed. Checkpoints store it as `session.rngSeed` plus
+ * `session.rngDraws`; older ones stored the twister's full state as
+ * `session.rng`, which is converted by finding the count that reaches
+ * it. Either way the count is capped at 1024 draws per population
+ * member per step, far above what any step draws (about 20), so a
+ * hostile file cannot make the restore spin.
+ */
+uint64_t
+savedRngDraws(const KvFile &kv, const std::string &path, uint64_t seed,
+              int populationSize, int completedSteps)
+{
+    const uint64_t maxDraws = 1024 * static_cast<uint64_t>(populationSize) *
+                              (static_cast<uint64_t>(completedSteps) + 1);
+    if (!kv.has("session.rngDraws") && kv.has("session.rng")) {
+        std::optional<uint64_t> draws =
+            Rng::drawsToReach(seed, kv.get("session.rng"), maxDraws);
+        if (!draws)
+            PB_FATAL("checkpoint '" << path
+                                    << "' has a corrupt RNG state (not "
+                                       "within "
+                                    << maxDraws << " draws of seed "
+                                    << seed << ")");
+        return *draws;
+    }
+    const std::string &savedSeed = kv.get("session.rngSeed");
+    if (savedSeed != std::to_string(seed))
+        PB_FATAL("checkpoint '" << path << "' RNG seed " << savedSeed
+                                << " is not the session's seed " << seed);
+    int64_t draws = kv.getInt("session.rngDraws");
+    if (draws < 0 || static_cast<uint64_t>(draws) > maxDraws)
+        PB_FATAL("checkpoint '" << path << "' RNG draw count " << draws
+                                << " outside [0, " << maxDraws << "]");
+    return static_cast<uint64_t>(draws);
+}
+
 } // namespace
 
 KvFile
@@ -397,20 +433,18 @@ TuningSession::checkpointKv() const
     kv.setDouble("session.tuningSeconds", report_.tuningSeconds);
     kv.setDouble("session.compileSeconds", report_.compileSeconds);
 
-    // The twister's full state streams as text, which is what makes
-    // the resumed mutation sequence identical to the uninterrupted one.
-    std::ostringstream rngState;
-    rngState << rng_.engine();
-    kv.set("session.rng", rngState.str());
+    // Seed plus draw count is the RNG's whole state (see Rng), which
+    // is what makes the resumed mutation sequence identical to the
+    // uninterrupted one.
+    kv.set("session.rngSeed", std::to_string(rng_.seed()));
+    kv.setInt("session.rngDraws", static_cast<int64_t>(rng_.draws()));
 
     kv.setInt("session.population",
               static_cast<int64_t>(population_.size()));
     for (size_t i = 0; i < population_.size(); ++i) {
         const std::string prefix = memberPrefix(i);
         kv.setDouble(prefix + "seconds", population_[i].seconds);
-        KvFile values = population_[i].config.toKv();
-        for (const std::string &key : values.keys())
-            kv.set(prefix + key, values.get(key));
+        population_[i].config.saveValues(kv, prefix);
     }
     return kv;
 }
@@ -446,7 +480,8 @@ TuningSession::load(const std::string &path)
     // From here on the checkpoint's *content* is being trusted; a
     // truncated or hand-damaged file is a user-input problem, so every
     // violation raises a clean FatalError rather than tripping an
-    // internal-invariant assert.
+    // internal-invariant assert. Everything is read into locals first,
+    // so a rejected file leaves the session as it was.
     int64_t sizeIndex = kv.getInt("session.sizeIndex");
     int64_t generation = kv.getInt("session.generation");
     if (sizeIndex < 0 || sizeIndex > static_cast<int64_t>(sizes_.size()))
@@ -455,41 +490,47 @@ TuningSession::load(const std::string &path)
     if (generation < 0 || generation >= options_.generationsPerSize)
         PB_FATAL("checkpoint '" << path << "' generation " << generation
                                 << " out of range");
-    sizeIndex_ = static_cast<size_t>(sizeIndex);
-    generation_ = static_cast<int>(generation);
+    const int completed =
+        static_cast<int>(sizeIndex) * options_.generationsPerSize +
+        static_cast<int>(generation);
 
-    report_ = TuningResult{};
-    report_.evaluations = kv.getInt("session.evaluations");
-    report_.mutationsAccepted = kv.getInt("session.mutationsAccepted");
-    report_.mutationsRejected = kv.getInt("session.mutationsRejected");
-    report_.cacheHits = kv.getInt("session.cacheHits");
+    TuningResult report;
+    report.evaluations = kv.getInt("session.evaluations");
+    report.mutationsAccepted = kv.getInt("session.mutationsAccepted");
+    report.mutationsRejected = kv.getInt("session.mutationsRejected");
+    report.cacheHits = kv.getInt("session.cacheHits");
     // Absent in pre-fault-tolerance checkpoints: default, don't fail.
-    report_.evaluationFailures =
-        kv.getIntOr("session.evaluationFailures", 0);
-    report_.tuningSeconds = kv.getDouble("session.tuningSeconds");
-    report_.compileSeconds = kv.getDouble("session.compileSeconds");
+    report.evaluationFailures = kv.getIntOr("session.evaluationFailures", 0);
+    report.tuningSeconds = kv.getDouble("session.tuningSeconds");
+    report.compileSeconds = kv.getDouble("session.compileSeconds");
 
-    std::istringstream rngState(kv.get("session.rng"));
-    rngState >> rng_.engine();
-    if (rngState.fail())
-        PB_FATAL("checkpoint '" << path << "' has a corrupt RNG state");
+    const uint64_t draws = savedRngDraws(kv, path, options_.seed,
+                                         options_.populationSize, completed);
 
+    // step() prunes to populationSize, so a larger count is damage.
     int64_t count = kv.getInt("session.population");
     if (count < 1)
         PB_FATAL("checkpoint '" << path << "' population is empty");
-    population_.clear();
+    if (count > options_.populationSize)
+        PB_FATAL("checkpoint '" << path << "' population " << count
+                                << " exceeds populationSize "
+                                << options_.populationSize);
+    std::vector<Member> population;
+    population.reserve(static_cast<size_t>(count));
     for (int64_t i = 0; i < count; ++i) {
-        const std::string prefix = memberPrefix(static_cast<size_t>(i));
-        KvFile values;
-        for (const std::string &key : kv.keys())
-            if (key.rfind(prefix, 0) == 0)
-                values.set(key.substr(prefix.size()), kv.get(key));
+        KvFile values = kv.section(memberPrefix(static_cast<size_t>(i)));
         Member member;
         member.config = seed_;
         member.config.loadValues(values);
         member.seconds = values.getDouble("seconds");
-        population_.push_back(std::move(member));
+        population.push_back(std::move(member));
     }
+
+    sizeIndex_ = static_cast<size_t>(sizeIndex);
+    generation_ = static_cast<int>(generation);
+    report_ = report;
+    rng_.restore(options_.seed, draws);
+    population_ = std::move(population);
 
     // A resumed search is a fresh process: memoized evaluations and
     // live JIT programs are gone. Re-deriving them costs only modeled

@@ -180,8 +180,8 @@ class TuningSession
 
     /**
      * Checkpoint the full search state to @p path (kvfile format):
-     * population with scores, size/generation cursor, RNG state, and
-     * accounting. Call between steps — a progress callback is a
+     * population with scores, size/generation cursor, RNG seed and
+     * draw count, and accounting. Call between steps — a progress callback is a
      * natural place.
      */
     void save(const std::string &path) const;
@@ -198,7 +198,11 @@ class TuningSession
      * been constructed with the same seed configuration and options as
      * the saved one (validated via the seed fingerprint); the
      * evaluation and compile caches restart cold, which affects only
-     * the modeled tuning-time accounting, never the champion.
+     * the modeled tuning-time accounting, never the champion. The RNG
+     * is saved as the session seed plus a draw count; a checkpoint that
+     * holds the twister's full-state dump instead (`session.rng`, the
+     * older form) is converted. A file that fails validation raises
+     * FatalError and leaves the session unchanged.
      */
     void load(const std::string &path);
 

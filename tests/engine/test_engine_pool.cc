@@ -7,7 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 
 #include "benchmarks/convolution.h"
 #include "benchmarks/sort.h"
@@ -67,6 +70,64 @@ syntheticBatch(const SyntheticBenchmark &bench,
     }
     return configs;
 }
+
+/**
+ * Meeting point for the lanes of a pool: arrive() blocks until
+ * @p lanes calls have arrived, or until a timeout, which is recorded
+ * rather than left to hang the test.
+ */
+class Rendezvous
+{
+  public:
+    explicit Rendezvous(int lanes) : lanes_(lanes) {}
+
+    void
+    arrive()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        ++arrived_;
+        allArrived_.notify_all();
+        if (!allArrived_.wait_for(lock, std::chrono::seconds(30),
+                                  [this] { return arrived_ >= lanes_; }))
+            timedOut_ = true;
+    }
+
+    bool
+    timedOut() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return timedOut_;
+    }
+
+  private:
+    const int lanes_;
+    mutable std::mutex mutex_;
+    std::condition_variable allArrived_;
+    int arrived_ = 0;
+    bool timedOut_ = false;
+};
+
+/** A RuntimeEngine whose runs wait at a Rendezvous before running. A
+ * lane held there claims nothing else, so the first arrivals are one
+ * per lane: the batch cannot finish on fewer lanes than it fans to. */
+class RendezvousEngine : public RuntimeEngine
+{
+  public:
+    explicit RendezvousEngine(Rendezvous &rendezvous)
+        : rendezvous_(rendezvous)
+    {}
+
+    RunResult
+    run(const apps::Benchmark &benchmark, const tuner::Config &config,
+        int64_t n) override
+    {
+        rendezvous_.arrive();
+        return RuntimeEngine::run(benchmark, config, n);
+    }
+
+  private:
+    Rendezvous &rendezvous_;
+};
 
 std::vector<tuner::Config>
 convolutionBatch()
@@ -159,19 +220,27 @@ TEST(ConcurrencyGates, FunctionStyleBenchmarksRefuseConcurrentInstances)
 TEST(EnginePool, FansBatchAcrossRuntimeInstances)
 {
     apps::ConvolutionBenchmark conv(5);
-    EnginePool pool([] { return std::make_unique<RuntimeEngine>(); }, 3);
+    Rendezvous rendezvous(3);
+    EnginePool pool(
+        [&rendezvous] {
+            return std::make_unique<RendezvousEngine>(rendezvous);
+        },
+        3);
     EXPECT_EQ(pool.engineCount(), 3);
     EXPECT_TRUE(pool.supports(conv));
 
     auto configs = convolutionBatch();
     std::vector<RunResult> results = pool.runBatch(conv, configs, 48);
+    EXPECT_FALSE(rendezvous.timedOut())
+        << "fewer than 3 lanes claimed an item";
     ASSERT_EQ(results.size(), configs.size());
     for (size_t i = 0; i < results.size(); ++i) {
         EXPECT_LE(results[i].maxError, conv.realModeTolerance()) << i;
         EXPECT_GT(results[i].seconds, 0.0) << i;
     }
     // All three engines' devices saw kernel launches: the batch really
-    // fanned out (4 configs round-robin over 3 engines).
+    // fanned out (4 configs over 3 engines, each engine's first run
+    // held at the rendezvous until every lane had claimed one).
     for (int e = 0; e < pool.engineCount(); ++e) {
         auto *runtimeEngine =
             dynamic_cast<RuntimeEngine *>(&pool.engineAt(e));

@@ -8,8 +8,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <thread>
 
 #include "benchmarks/convolution.h"
 #include "engine/engine_pool.h"
@@ -78,6 +82,39 @@ faultyModelEngine(FaultPlan plan)
         std::make_unique<ModelEngine>(sim::MachineProfile::desktop(), 1),
         plan);
 }
+
+/** A Desktop ModelEngine whose measure() first waits until @p release
+ * returns true; after 30 s it sets @p timedOut and goes ahead, so a
+ * broken ordering fails the test instead of hanging it. */
+class GatedModelEngine : public ModelEngine
+{
+  public:
+    GatedModelEngine(std::function<bool()> release,
+                     std::atomic<bool> &timedOut)
+        : ModelEngine(sim::MachineProfile::desktop(), 1),
+          release_(std::move(release)), timedOut_(timedOut)
+    {}
+
+    double
+    measure(const apps::Benchmark &benchmark, const tuner::Config &config,
+            int64_t n) override
+    {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!release_()) {
+            if (std::chrono::steady_clock::now() > deadline) {
+                timedOut_ = true;
+                break;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return ModelEngine::measure(benchmark, config, n);
+    }
+
+  private:
+    std::function<bool()> release_;
+    std::atomic<bool> &timedOut_;
+};
 
 TEST(FaultInjection, ScheduleIsDeterministicAcrossEngines)
 {
@@ -201,22 +238,37 @@ TEST(FaultInjection, PoolQuarantinesAFlakyInstanceAndDegrades)
     auto configs =
         syntheticBatch(bench, {5, 1, 9, 3, 8, 2, 44, 17, 23, 99, 37, 6});
 
-    // Instance 0 fails everything forever; instance 1 is clean.
+    // Instance 0 fails everything forever; instance 1 is clean. The
+    // lanes share one work cursor, so instance 1 holds its first item
+    // until instance 0 is quarantined: otherwise a lane that starts
+    // late could find every item taken and never fail at all.
     int built = 0;
     PoolOptions options;
     options.quarantineAfter = 2;
+    std::atomic<EnginePool *> poolRef{nullptr};
+    std::atomic<bool> timedOut{false};
+    auto flakyQuarantined = [&poolRef] {
+        EnginePool *pool = poolRef.load();
+        return pool != nullptr && pool->instanceStats(0).quarantined;
+    };
     EnginePool pool(
         [&]() -> std::unique_ptr<ExecutionEngine> {
-            FaultPlan plan;
             if (built++ == 0) {
+                FaultPlan plan;
                 plan.transientRate = 1.0;
                 plan.faultsPerKey = -1;
+                return faultyModelEngine(plan);
             }
-            return faultyModelEngine(plan);
+            return std::make_unique<FaultInjectingEngine>(
+                std::make_unique<GatedModelEngine>(flakyQuarantined,
+                                                   timedOut),
+                FaultPlan{});
         },
         2, options);
+    poolRef = &pool;
 
     std::vector<double> got = pool.measureBatch(bench, configs, 64);
+    EXPECT_FALSE(timedOut.load()) << "instance 0 was never quarantined";
 
     // Every item lands correctly via the surviving instance.
     ModelEngine clean(sim::MachineProfile::desktop(), 1);

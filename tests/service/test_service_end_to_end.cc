@@ -191,6 +191,33 @@ TEST(ServiceEndToEnd, StatsEndpointCountsCommands)
     server.stop();
 }
 
+TEST(ServiceEndToEnd, JunkPathsShareOneStatsBucket)
+{
+    TuningServer server(serverOptions(spoolDir("junk_paths")));
+    server.start();
+    Client client("127.0.0.1", server.port());
+
+    // Decoded, these paths hold '=' and a newline: neither may reach
+    // a /stats key.
+    EXPECT_THROW(client.command("GET", "/a%3Db"), FatalError);
+    EXPECT_THROW(client.command("GET", "/x%0Ay"), FatalError);
+    client.ping();
+    KvFile stats = client.stats(); // throws unless it answers 200
+    EXPECT_EQ(stats.getInt("command.unknown.count"), 2);
+    EXPECT_EQ(stats.getInt("command.unknown.errors"), 2);
+    EXPECT_EQ(stats.getInt("command.ping.count"), 1);
+
+    // Distinct junk paths do not grow the table.
+    const size_t keys = client.stats().size();
+    for (int i = 0; i < 1000; ++i)
+        EXPECT_THROW(client.command("GET", "/junk" + std::to_string(i)),
+                     FatalError);
+    stats = client.stats();
+    EXPECT_EQ(stats.size(), keys);
+    EXPECT_EQ(stats.getInt("command.unknown.count"), 1002);
+    server.stop();
+}
+
 TEST(ServiceEndToEnd, ResumeAfterServerRestartMatchesReference)
 {
     const std::string spool = spoolDir("restart");

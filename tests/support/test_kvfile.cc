@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <map>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "support/error.h"
 #include "support/kvfile.h"
+#include "support/rng.h"
 
 namespace petabricks {
 namespace {
@@ -102,6 +110,275 @@ TEST(KvFile, OverwriteReplacesValue)
     kv.setInt("k", 2);
     EXPECT_EQ(kv.getInt("k"), 2);
     EXPECT_EQ(kv.size(), 1u);
+}
+
+TEST(KvFile, SectionIsThePrefixRangeWithThePrefixStripped)
+{
+    KvFile kv;
+    kv.setInt("population.1.lws", 8);
+    kv.setDouble("population.1.seconds", 0.5);
+    kv.setInt("population.10.lws", 9); // not under "population.1."
+    kv.setInt("population.0.lws", 7);
+    kv.setInt("session.population", 3);
+    KvFile one = kv.section("population.1.");
+    EXPECT_EQ(one.keys(), (std::vector<std::string>{"lws", "seconds"}));
+    EXPECT_EQ(one.getInt("lws"), 8);
+    EXPECT_EQ(one.getDouble("seconds"), 0.5);
+    EXPECT_EQ(kv.section("population.").size(), 4u);
+    EXPECT_EQ(kv.section("").toString(), kv.toString());
+    EXPECT_EQ(kv.section("population.2.").size(), 0u);
+}
+
+// ---- Byte compatibility with the iostream implementation ---------------
+//
+// The renderer and parser once used ostringstream/istringstream. What
+// follows is that code, kept here as the reference: every file the
+// program writes (spool metadata, champions, cache segments, HTTP
+// bodies) must come out byte-identical, and every file it reads must
+// parse to the same entries or fail with the same message.
+
+namespace iostreamReference {
+
+std::string
+trim(const std::string &s)
+{
+    size_t begin = s.find_first_not_of(" \t\r\n");
+    if (begin == std::string::npos)
+        return "";
+    size_t end = s.find_last_not_of(" \t\r\n");
+    return s.substr(begin, end - begin + 1);
+}
+
+std::string
+renderDouble(double value)
+{
+    std::ostringstream oss;
+    oss.precision(17);
+    oss << value;
+    return oss.str();
+}
+
+std::string
+renderIntList(const std::vector<int64_t> &values)
+{
+    std::ostringstream oss;
+    for (size_t i = 0; i < values.size(); ++i) {
+        if (i)
+            oss << ",";
+        oss << values[i];
+    }
+    return oss.str();
+}
+
+std::string
+render(const std::map<std::string, std::string> &entries)
+{
+    std::ostringstream oss;
+    for (const auto &kv : entries)
+        oss << kv.first << " = " << kv.second << "\n";
+    return oss.str();
+}
+
+/** Throws std::runtime_error carrying FatalError's message text. */
+std::map<std::string, std::string>
+parse(const std::string &text)
+{
+    std::map<std::string, std::string> entries;
+    std::istringstream iss(text);
+    std::string line;
+    int lineno = 0;
+    while (std::getline(iss, line)) {
+        ++lineno;
+        std::string stripped = trim(line);
+        if (stripped.empty() || stripped[0] == '#')
+            continue;
+        size_t eq = stripped.find('=');
+        std::ostringstream message;
+        if (eq == std::string::npos) {
+            message << "config line " << lineno << " has no '=': " << line;
+            throw std::runtime_error(message.str());
+        }
+        std::string key = trim(stripped.substr(0, eq));
+        std::string value = trim(stripped.substr(eq + 1));
+        if (key.empty()) {
+            message << "config line " << lineno << " has empty key";
+            throw std::runtime_error(message.str());
+        }
+        entries[key] = value;
+    }
+    return entries;
+}
+
+} // namespace iostreamReference
+
+/** A FatalError's message without its "fatal at file:line: " prefix. */
+std::string
+fatalMessage(const FatalError &error)
+{
+    std::string what = error.what();
+    size_t start = what.find(": ");
+    return start == std::string::npos ? what : what.substr(start + 2);
+}
+
+std::map<std::string, std::string>
+entriesOf(const KvFile &kv)
+{
+    std::map<std::string, std::string> entries;
+    for (const std::string &key : kv.keys())
+        entries[key] = kv.get(key);
+    return entries;
+}
+
+/** Parse @p text both ways; both must succeed with the same entries or
+ * fail with the same message. */
+void
+expectSameParse(const std::string &text)
+{
+    std::map<std::string, std::string> expected;
+    std::string expectedError;
+    try {
+        expected = iostreamReference::parse(text);
+    } catch (const std::runtime_error &error) {
+        expectedError = error.what();
+    }
+    try {
+        KvFile kv = KvFile::fromString(text);
+        EXPECT_EQ(expectedError, "") << "accepted: " << text;
+        EXPECT_EQ(entriesOf(kv), expected) << text;
+    } catch (const FatalError &error) {
+        EXPECT_EQ(fatalMessage(error), expectedError) << text;
+    }
+}
+
+double
+specialDouble(Rng &rng)
+{
+    using Limits = std::numeric_limits<double>;
+    const double specials[] = {0.0,
+                               -0.0,
+                               Limits::infinity(),
+                               -Limits::infinity(),
+                               Limits::quiet_NaN(),
+                               -Limits::quiet_NaN(),
+                               Limits::denorm_min(),
+                               -Limits::denorm_min(),
+                               Limits::min(),
+                               Limits::max(),
+                               Limits::lowest(),
+                               Limits::epsilon(),
+                               0.1,
+                               1.0 / 3.0,
+                               2.5,
+                               1e21,
+                               1e-7,
+                               123456789012345678.0};
+    const size_t count = sizeof(specials) / sizeof(specials[0]);
+    if (rng.chance(0.2))
+        return specials[rng.uniformInt(0, count - 1)];
+    if (rng.chance(0.5))
+        return std::bit_cast<double>(rng()); // any bit pattern
+    return rng.uniformReal(-1e6, 1e6);
+}
+
+std::string
+randomText(Rng &rng, const std::string &alphabet, int maxLength)
+{
+    std::string text;
+    const int64_t length = rng.uniformInt(0, maxLength);
+    for (int64_t i = 0; i < length; ++i)
+        text += alphabet[rng.uniformInt(0, alphabet.size() - 1)];
+    return text;
+}
+
+TEST(KvFileCompat, DoublesAndIntListsRenderAsIostreamsDid)
+{
+    Rng rng(17);
+    KvFile kv;
+    for (int i = 0; i < 200000; ++i) {
+        double value = specialDouble(rng);
+        kv.setDouble("d", value);
+        ASSERT_EQ(kv.get("d"), iostreamReference::renderDouble(value))
+            << std::bit_cast<uint64_t>(value);
+    }
+    for (int i = 0; i < 20000; ++i) {
+        std::vector<int64_t> values(
+            static_cast<size_t>(rng.uniformInt(0, 6)));
+        for (int64_t &value : values)
+            value = rng.chance(0.1)
+                        ? (rng.chance(0.5)
+                               ? std::numeric_limits<int64_t>::min()
+                               : std::numeric_limits<int64_t>::max())
+                        : static_cast<int64_t>(rng()) >>
+                              rng.uniformInt(0, 63);
+        kv.setIntList("l", values);
+        ASSERT_EQ(kv.get("l"), iostreamReference::renderIntList(values));
+    }
+}
+
+TEST(KvFileCompat, FilesRenderAndParseAsIostreamsDid)
+{
+    // Keys and values take spaces, tabs, '#' and '\r'; values also '='.
+    // Neither holds '\n', and keys hold no '=', as KvFile::set demands.
+    const std::string keyAlphabet = "ab.Z09_ \t#\r-";
+    const std::string valueAlphabet = keyAlphabet + "=,";
+    const std::string noise = "a=# \t\r\n\n\n.,0-";
+    Rng rng(4242);
+    for (int file = 0; file < 3000; ++file) {
+        KvFile kv;
+        std::map<std::string, std::string> entries;
+        const int64_t count = rng.uniformInt(0, 12);
+        for (int64_t i = 0; i < count; ++i) {
+            std::string key = randomText(rng, keyAlphabet, 12);
+            switch (rng.uniformInt(0, 3)) {
+            case 0:
+                kv.setDouble(key, specialDouble(rng));
+                break;
+            case 1:
+                kv.setInt(key, static_cast<int64_t>(rng()));
+                break;
+            case 2:
+                kv.setIntList(key, {rng.uniformInt(-9, 9),
+                                    static_cast<int64_t>(rng())});
+                break;
+            default:
+                kv.set(key, randomText(rng, valueAlphabet, 16));
+            }
+            entries[key] = kv.get(key);
+        }
+        const std::string text = kv.toString();
+        ASSERT_EQ(text, iostreamReference::render(entries));
+        expectSameParse(text);
+
+        // Seeded byte mutations: overwrite, insert, delete, truncate.
+        for (int m = 0; m < 8; ++m) {
+            std::string mutated = text;
+            const int64_t edits = rng.uniformInt(1, 4);
+            for (int64_t e = 0; e < edits; ++e) {
+                const size_t at = static_cast<size_t>(
+                    rng.uniformInt(0, static_cast<int64_t>(mutated.size())));
+                const char c = rng.chance(0.1)
+                                   ? '\0'
+                                   : noise[rng.uniformInt(
+                                         0, noise.size() - 1)];
+                switch (rng.uniformInt(0, 3)) {
+                case 0:
+                    if (at < mutated.size())
+                        mutated[at] = c;
+                    break;
+                case 1:
+                    mutated.insert(mutated.begin() + at, c);
+                    break;
+                case 2:
+                    if (at < mutated.size())
+                        mutated.erase(at, 1);
+                    break;
+                default:
+                    mutated.resize(at);
+                }
+            }
+            expectSameParse(mutated);
+        }
+    }
 }
 
 } // namespace

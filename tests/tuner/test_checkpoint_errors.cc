@@ -10,6 +10,9 @@
 
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
+#include <random>
+#include <sstream>
 #include <string>
 
 #include "support/error.h"
@@ -58,6 +61,40 @@ std::string
 tempPath(const char *name)
 {
     return std::string(::testing::TempDir()) + name;
+}
+
+/** @p kv without the keys in @p drop. */
+KvFile
+without(const KvFile &kv, std::initializer_list<const char *> drop)
+{
+    KvFile out;
+    for (const std::string &key : kv.keys()) {
+        bool dropped = false;
+        for (const char *name : drop)
+            dropped |= key == name;
+        if (!dropped)
+            out.set(key, kv.get(key));
+    }
+    return out;
+}
+
+/**
+ * @p kv as the previous checkpoint format stored it: the RNG as
+ * std::mt19937_64's operator<< dump instead of seed plus draw count.
+ * The dump is of the twister seeded with @p seed after the saved
+ * number of draws.
+ */
+KvFile
+legacyForm(const KvFile &kv, uint64_t seed)
+{
+    std::mt19937_64 engine(seed);
+    engine.discard(static_cast<unsigned long long>(
+        kv.getInt("session.rngDraws")));
+    std::ostringstream dump;
+    dump << engine;
+    KvFile legacy = without(kv, {"session.rngSeed", "session.rngDraws"});
+    legacy.set("session.rng", dump.str());
+    return legacy;
 }
 
 /** Fixture: a mid-search checkpoint plus a fresh session to load it
@@ -185,7 +222,82 @@ TEST_F(CheckpointErrors, MismatchedTunerOptionsAreRejected)
 TEST_F(CheckpointErrors, CorruptRngStateIsRejected)
 {
     KvFile damaged = checkpoint_;
+    damaged.set("session.rngDraws", "not a draw count");
+    rewrite(damaged);
+    expectLoadThrows();
+
+    // The previous format's twister dump, damaged.
+    damaged = without(checkpoint_, {"session.rngSeed", "session.rngDraws"});
     damaged.set("session.rng", "not a mersenne twister dump");
+    rewrite(damaged);
+    expectLoadThrows();
+}
+
+TEST_F(CheckpointErrors, BadRngKeysAreRejected)
+{
+    rewrite(without(checkpoint_, {"session.rngDraws"}));
+    expectLoadThrows();
+
+    rewrite(without(checkpoint_, {"session.rngSeed"}));
+    expectLoadThrows();
+
+    KvFile damaged = checkpoint_;
+    damaged.set("session.rngDraws", "12abc");
+    rewrite(damaged);
+    expectLoadThrows();
+
+    damaged.setInt("session.rngDraws", -1);
+    rewrite(damaged);
+    expectLoadThrows();
+
+    // The cap is 1024 draws per member per step: 1024 * 6 * (3 + 1).
+    damaged.setInt("session.rngDraws", 1024 * 6 * 4 + 1);
+    rewrite(damaged);
+    expectLoadThrows();
+    damaged.setInt("session.rngDraws", 1024 * 6 * 4);
+    rewrite(damaged);
+    BowlEvaluator eval;
+    TuningSession atCap(eval, bowlSeed(), fastOptions());
+    EXPECT_NO_THROW(atCap.load(path_));
+
+    // The stream must start from the session's own seed (42).
+    damaged = checkpoint_;
+    damaged.set("session.rngSeed", "43");
+    rewrite(damaged);
+    expectLoadThrows();
+}
+
+TEST_F(CheckpointErrors, LegacyRngDumpResumesToTheUninterruptedChampion)
+{
+    BowlEvaluator referenceEval;
+    TuningResult reference =
+        TuningSession(referenceEval, bowlSeed(), fastOptions()).run();
+
+    rewrite(legacyForm(checkpoint_, fastOptions().seed));
+    BowlEvaluator eval;
+    TuningSession session(eval, bowlSeed(), fastOptions());
+    session.load(path_);
+    // Its next save is the current format, byte for byte.
+    EXPECT_EQ(session.checkpointKv().toString(), checkpoint_.toString());
+
+    TuningResult result = session.run();
+    EXPECT_EQ(result.best.toKv(), reference.best.toKv());
+    EXPECT_EQ(result.bestSeconds, reference.bestSeconds);
+    EXPECT_EQ(result.mutationsAccepted, reference.mutationsAccepted);
+    EXPECT_EQ(result.mutationsRejected, reference.mutationsRejected);
+}
+
+TEST_F(CheckpointErrors, LegacyRngDumpFromAnotherSeedIsRejected)
+{
+    rewrite(legacyForm(checkpoint_, fastOptions().seed + 1));
+    expectLoadThrows();
+}
+
+TEST_F(CheckpointErrors, PopulationAbovePopulationSizeIsRejected)
+{
+    // step() prunes to populationSize (6), so 7 members is damage.
+    KvFile damaged = checkpoint_;
+    damaged.setInt("session.population", 7);
     rewrite(damaged);
     expectLoadThrows();
 }
@@ -233,6 +345,35 @@ TEST_F(CheckpointErrors, FailedLoadLeavesSessionUsable)
     TuningResult result = session.run();
     EXPECT_EQ(result.best.toKv(), expected.best.toKv());
     EXPECT_EQ(result.bestSeconds, expected.bestSeconds);
+}
+
+TEST_F(CheckpointErrors, LateRejectionLeavesSessionUntouched)
+{
+    // The draw count is read after the cursor and accounting, and the
+    // population after it: a file rejected there must not have moved
+    // the session's cursor either.
+    BowlEvaluator reference;
+    TuningSession pristine(reference, bowlSeed(), fastOptions());
+    TuningResult expected = pristine.run();
+
+    KvFile damaged = checkpoint_;
+    damaged.setInt("session.rngDraws", -1);
+    rewrite(damaged);
+    BowlEvaluator eval;
+    TuningSession session(eval, bowlSeed(), fastOptions());
+    EXPECT_THROW(session.load(path_), FatalError);
+    EXPECT_EQ(session.completedSteps(), 0);
+
+    damaged = checkpoint_;
+    damaged.set("population.0.lws", "4096"); // outside [1, 1024]
+    rewrite(damaged);
+    EXPECT_THROW(session.load(path_), FatalError);
+    EXPECT_EQ(session.completedSteps(), 0);
+
+    TuningResult result = session.run();
+    EXPECT_EQ(result.best.toKv(), expected.best.toKv());
+    EXPECT_EQ(result.bestSeconds, expected.bestSeconds);
+    EXPECT_EQ(result.mutationsAccepted, expected.mutationsAccepted);
 }
 
 } // namespace tuner

@@ -284,6 +284,42 @@ TEST(TuningSession, ResumedSearchReachesTheUninterruptedChampion)
     }
 }
 
+TEST(TuningSession, LargePopulationCheckpointRoundTripsExactly)
+{
+    // A full 256-member population: load reads each member's keys as
+    // one range of the file, and the reloaded session renders the same
+    // checkpoint byte for byte.
+    TunerOptions options = fastOptions();
+    options.populationSize = 256;
+    Config seed = bowlSeed();
+    seed.addSelector(Selector("algo", 3));
+    BowlEvaluator eval;
+    TuningSession session(eval, seed, options);
+    session.run(2);
+    KvFile checkpoint = session.checkpointKv();
+
+    checkpoint.setInt("session.population", 256);
+    for (int i = 0; i < 256; ++i) {
+        Config member = seed;
+        member.tunable("lws").value = 1 + (i * 37) % 1024;
+        member.selector("algo").insertLevel(16 * (i + 1), i % 3);
+        if (i % 5 == 0)
+            member.selector("algo").insertLevel(8000 + i, (i + 1) % 3);
+        const std::string prefix = "population." + std::to_string(i) + ".";
+        member.saveValues(checkpoint, prefix);
+        checkpoint.setDouble(prefix + "seconds", 1.0 + i / 7.0);
+    }
+    const std::string path = tempPath("session_large.ckpt");
+    checkpoint.save(path);
+
+    BowlEvaluator freshEval;
+    TuningSession restored(freshEval, seed, options);
+    restored.load(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(restored.introspect().populationSize, 256u);
+    EXPECT_EQ(restored.checkpointKv().toString(), checkpoint.toString());
+}
+
 TEST(TuningSession, LoadRejectsCheckpointForDifferentSeedConfig)
 {
     const std::string path = tempPath("session_schema.ckpt");
