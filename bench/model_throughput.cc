@@ -34,7 +34,6 @@
 #include "cache/shared_cache.h"
 #include "support/hash.h"
 #include "support/rng.h"
-#include "tuner/evaluation_cache.h"
 #include "tuner/mutators.h"
 
 using namespace petabricks;
@@ -244,8 +243,7 @@ main(int argc, char **argv)
         const uint64_t scope = Fnv1a().mix(row.name).value();
         const uint64_t owner = shared.registerOwner();
         for (const tuner::Config &config : configs)
-            shared.publish(scope, row.n,
-                           tuner::EvaluationCache::fingerprint(config),
+            shared.publish(scope, row.n, config.valueFingerprint(),
                            evalFast(*benchmark, config, row.n, machine,
                                     ctx.get()),
                            owner);
@@ -254,8 +252,7 @@ main(int argc, char **argv)
                 apps::EvalContextPtr sweepCtx =
                     benchmark->makeEvalContext(row.n, machine);
                 for (const tuner::Config &config : configs) {
-                    uint64_t fp =
-                        tuner::EvaluationCache::fingerprint(config);
+                    uint64_t fp = config.valueFingerprint();
                     if (std::optional<double> hit =
                             shared.lookup(scope, row.n, fp, owner))
                         g_sink = g_sink + *hit;

@@ -28,6 +28,10 @@
 #      must report server.restartCount = 1, and SIGTERM to the
 #      supervisor must drain the child and exit 0.
 #
+# Every leg stops its daemons with SIGTERM and waits for them; the
+# script fails if any daemon it started outlives its leg, and its exit
+# trap kills whatever is left.
+#
 # Usage: scripts/daemon_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
 
@@ -39,6 +43,9 @@ SPOOL="$WORK/spool"
 PORT_FILE="$WORK/port"
 DAEMON_PID=""
 DAEMON_EXTRA_ARGS=()
+# Every daemon this script starts, supervised children included, names
+# $PORT_FILE on its command line.
+DAEMON_PATTERN="--port-file $PORT_FILE"
 
 # Small enough to finish in seconds, large enough that the kill lands
 # mid-search (12 total generations across input sizes 64..1024).
@@ -46,12 +53,28 @@ SEARCH_ARGS=(--benchmark Sort --seed 7 --population 4 --generations 4
              --max-input 1024)
 
 cleanup() {
-    [ -n "$DAEMON_PID" ] && kill -9 "$DAEMON_PID" 2>/dev/null || true
+    pkill -9 -f -- "$DAEMON_PATTERN" || true
     rm -rf "$WORK"
 }
 trap cleanup EXIT
 
 fail() { echo "daemon_smoke: FAIL: $*" >&2; exit 1; }
+
+# SIGTERM the current daemon and wait for its drain; returns its exit
+# status.
+stop_daemon() {
+    local rc=0
+    kill -TERM "$DAEMON_PID" 2>/dev/null || true
+    wait "$DAEMON_PID" || rc=$?
+    return "$rc"
+}
+
+# Fail if any daemon this script started is still running after leg $1.
+assert_no_daemons() {
+    local left
+    left="$(pgrep -f -- "$DAEMON_PATTERN" | paste -sd ' ' -)" || true
+    [ -z "$left" ] || fail "leg $1: tunerd still running after the leg (pid $left)"
+}
 
 start_daemon() {
     rm -f "$PORT_FILE"
@@ -98,6 +121,8 @@ echo "daemon_smoke: daemon restarted on port $PORT"
 "$CLIENT" --port "$PORT" finish --session "$SESSION" \
     > "$WORK/resumed.txt" || fail "finishing the resumed search failed"
 "$CLIENT" --port "$PORT" stop --session "$SESSION"
+stop_daemon || fail "restarted daemon exited nonzero on SIGTERM"
+assert_no_daemons 1
 
 # ---- The resumed champion must equal the uninterrupted one -----------------
 if ! diff -u "$WORK/expected.txt" "$WORK/resumed.txt"; then
@@ -121,10 +146,8 @@ SESSION=$("$CLIENT" --port "$PORT" create "${SEARCH_ARGS[@]}")
 "$CLIENT" --port "$PORT" step --session "$SESSION" --steps 999 --nowait \
     || fail "drain leg: detached step failed"
 
-kill -TERM "$DAEMON_PID"
 DRAIN_RC=0
-wait "$DAEMON_PID" || DRAIN_RC=$?
-DAEMON_PID=""
+stop_daemon || DRAIN_RC=$?
 [ "$DRAIN_RC" -eq 0 ] || fail "drained daemon exited $DRAIN_RC, want 0"
 [ -f "$SPOOL/$SESSION.ckpt" ] || fail "drain did not checkpoint the session"
 echo "daemon_smoke: SIGTERM drain exited 0 with a checkpoint on disk"
@@ -134,8 +157,8 @@ start_daemon
     || fail "drain leg: resume after drain failed"
 "$CLIENT" --port "$PORT" finish --session "$SESSION" \
     > "$WORK/drained.txt" || fail "drain leg: finish failed"
-kill -TERM "$DAEMON_PID" && wait "$DAEMON_PID" || true
-DAEMON_PID=""
+stop_daemon || true
+assert_no_daemons 2
 
 if ! diff -u "$WORK/expected.txt" "$WORK/drained.txt"; then
     fail "champion after drain+restart differs from the uninterrupted run"
@@ -167,8 +190,8 @@ if ! diff -u "$WORK/expected.txt" "$WORK/fsck-run.txt"; then
     fail "champion on the fsck'd spool differs from the reference"
 fi
 echo "daemon_smoke: PASS leg 3 (corrupt spool quarantined, daemon serving)"
-kill -TERM "$DAEMON_PID" && wait "$DAEMON_PID" || true
-DAEMON_PID=""
+stop_daemon || true
+assert_no_daemons 3
 
 # ===========================================================================
 # Leg 4: shared-cache persistence — drain, tear a segment, restart,
@@ -187,9 +210,7 @@ if ! diff -u "$WORK/expected.txt" "$WORK/cache-cold.txt"; then
 fi
 
 # Drain flushes the publish journal to a segment before exit.
-kill -TERM "$DAEMON_PID"
-wait "$DAEMON_PID" || fail "cache leg: drain exited nonzero"
-DAEMON_PID=""
+stop_daemon || fail "cache leg: drain exited nonzero"
 ls "$CACHE"/seg-*.kv >/dev/null 2>&1 \
     || fail "cache leg: drain left no cache segments in $CACHE"
 
@@ -222,8 +243,8 @@ stat_of() { sed -n "s/^cache.$1 = //p" "$WORK/cache-stats.txt"; }
 echo "daemon_smoke: PASS leg 4 (shared cache persisted across restart:" \
      "$(stat_of crossSessionHits) cross-session hits," \
      "$(stat_of segmentsQuarantined) segment(s) quarantined)"
-kill -TERM "$DAEMON_PID" && wait "$DAEMON_PID" || true
-DAEMON_PID=""
+stop_daemon || true
+assert_no_daemons 4
 
 # ===========================================================================
 # Leg 5: portfolio persistence — tune a champion ladder over HTTP,
@@ -245,9 +266,7 @@ echo "daemon_smoke: portfolio leg daemon up on port $PORT (pid $DAEMON_PID)"
 grep -q '^dispatch.policy = exact$' "$WORK/champ1.txt" \
     || fail "portfolio leg: expected an exact-hit dispatch"
 
-kill -TERM "$DAEMON_PID"
-wait "$DAEMON_PID" || fail "portfolio leg: drain exited nonzero"
-DAEMON_PID=""
+stop_daemon || fail "portfolio leg: drain exited nonzero"
 ls "$PORTDIR"/champ-*.kv >/dev/null 2>&1 \
     || fail "portfolio leg: no champ-*.kv files in $PORTDIR"
 
@@ -266,8 +285,8 @@ LOADED=$(sed -n 's/^portfolio.loaded = //p' "$WORK/portfolio-stats.txt")
     || fail "portfolio leg: expected >=2 loaded champions, got '${LOADED:-}'"
 echo "daemon_smoke: PASS leg 5 (portfolio: byte-identical champion" \
      "served from disk after restart, $LOADED loaded)"
-kill -TERM "$DAEMON_PID" && wait "$DAEMON_PID" || true
-DAEMON_PID=""
+stop_daemon || true
+assert_no_daemons 5
 
 # ===========================================================================
 # Leg 6: IO-fault degradation — inject ENOSPC into the first portfolio
@@ -301,8 +320,8 @@ ls "$PORTDIR"/champ-*-4096.kv >/dev/null 2>&1 \
     || fail "enospc leg: healthy champion write did not persist"
 echo "daemon_smoke: PASS leg 6 (injected ENOSPC degraded to a counter," \
      "champion still served)"
-kill -TERM "$DAEMON_PID" && wait "$DAEMON_PID" || true
-DAEMON_PID=""
+stop_daemon || true
+assert_no_daemons 6
 DAEMON_EXTRA_ARGS=()
 
 # ===========================================================================
@@ -317,9 +336,6 @@ rm -f "$PORT_FILE"
     --crash-at "spool.ckpt.pre_rename@4=kill" \
     >"$WORK/supervisor.log" 2>&1 &
 SUPERVISOR_PID=$!
-# cleanup() knows only DAEMON_PID; point it at the supervisor (killing
-# the supervisor tears down its child).
-DAEMON_PID=$SUPERVISOR_PID
 for _ in $(seq 1 100); do
     [ -s "$PORT_FILE" ] && break
     kill -0 "$SUPERVISOR_PID" 2>/dev/null \
@@ -373,7 +389,7 @@ RESTARTS=$(sed -n 's/^server.restartCount = //p' "$WORK/supervise-stats.txt")
 kill -TERM "$SUPERVISOR_PID"
 wait "$SUPERVISOR_PID" \
     || fail "supervise leg: supervisor exited nonzero on graceful TERM"
-DAEMON_PID=""
+assert_no_daemons 7
 echo "daemon_smoke: PASS leg 7 (supervisor: auto-restart after crash," \
      "identical champion, clean drain)"
 

@@ -40,8 +40,6 @@ class ConvolutionBenchmark : public Benchmark
                     const EvalContext *ctx) const override;
     std::vector<std::string>
     kernelSources(const tuner::Config &config, int64_t n) const override;
-    int kernelCount(const tuner::Config &config,
-                    int64_t n) const override;
     int64_t testingInputSize() const override { return 3520; }
     int openclKernelCount() const override;
     std::string describeConfig(const tuner::Config &config,

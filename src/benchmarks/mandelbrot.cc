@@ -173,13 +173,6 @@ MandelbrotBenchmark::kernelSources(const tuner::Config &config,
     return sources;
 }
 
-int
-MandelbrotBenchmark::kernelCount(const tuner::Config &config,
-                                 int64_t n) const
-{
-    return stageKernelCount(planFor(config, n).stages[0]);
-}
-
 std::string
 MandelbrotBenchmark::describeConfig(const tuner::Config &config,
                                     int64_t n) const

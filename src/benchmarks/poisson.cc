@@ -245,19 +245,6 @@ PoissonBenchmark::kernelSources(const tuner::Config &config,
 }
 
 int
-PoissonBenchmark::kernelCount(const tuner::Config &config,
-                              int64_t n) const
-{
-    compiler::TransformConfig plan = planFor(config, n);
-    int count = stageKernelCount(plan.stages[0]) +
-                stageKernelCount(plan.stages[1]);
-    if (iterations_ >= 1)
-        count += stageKernelCount(plan.stages[2]) +
-                 stageKernelCount(plan.stages[3]);
-    return count;
-}
-
-int
 PoissonBenchmark::openclKernelCount() const
 {
     // Count distinct rule names, not unrolled stages.

@@ -53,8 +53,6 @@ class PoissonBenchmark : public Benchmark
                     const EvalContext *ctx) const override;
     std::vector<std::string>
     kernelSources(const tuner::Config &config, int64_t n) const override;
-    int kernelCount(const tuner::Config &config,
-                    int64_t n) const override;
     int64_t testingInputSize() const override { return 2048; }
     int openclKernelCount() const override;
     std::string describeConfig(const tuner::Config &config,

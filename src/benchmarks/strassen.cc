@@ -487,18 +487,6 @@ matmulKernelSources(const tuner::Config &config, const std::string &prefix,
     return {};
 }
 
-int
-matmulKernelCount(const tuner::Config &config, const std::string &prefix,
-                  int64_t n)
-{
-    const tuner::Selector &algorithm =
-        config.selector(prefix + ".mm.algorithm");
-    for (int64_t s = n; s > kLeafSize; s /= 2)
-        if (algorithm.select(s) == kMmOpenCl)
-            return 1;
-    return 0;
-}
-
 void
 runMatmul(const tuner::Config &config, const std::string &prefix,
           const MatrixD &a, const MatrixD &b, MatrixD &c)
@@ -662,13 +650,6 @@ StrassenBenchmark::kernelSources(const tuner::Config &config,
                                  int64_t n) const
 {
     return matmulKernelSources(config, "Strassen", n);
-}
-
-int
-StrassenBenchmark::kernelCount(const tuner::Config &config,
-                               int64_t n) const
-{
-    return matmulKernelCount(config, "Strassen", n);
 }
 
 std::string

@@ -113,10 +113,6 @@ std::vector<std::string> matmulKernelSources(const tuner::Config &config,
                                              const std::string &prefix,
                                              int64_t n);
 
-/** Count-only twin of matmulKernelSources() (no string synthesis). */
-int matmulKernelCount(const tuner::Config &config,
-                      const std::string &prefix, int64_t n);
-
 /** Execute C = A * B honoring the selector (real mode). */
 void runMatmul(const tuner::Config &config, const std::string &prefix,
                const MatrixD &a, const MatrixD &b, MatrixD &c);
@@ -143,8 +139,6 @@ class StrassenBenchmark : public Benchmark
                     const EvalContext *ctx) const override;
     std::vector<std::string>
     kernelSources(const tuner::Config &config, int64_t n) const override;
-    int kernelCount(const tuner::Config &config,
-                    int64_t n) const override;
     int64_t testingInputSize() const override { return 1024; }
     int64_t minTuningSize() const override { return 64; }
     int openclKernelCount() const override { return 1; }

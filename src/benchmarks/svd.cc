@@ -374,15 +374,6 @@ SvdBenchmark::kernelSources(const tuner::Config &config, int64_t n) const
     return sources;
 }
 
-int
-SvdBenchmark::kernelCount(const tuner::Config &config, int64_t n) const
-{
-    int count = matmulKernelCount(config, "SVD", n);
-    if (config.selector("SVD.phase1").select(n) == kSvdPhase1TaskParallel)
-        ++count;
-    return count;
-}
-
 std::string
 SvdBenchmark::describeConfig(const tuner::Config &config, int64_t n) const
 {

@@ -57,8 +57,6 @@ class SvdBenchmark : public Benchmark
                     const EvalContext *ctx) const override;
     std::vector<std::string>
     kernelSources(const tuner::Config &config, int64_t n) const override;
-    int kernelCount(const tuner::Config &config,
-                    int64_t n) const override;
     int64_t testingInputSize() const override { return 256; }
     int64_t minTuningSize() const override { return 32; }
     int openclKernelCount() const override { return 2; }

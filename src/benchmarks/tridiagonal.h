@@ -60,8 +60,6 @@ class TridiagBenchmark : public Benchmark
                     const EvalContext *ctx) const override;
     std::vector<std::string>
     kernelSources(const tuner::Config &config, int64_t n) const override;
-    int kernelCount(const tuner::Config &config,
-                    int64_t n) const override;
     int64_t testingInputSize() const override { return 1024; }
     int openclKernelCount() const override { return 2; }
     std::string describeConfig(const tuner::Config &config,

@@ -261,16 +261,17 @@ EnginePool::reapWedged()
 }
 
 EnginePool::ItemStatus
-EnginePool::runItem(
-    Instance &instance, size_t i,
-    const std::function<void(Instance &, size_t)> &evaluateItem,
-    const std::function<void(size_t, std::exception_ptr)> &onFatal,
-    std::vector<std::exception_ptr> &errors)
+EnginePool::runItem(Instance &instance, const apps::Benchmark &benchmark,
+                    const tuner::Config &config, int64_t n, double &result,
+                    std::exception_ptr &error)
 {
+    ExecutionEngine *engine = instance.engine.get();
     const RetryPolicy &policy = retryPolicy();
     for (int attempt = 1;; ++attempt) {
         try {
-            evaluateItem(instance, i);
+            result = timedCall(instance, [engine, &benchmark, &config, n] {
+                return engine->measure(benchmark, config, n);
+            });
             recordSuccess(instance);
             return ItemStatus::Done;
         } catch (const LaneTimeout &) {
@@ -287,53 +288,19 @@ EnginePool::runItem(
             recordRetry(instance);
             retryBackoffSleep(policy, attempt);
         } catch (const FatalError &) {
-            // Deterministic property of the configuration, not an
-            // instance fault: the evaluation completed.
+            // Infeasible configuration: a deterministic property of the
+            // configuration, not an instance fault. Worst cost,
+            // cacheable — unlike the NaN evaluation-failure sentinel.
             recordSuccess(instance);
-            onFatal(i, std::current_exception());
+            result = std::numeric_limits<double>::infinity();
             return ItemStatus::Done;
         } catch (...) {
             recordSuccess(instance);
-            errors[i] = std::current_exception();
+            error = std::current_exception();
             return ItemStatus::Done;
         }
     }
 }
-
-namespace {
-
-/** Shared work queue drained by one thread per lane; bounced items
- * collect in @p leftovers for the serial floor pass. */
-void
-drainLanes(const std::vector<size_t> &laneIndex, size_t count,
-           const std::function<bool(size_t lane)> &laneDead,
-           const std::function<bool(size_t lane, size_t item)> &attempt,
-           std::vector<size_t> &leftovers, std::mutex &leftoverMutex)
-{
-    std::atomic<size_t> cursor{0};
-    std::vector<std::thread> threads;
-    threads.reserve(laneIndex.size());
-    for (size_t lane : laneIndex) {
-        threads.emplace_back([&, lane] {
-            for (;;) {
-                if (laneDead(lane))
-                    return;
-                size_t item = cursor.fetch_add(1);
-                if (item >= count)
-                    return;
-                if (!attempt(lane, item)) {
-                    std::lock_guard<std::mutex> lock(leftoverMutex);
-                    leftovers.push_back(item);
-                }
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-    std::sort(leftovers.begin(), leftovers.end());
-}
-
-} // namespace
 
 std::vector<double>
 EnginePool::measureBatch(const apps::Benchmark &benchmark,
@@ -345,47 +312,47 @@ EnginePool::measureBatch(const apps::Benchmark &benchmark,
     if (configs.empty())
         return results;
 
-    std::vector<Instance *> lanes = laneSet(benchmark);
     std::vector<std::exception_ptr> errors(configs.size());
+    auto attempt = [&](Instance &instance, size_t i) {
+        return runItem(instance, benchmark, configs[i], n, results[i],
+                       errors[i]) == ItemStatus::Done;
+    };
+
+    // A shared work queue drained by one thread per lane. Items a lane
+    // bounces go to the serial floor pass below, as does every item
+    // when no lane is live.
+    std::vector<Instance *> lanes = laneSet(benchmark);
     std::vector<size_t> leftovers;
-    std::mutex leftoverMutex;
-
-    auto evaluateItem = [&](Instance &instance, size_t i) {
-        ExecutionEngine *engine = instance.engine.get();
-        results[i] = timedCall(instance, [engine, &benchmark, configs, n,
-                                          i] {
-            return engine->measure(benchmark, configs[i], n);
-        });
-    };
-    auto onFatal = [&](size_t i, std::exception_ptr) {
-        // Infeasible configuration: worst cost, cacheable — unlike the
-        // NaN evaluation-failure sentinel.
-        results[i] = std::numeric_limits<double>::infinity();
-    };
-
-    if (!lanes.empty()) {
-        const size_t laneCount =
-            std::min(lanes.size(), configs.size());
-        std::vector<size_t> laneIndex(laneCount);
-        for (size_t l = 0; l < laneCount; ++l)
-            laneIndex[l] = l;
-        drainLanes(
-            laneIndex, configs.size(),
-            [&](size_t lane) { return isQuarantined(*lanes[lane]); },
-            [&](size_t lane, size_t item) {
-                return runItem(*lanes[lane], item, evaluateItem,
-                               onFatal, errors) == ItemStatus::Done;
-            },
-            leftovers, leftoverMutex);
-    } else {
+    if (lanes.empty()) {
         PB_WARN("all " << instances_.size()
                        << " pool instances are quarantined; pricing "
                        << configs.size() << " evaluation(s) as failed");
         for (size_t i = 0; i < configs.size(); ++i)
             leftovers.push_back(i);
     }
+    lanes.resize(std::min(lanes.size(), configs.size()));
+    std::atomic<size_t> cursor{0};
+    std::mutex leftoverMutex;
+    std::vector<std::thread> threads;
+    threads.reserve(lanes.size());
+    for (Instance *lane : lanes) {
+        threads.emplace_back([&, lane] {
+            while (!isQuarantined(*lane)) {
+                size_t i = cursor.fetch_add(1);
+                if (i >= configs.size())
+                    return;
+                if (!attempt(*lane, i)) {
+                    std::lock_guard<std::mutex> lock(leftoverMutex);
+                    leftovers.push_back(i);
+                }
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    std::sort(leftovers.begin(), leftovers.end());
 
-    // Serial floor: one more pass for bounced items on a surviving
+    // Serial floor: one more pass for left-over items on a surviving
     // instance; an item that still fails keeps the NaN sentinel. When
     // instances must not run concurrently, a watchdog-abandoned
     // evaluation may still be in flight — wait it out first.
@@ -393,81 +360,12 @@ EnginePool::measureBatch(const apps::Benchmark &benchmark,
         reapWedged();
     for (size_t i : leftovers) {
         Instance *floor = firstLive();
-        if (floor != nullptr &&
-            runItem(*floor, i, evaluateItem, onFatal, errors) ==
-                ItemStatus::Done)
+        if (floor != nullptr && attempt(*floor, i))
             continue;
         noteEvaluationFailure();
         PB_WARN("evaluation of batch item "
                 << i << " failed on every available instance; "
                    "pricing as worst cost (not cached)");
-    }
-
-    throwFirstLogRest(errors);
-    return results;
-}
-
-std::vector<RunResult>
-EnginePool::runBatch(const apps::Benchmark &benchmark,
-                     std::span<const tuner::Config> configs, int64_t n)
-{
-    Reaper reaper(*this);
-    std::vector<RunResult> results(configs.size());
-    if (configs.empty())
-        return results;
-
-    std::vector<Instance *> lanes = laneSet(benchmark);
-    std::vector<std::exception_ptr> errors(configs.size());
-    std::vector<size_t> leftovers;
-    std::mutex leftoverMutex;
-
-    auto evaluateItem = [&](Instance &instance, size_t i) {
-        ExecutionEngine *engine = instance.engine.get();
-        // The watchdog may abandon the evaluation mid-flight, so it
-        // writes a slot it owns, never the shared results array.
-        auto slot = std::make_shared<RunResult>();
-        timedCall(instance,
-                  [engine, slot, &benchmark, configs, n, i]() -> double {
-                      *slot = engine->run(benchmark, configs[i], n);
-                      return 0.0;
-                  });
-        results[i] = *slot;
-    };
-    auto onFatal = [&](size_t i, std::exception_ptr error) {
-        errors[i] = error;
-    };
-
-    if (!lanes.empty()) {
-        const size_t laneCount =
-            std::min(lanes.size(), configs.size());
-        std::vector<size_t> laneIndex(laneCount);
-        for (size_t l = 0; l < laneCount; ++l)
-            laneIndex[l] = l;
-        drainLanes(
-            laneIndex, configs.size(),
-            [&](size_t lane) { return isQuarantined(*lanes[lane]); },
-            [&](size_t lane, size_t item) {
-                return runItem(*lanes[lane], item, evaluateItem,
-                               onFatal, errors) == ItemStatus::Done;
-            },
-            leftovers, leftoverMutex);
-    } else {
-        for (size_t i = 0; i < configs.size(); ++i)
-            leftovers.push_back(i);
-    }
-
-    if (!leftovers.empty() && !concurrentInstancesSafe(benchmark))
-        reapWedged();
-    for (size_t i : leftovers) {
-        Instance *floor = firstLive();
-        if (floor != nullptr &&
-            runItem(*floor, i, evaluateItem, onFatal, errors) ==
-                ItemStatus::Done)
-            continue;
-        noteEvaluationFailure();
-        errors[i] = std::make_exception_ptr(TransientError(
-            "batch item " + std::to_string(i) +
-            " failed on every available pool instance"));
     }
 
     throwFirstLogRest(errors);

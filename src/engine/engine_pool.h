@@ -120,10 +120,6 @@ class EnginePool : public ExecutionEngine
     bool
     concurrentInstancesSafe(const apps::Benchmark &benchmark) const override;
 
-    std::vector<RunResult> runBatch(const apps::Benchmark &benchmark,
-                                    std::span<const tuner::Config> configs,
-                                    int64_t n) override;
-
     std::vector<double>
     measureBatch(const apps::Benchmark &benchmark,
                  std::span<const tuner::Config> configs,
@@ -158,17 +154,15 @@ class EnginePool : public ExecutionEngine
     std::vector<Instance *> laneSet(const apps::Benchmark &benchmark);
 
     /**
-     * One item (@p i) on one instance, with the pool's retry loop:
-     * transient failures back off and retry in place; FatalError and
-     * unexpected exceptions finish the item via @p onFatal / @p errors.
-     * Returns Bounce when the item needs another instance.
+     * One batch item on one instance, with the pool's retry loop:
+     * transient failures back off and retry in place. Done leaves the
+     * measured seconds in @p result, +inf for an infeasible config
+     * (FatalError), or an unexpected exception in @p error. Returns
+     * Bounce when the item needs another instance.
      */
-    ItemStatus runItem(Instance &instance, size_t i,
-                       const std::function<void(Instance &, size_t)>
-                           &evaluateItem,
-                       const std::function<void(size_t, std::exception_ptr)>
-                           &onFatal,
-                       std::vector<std::exception_ptr> &errors);
+    ItemStatus runItem(Instance &instance, const apps::Benchmark &benchmark,
+                       const tuner::Config &config, int64_t n,
+                       double &result, std::exception_ptr &error);
 
     /**
      * Evaluate under the watchdog deadline (runs @p evaluate on a

@@ -79,19 +79,7 @@ ExecutionEngine::measureGuarded(const apps::Benchmark &benchmark,
     return guarded([&] { return measure(benchmark, config, n); });
 }
 
-// ---- ExecutionEngine batch defaults ------------------------------------
-
-std::vector<RunResult>
-ExecutionEngine::runBatch(const apps::Benchmark &benchmark,
-                          std::span<const tuner::Config> configs,
-                          int64_t n)
-{
-    std::vector<RunResult> results;
-    results.reserve(configs.size());
-    for (const tuner::Config &config : configs)
-        results.push_back(run(benchmark, config, n));
-    return results;
-}
+// ---- ExecutionEngine batch default -------------------------------------
 
 std::vector<double>
 ExecutionEngine::measureBatch(const apps::Benchmark &benchmark,
@@ -125,9 +113,8 @@ ModelEngine::run(const apps::Benchmark &benchmark,
     RunResult result;
     result.seconds =
         benchmark.evaluate(config, n, machine_, contextFor(benchmark, n));
-    // Count-only: a full kernelSources() synthesis per evaluation just
-    // to take .size() was the single largest model-mode overhead.
-    result.kernelCount = benchmark.kernelCount(config, n);
+    result.kernelCount =
+        static_cast<int>(benchmark.kernelSources(config, n).size());
     return result;
 }
 
@@ -146,29 +133,13 @@ ModelEngine::pool()
     return *pool_;
 }
 
-std::vector<RunResult>
-ModelEngine::runBatch(const apps::Benchmark &benchmark,
-                      std::span<const tuner::Config> configs, int64_t n)
-{
-    // Resolve the shared context on the caller's thread: the memo is
-    // not touched inside the parallel region.
-    const apps::EvalContext *ctx = contextFor(benchmark, n);
-    std::vector<RunResult> results(configs.size());
-    pool().parallelFor(configs.size(), [&](size_t i) {
-        RunResult result;
-        result.seconds =
-            benchmark.evaluate(configs[i], n, machine_, ctx);
-        result.kernelCount = benchmark.kernelCount(configs[i], n);
-        results[i] = result;
-    });
-    return results;
-}
-
 std::vector<double>
 ModelEngine::measureBatch(const apps::Benchmark &benchmark,
                           std::span<const tuner::Config> configs,
                           int64_t n)
 {
+    // Resolve the shared context on the caller's thread: the memo is
+    // not touched inside the parallel region.
     const apps::EvalContext *ctx = contextFor(benchmark, n);
     std::vector<double> seconds(configs.size(), 0.0);
     pool().parallelFor(configs.size(), [&](size_t i) {
@@ -269,7 +240,8 @@ RuntimeEngine::runOnBinding(const apps::Benchmark &benchmark,
     result.seconds =
         std::chrono::duration<double>(stop - start).count();
     result.maxError = benchmark.checkOutput(binding);
-    result.kernelCount = benchmark.kernelCount(config, n);
+    result.kernelCount =
+        static_cast<int>(benchmark.kernelSources(config, n).size());
     return result;
 }
 

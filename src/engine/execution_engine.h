@@ -122,27 +122,19 @@ class ExecutionEngine
 
     /**
      * Evaluate a batch of independent configurations at one input size
-     * — the unit the TuningSession submits per tuner generation.
+     * — the unit the TuningSession submits per tuner generation — and
+     * return the execution seconds measure() would report for each.
      * Results are index-aligned with @p configs, and implementations
      * must be order-preserving: the returned vector is exactly what
      * the serial loop would produce, whatever parallelism is used
-     * underneath. Default: loop over run(); the first exception (by
-     * index) propagates.
-     */
-    virtual std::vector<RunResult> runBatch(const apps::Benchmark &benchmark,
-                                            std::span<const tuner::Config> configs,
-                                            int64_t n);
-
-    /**
-     * The batched counterpart of measure(): execution seconds per
-     * configuration, index-aligned with @p configs. Unlike measure(),
-     * infeasible configurations (FatalError) yield +inf instead of
-     * throwing, so one bad mutant cannot abort a parallel generation.
-     * Transient failures (TransientError — crash, hang, flake) are
-     * retried per the engine's RetryPolicy; an evaluation that still
-     * fails after the retry budget yields NaN, the "evaluation failed"
-     * sentinel: callers must treat it as worst cost and never record
-     * it as a real measurement (the TuningSession keeps NaN out of the
+     * underneath. Unlike measure(), infeasible configurations
+     * (FatalError) yield +inf instead of throwing, so one bad mutant
+     * cannot abort a parallel generation. Transient failures
+     * (TransientError — crash, hang, flake) are retried per the
+     * engine's RetryPolicy; an evaluation that still fails after the
+     * retry budget yields NaN, the "evaluation failed" sentinel:
+     * callers must treat it as worst cost and never record it as a
+     * real measurement (the TuningSession keeps NaN out of the
      * EvaluationCache). Default: loop over measureGuarded().
      */
     virtual std::vector<double>
@@ -276,10 +268,6 @@ class ModelEngine : public ExecutionEngine
     RunResult run(const apps::Benchmark &benchmark,
                   const tuner::Config &config, int64_t n) override;
 
-    std::vector<RunResult> runBatch(const apps::Benchmark &benchmark,
-                                    std::span<const tuner::Config> configs,
-                                    int64_t n) override;
-
     std::vector<double>
     measureBatch(const apps::Benchmark &benchmark,
                  std::span<const tuner::Config> configs,
@@ -310,7 +298,7 @@ class ModelEngine : public ExecutionEngine
      * The engine's EvaluationContext memo: the benchmark's
      * config-invariant state for (benchmark, n), built on first use
      * and reused until the key changes — so a TuningSession generation
-     * (one runBatch per (benchmark, n)) builds it exactly once, and
+     * (one measureBatch per (benchmark, n)) builds it exactly once, and
      * consecutive single run()/measure() calls share it too. Mutated
      * only on the caller's thread (engines are serial-per-caller); the
      * batch loops resolve it once before fanning out, and the built
@@ -353,8 +341,8 @@ struct RuntimeEngineOptions
  * owns one runtime (worker threads, GPU manager, device memory table),
  * and a run measures wall time on that runtime, so overlapping runs on
  * the same engine would corrupt both the timing and the device state.
- * run()/runBatch() detect concurrent entry and raise FatalError.
- * runBatch() therefore executes serially; to evaluate a batch in
+ * run() detects concurrent entry and raises FatalError.
+ * measureBatch() therefore executes serially; to evaluate a batch in
  * parallel on real execution, fan it across engine *instances* with
  * EnginePool.
  */

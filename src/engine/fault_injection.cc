@@ -5,7 +5,6 @@
 
 #include "support/error.h"
 #include "support/hash.h"
-#include "tuner/evaluation_cache.h"
 
 namespace petabricks {
 namespace engine {
@@ -50,7 +49,7 @@ double
 FaultInjectingEngine::applySchedule(const tuner::Config &config, int64_t n)
 {
     const uint64_t key =
-        mix(tuner::EvaluationCache::fingerprint(config) ^
+        mix(config.valueFingerprint() ^
             mix(static_cast<uint64_t>(n)) ^ mix(plan_.seed));
 
     bool faulted = false;

@@ -197,6 +197,13 @@ Runtime::executeTask(const TaskPtr &task, bool onGpuManager,
         return; // still live; do not retire
     }
 
+    // Count the task before retiring it: once the live count reaches
+    // zero, wait() may return and read the stats.
+    if (onGpuManager)
+        stats_.gpuTasksExecuted.fetch_add(1, std::memory_order_relaxed);
+    else
+        stats_.tasksExecuted.fetch_add(1, std::memory_order_relaxed);
+
     if (continuation) {
         // The continuation replaces this task; it inherited the
         // dependents, and the live count carries over 1:1.
@@ -206,11 +213,6 @@ Runtime::executeTask(const TaskPtr &task, bool onGpuManager,
         noteTaskRetired();
     }
     dispatchAll(std::move(newlyRunnable), onGpuManager, workerIndex);
-
-    if (onGpuManager)
-        stats_.gpuTasksExecuted.fetch_add(1, std::memory_order_relaxed);
-    else
-        stats_.tasksExecuted.fetch_add(1, std::memory_order_relaxed);
 }
 
 void

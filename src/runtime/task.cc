@@ -85,12 +85,14 @@ Task::finishCreation()
                                    << name_ << "'");
     // Release the creation hold. If it was the last outstanding
     // dependency the task is runnable now; otherwise a completing
-    // dependency will make it runnable later.
+    // dependency will make it runnable later. NonRunnable is stored
+    // before the release: from then on, a completing dependency may
+    // store Runnable at any moment, and nothing may overwrite it.
+    state_.store(TaskState::NonRunnable, std::memory_order_release);
     if (deps_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         state_.store(TaskState::Runnable, std::memory_order_release);
         return true;
     }
-    state_.store(TaskState::NonRunnable, std::memory_order_release);
     return false;
 }
 

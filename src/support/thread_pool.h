@@ -2,11 +2,11 @@
  * @file
  * A minimal reusable fork-join thread pool.
  *
- * The batched evaluation path (engine::ModelEngine::runBatch and
- * engine::EnginePool) prices the candidates of a tuner generation in
- * parallel. Generations are small (a population is ~8-16 configs) and
- * frequent, so spawning threads per batch would dominate; the pool
- * keeps its workers parked on a condition variable between batches.
+ * The batched evaluation path (engine::ModelEngine::measureBatch)
+ * prices the candidates of a tuner generation in parallel. Generations
+ * are small (a population is ~8-16 configs) and frequent, so spawning
+ * threads per batch would dominate; the pool keeps its workers parked
+ * on a condition variable between batches.
  *
  * parallelFor() is order-preserving by construction: every index
  * writes only its own result slot, so callers observe exactly the

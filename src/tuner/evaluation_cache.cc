@@ -3,16 +3,10 @@
 namespace petabricks {
 namespace tuner {
 
-uint64_t
-EvaluationCache::fingerprint(const Config &config)
-{
-    return config.valueFingerprint();
-}
-
 std::optional<double>
 EvaluationCache::lookup(const Config &config, int64_t inputSize)
 {
-    return lookupFingerprint(fingerprint(config), inputSize);
+    return lookupFingerprint(config.valueFingerprint(), inputSize);
 }
 
 std::optional<double>
@@ -32,7 +26,7 @@ void
 EvaluationCache::insert(const Config &config, int64_t inputSize,
                         double seconds)
 {
-    insertFingerprint(fingerprint(config), inputSize, seconds);
+    insertFingerprint(config.valueFingerprint(), inputSize, seconds);
 }
 
 void

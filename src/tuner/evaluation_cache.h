@@ -53,14 +53,6 @@ class EvaluationCache
      * overhead); the unit stats().bytes is accounted in. */
     static constexpr size_t kEntryBytes = 64;
 
-    /**
-     * Stable 64-bit identity of a configuration's *values*
-     * (Config::valueFingerprint): equal configurations hash equal
-     * across processes, which save()/load() relies on to validate
-     * checkpoints.
-     */
-    static uint64_t fingerprint(const Config &config);
-
     /** Memoized seconds for @p config at @p inputSize, counting the
      * hit or miss. */
     std::optional<double> lookup(const Config &config, int64_t inputSize);

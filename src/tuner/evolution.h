@@ -17,14 +17,12 @@
  *
  * The search itself lives in TuningSession (tuner/session.h); this
  * header keeps the evaluation surface (Evaluator, TunerOptions,
- * TuningResult) and the deprecated EvolutionaryTuner shim.
+ * TuningResult).
  */
 
 #ifndef PETABRICKS_TUNER_EVOLUTION_H
 #define PETABRICKS_TUNER_EVOLUTION_H
 
-#include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -132,35 +130,6 @@ struct TuningResult
      * (the NaN sentinel). Each was priced as worst cost for its
      * generation only and never entered the EvaluationCache. */
     int64_t evaluationFailures = 0;
-};
-
-class TuningSession;
-
-/**
- * See file comment.
- *
- * @deprecated EvolutionaryTuner is a thin compatibility shim over
- * TuningSession (tuner/session.h), which adds batched generation
- * evaluation, result caching, progress callbacks, and save()/load()
- * checkpointing. New code should construct a TuningSession directly;
- * this wrapper will be removed in the next release.
- */
-class EvolutionaryTuner
-{
-  public:
-    /**
-     * @param evaluator benchmark hook (must outlive the tuner).
-     * @param seedConfig structurally complete starting configuration.
-     */
-    EvolutionaryTuner(Evaluator &evaluator, Config seedConfig,
-                      TunerOptions options);
-    ~EvolutionaryTuner();
-
-    /** Run the search and return the champion. */
-    TuningResult run();
-
-  private:
-    std::unique_ptr<TuningSession> session_;
 };
 
 } // namespace tuner

@@ -75,7 +75,7 @@ TuningSession::measureBatch(const std::vector<Config> &configs,
             evalIndex.push_back(i);
             continue;
         }
-        uint64_t fp = EvaluationCache::fingerprint(configs[i]);
+        uint64_t fp = configs[i].valueFingerprint();
         fingerprints[i] = fp;
         if (std::optional<double> cached =
                 cache_.lookupFingerprint(fp, size)) {
@@ -413,8 +413,7 @@ TuningSession::checkpointKv() const
 {
     KvFile kv;
     kv.setInt(kVersionKey, 1);
-    kv.set(kSchemaKey,
-           std::to_string(EvaluationCache::fingerprint(seed_)));
+    kv.set(kSchemaKey, std::to_string(seed_.valueFingerprint()));
     // The options that shape the search trajectory: load() rejects a
     // checkpoint whose schedule disagrees with the session's, since a
     // mismatched cursor would silently corrupt or truncate the search.
@@ -461,8 +460,7 @@ TuningSession::load(const std::string &path)
     KvFile kv = KvFile::load(path);
     if (kv.getIntOr(kVersionKey, -1) != 1)
         PB_FATAL("'" << path << "' is not a TuningSession checkpoint");
-    if (kv.get(kSchemaKey) !=
-        std::to_string(EvaluationCache::fingerprint(seed_)))
+    if (kv.get(kSchemaKey) != std::to_string(seed_.valueFingerprint()))
         PB_FATAL("checkpoint '"
                  << path
                  << "' was saved for a different seed configuration");

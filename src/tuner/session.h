@@ -2,12 +2,9 @@
  * @file
  * TuningSession: the session-oriented autotuning API.
  *
- * The original EvolutionaryTuner::run() was a one-shot blocking loop
- * that evaluated one configuration at a time — the shape that made the
- * paper's autotuner spend an average of 5.2 hours per benchmark
- * (Figure 8). A session keeps the exact same search (paper Section
- * 5.2: asexual mutation, accept-if-better, exponentially growing test
- * sizes) but restructures the hot path around three ideas:
+ * A session runs the paper's evolutionary search (Section 5.2:
+ * asexual mutation, accept-if-better, exponentially growing test
+ * sizes), with the hot path built around three ideas:
  *
  *  - *Batching*: candidates within a generation are independent, so
  *    the session collects them and issues one

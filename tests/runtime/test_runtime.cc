@@ -244,8 +244,11 @@ TEST(Runtime, GpuCausedCpuTaskIsPushedToWorker)
         });
     TaskPtr c = Task::cpu("c", [&] { cpuRan = true; });
     c->dependsOn(g);
-    rt.spawn(g);
+    // Spawn c first: it then waits on g, so only g's completion on the
+    // GPU manager can make it runnable (spawned after a finished g, c
+    // would be dispatched by this thread instead).
     rt.spawn(c);
+    rt.spawn(g);
     rt.wait();
     EXPECT_TRUE(cpuRan.load());
     // Figure 5(b): the GPU manager pushed c to a worker's deque.

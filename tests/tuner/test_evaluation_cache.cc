@@ -24,12 +24,9 @@ TEST(EvaluationCache, FingerprintIsStableAndValueSensitive)
     Config aCopy = makeConfig(128);
     Config b = makeConfig(129);
     Config c = makeConfig(128, 1);
-    EXPECT_EQ(EvaluationCache::fingerprint(a),
-              EvaluationCache::fingerprint(aCopy));
-    EXPECT_NE(EvaluationCache::fingerprint(a),
-              EvaluationCache::fingerprint(b));
-    EXPECT_NE(EvaluationCache::fingerprint(a),
-              EvaluationCache::fingerprint(c));
+    EXPECT_EQ(a.valueFingerprint(), aCopy.valueFingerprint());
+    EXPECT_NE(a.valueFingerprint(), b.valueFingerprint());
+    EXPECT_NE(a.valueFingerprint(), c.valueFingerprint());
 }
 
 TEST(EvaluationCache, HitAndMissAccounting)

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "tuner/evolution.h"
+#include "tuner/session.h"
 
 namespace petabricks {
 namespace tuner {
@@ -86,8 +86,7 @@ TEST(Evolution, FindsTunableOptimum)
     Config seed;
     seed.addTunable({"lws", 1, 1024, 2, false});
     BowlEvaluator eval;
-    EvolutionaryTuner tuner(eval, seed, fastOptions());
-    TuningResult result = tuner.run();
+    TuningResult result = TuningSession(eval, seed, fastOptions()).run();
     int64_t lws = result.best.tunableValue("lws");
     EXPECT_GE(lws, 64);
     EXPECT_LE(lws, 256);
@@ -101,8 +100,7 @@ TEST(Evolution, BuildsPolyAlgorithmSelector)
     CrossoverEvaluator eval;
     TunerOptions opts = fastOptions();
     opts.generationsPerSize = 10;
-    EvolutionaryTuner tuner(eval, seed, opts);
-    TuningResult result = tuner.run();
+    TuningResult result = TuningSession(eval, seed, opts).run();
     const Selector &s = result.best.selector("algo");
     // Small inputs use algorithm 0, large inputs algorithm 1.
     EXPECT_EQ(s.select(64), 0);
@@ -114,8 +112,7 @@ TEST(Evolution, ChildrenOnlyAcceptedWhenBetter)
     Config seed;
     seed.addTunable({"lws", 1, 1024, 128, false});
     BowlEvaluator eval;
-    EvolutionaryTuner tuner(eval, seed, fastOptions());
-    TuningResult result = tuner.run();
+    TuningResult result = TuningSession(eval, seed, fastOptions()).run();
     // Seeded at the optimum: every mutation is a regression.
     EXPECT_EQ(result.mutationsAccepted, 0);
     EXPECT_GT(result.mutationsRejected, 0);
@@ -127,10 +124,8 @@ TEST(Evolution, DeterministicForSameSeed)
     Config seed;
     seed.addTunable({"lws", 1, 1024, 2, false});
     BowlEvaluator e1, e2;
-    TuningResult r1 =
-        EvolutionaryTuner(e1, seed, fastOptions()).run();
-    TuningResult r2 =
-        EvolutionaryTuner(e2, seed, fastOptions()).run();
+    TuningResult r1 = TuningSession(e1, seed, fastOptions()).run();
+    TuningResult r2 = TuningSession(e2, seed, fastOptions()).run();
     EXPECT_EQ(r1.best.tunableValue("lws"), r2.best.tunableValue("lws"));
     EXPECT_DOUBLE_EQ(r1.tuningSeconds, r2.tuningSeconds);
 }
@@ -143,8 +138,7 @@ TEST(Evolution, TuningTimeIncludesCompileModel)
     TunerOptions opts = fastOptions();
     opts.kernelCompileSeconds = 2.0;
     opts.irCacheSavings = 0.5;
-    EvolutionaryTuner tuner(eval, seed, opts);
-    TuningResult result = tuner.run();
+    TuningResult result = TuningSession(eval, seed, opts).run();
     EXPECT_GT(result.compileSeconds, 0.0);
     EXPECT_GE(result.tuningSeconds, result.compileSeconds);
     // Two kernels, first run full (2s each), every later test process
@@ -172,8 +166,7 @@ TEST(Evolution, InvalidConfigsNeverWin)
     Config seed;
     seed.addTunable({"lws", 1, 1024, 2, false});
     Gated eval;
-    TuningResult result =
-        EvolutionaryTuner(eval, seed, fastOptions()).run();
+    TuningResult result = TuningSession(eval, seed, fastOptions()).run();
     EXPECT_LE(result.best.tunableValue("lws"), 256);
     EXPECT_TRUE(std::isfinite(result.bestSeconds));
 }
@@ -183,8 +176,7 @@ TEST(Evolution, ReportCountsEvaluations)
     Config seed;
     seed.addTunable({"lws", 1, 1024, 2, false});
     BowlEvaluator eval;
-    TuningResult result =
-        EvolutionaryTuner(eval, seed, fastOptions()).run();
+    TuningResult result = TuningSession(eval, seed, fastOptions()).run();
     EXPECT_GT(result.evaluations, 10);
     EXPECT_EQ(result.mutationsAccepted + result.mutationsRejected +
                   /* population re-measures */ 0,
