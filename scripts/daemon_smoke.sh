@@ -8,12 +8,14 @@
 #      and exit 0 — and a restart must resume to the identical champion.
 #   3. Corrupt-spool boot: plant torn .meta/.ckpt files in the spool;
 #      the daemon must quarantine them, report the count in /stats, and
-#      keep serving new sessions.
+#      keep serving new sessions. `pbfsck list` must name the
+#      quarantined files and exit 1; after `pbfsck purge` it exits 0.
 #   4. Shared-cache persistence: run a search with --cache-dir, SIGTERM
 #      drain, plant a torn cache segment, restart on the same cache
 #      dir; the rerun must be served shared-cache hits (cross-session,
 #      since the publisher was the previous process), the torn segment
 #      must be quarantined, and the champion must stay byte-identical.
+#      pbfsck lists and purges the quarantined segment as in leg 3.
 #   5. Portfolio persistence: tune a champion ladder over HTTP with
 #      --portfolio-dir, SIGTERM drain, restart on the same directory;
 #      the restarted daemon must serve a byte-identical champion from
@@ -38,6 +40,7 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 TUNERD="$BUILD_DIR/tunerd"
 CLIENT="$BUILD_DIR/remote_tuning"
+PBFSCK="$BUILD_DIR/pbfsck"
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/tunerd-smoke.XXXXXX")"
 SPOOL="$WORK/spool"
 PORT_FILE="$WORK/port"
@@ -89,6 +92,23 @@ start_daemon() {
     done
     [ -s "$PORT_FILE" ] || fail "daemon never wrote its port file"
     PORT=$(cat "$PORT_FILE")
+}
+
+# `pbfsck list DIR` must exit 1 naming each quarantined file given after
+# DIR; after `pbfsck purge DIR`, a second list must exit 0. $1 names the
+# leg in failure messages.
+check_pbfsck() {
+    local leg="$1" dir="$2" rc=0
+    shift 2
+    "$PBFSCK" list "$dir" > "$WORK/pbfsck-list.txt" || rc=$?
+    [ "$rc" -eq 1 ] || fail "$leg: pbfsck list exited $rc, want 1"
+    for name in "$@"; do
+        grep -qF "$dir/$name  [quarantined" "$WORK/pbfsck-list.txt" \
+            || fail "$leg: pbfsck list did not name $name"
+    done
+    "$PBFSCK" purge "$dir" >/dev/null || fail "$leg: pbfsck purge failed"
+    "$PBFSCK" list "$dir" >/dev/null \
+        || fail "$leg: pbfsck list still reports wreckage after purge"
 }
 
 # ---- Reference: the identical search, no daemon involved -------------------
@@ -182,6 +202,7 @@ QUARANTINED=$(sed -n 's/^table.spoolQuarantined = //p' "$WORK/fsck-stats.txt")
     || fail "expected >=2 quarantined spool entries, got '${QUARANTINED:-}'"
 [ -f "$SPOOL/s90.meta.quarantine" ] || fail "torn meta was not quarantined"
 [ -f "$SPOOL/s92.ckpt.quarantine" ] || fail "orphan ckpt was not quarantined"
+check_pbfsck "fsck leg" "$SPOOL" s90.meta.quarantine s92.ckpt.quarantine
 
 # The daemon must still serve real work off the fsck'd spool.
 "$CLIENT" --port "$PORT" run "${SEARCH_ARGS[@]}" > "$WORK/fsck-run.txt" \
@@ -235,6 +256,7 @@ stat_of() { sed -n "s/^cache.$1 = //p" "$WORK/cache-stats.txt"; }
     || fail "cache leg: torn segment was not quarantined"
 [ -f "$CACHE/seg-00000099.kv.quarantine" ] \
     || fail "cache leg: quarantined segment file missing"
+check_pbfsck "cache leg" "$CACHE" seg-00000099.kv.quarantine
 # Every hit on a warm-started entry is a cross-session hit (the
 # publisher was the previous daemon process).
 [ "$(stat_of hits)" -gt 0 ] || fail "cache leg: no shared-cache hits"

@@ -1,6 +1,5 @@
 #include "cache/segment_store.h"
 
-#include <algorithm>
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
@@ -11,7 +10,6 @@
 #include "support/fsck.h"
 #include "support/hash.h"
 #include "support/kvfile.h"
-#include "support/logging.h"
 
 namespace petabricks {
 namespace cache {
@@ -64,8 +62,7 @@ recordFromText(const std::string &text)
 
 } // namespace
 
-SegmentStore::SegmentStore(std::string dir, bool fsck)
-    : dir_(std::move(dir)), fsck_(fsck)
+SegmentStore::SegmentStore(std::string dir) : dir_(std::move(dir))
 {
     PB_ASSERT(!dir_.empty(), "segment directory is required");
     std::error_code ec;
@@ -93,29 +90,10 @@ SegmentStore::segmentPath(uint64_t index) const
     return dir_ + "/" + name;
 }
 
-std::vector<std::pair<uint64_t, std::string>>
-SegmentStore::listSegments() const
-{
-    std::vector<std::pair<uint64_t, std::string>> segments;
-    std::error_code ec;
-    for (const fs::directory_entry &entry : fs::directory_iterator(dir_, ec)) {
-        if (entry.path().extension() != ".kv")
-            continue;
-        const std::string name = entry.path().filename().string();
-        uint64_t index = 0;
-        char trailing = 0;
-        if (std::sscanf(name.c_str(), "seg-%" SCNu64 ".kv%c", &index,
-                        &trailing) == 1)
-            segments.emplace_back(index, entry.path().string());
-    }
-    std::sort(segments.begin(), segments.end());
-    return segments;
-}
-
 size_t
 SegmentStore::segmentCount() const
 {
-    return listSegments().size();
+    return fsck::list(dir_, fsck::FileKind::CacheSegment).size();
 }
 
 std::vector<SegmentRecord>
@@ -144,24 +122,13 @@ std::vector<SegmentRecord>
 SegmentStore::loadAll()
 {
     std::vector<SegmentRecord> all;
-    for (const auto &[index, path] : listSegments()) {
-        try {
+    stats_.segmentsQuarantined += fsck::loadEach(
+        dir_, fsck::FileKind::CacheSegment, [&](const std::string &path) {
             std::vector<SegmentRecord> records = parseSegment(path);
             stats_.recordsLoaded += static_cast<int64_t>(records.size());
             ++stats_.segmentsLoaded;
             all.insert(all.end(), records.begin(), records.end());
-        } catch (const std::exception &e) {
-            if (fsck_) {
-                fsck::quarantine(path);
-                ++stats_.segmentsQuarantined;
-                PB_WARN("cache: quarantined segment '" << path << "' ("
-                                                       << e.what() << ")");
-            } else {
-                PB_WARN("cache: skipping invalid segment '"
-                        << path << "' (" << e.what() << ")");
-            }
-        }
-    }
+        });
     return all;
 }
 
@@ -190,9 +157,10 @@ SegmentStore::append(const std::vector<SegmentRecord> &records)
 void
 SegmentStore::compact(const std::vector<SegmentRecord> &records)
 {
-    std::vector<std::pair<uint64_t, std::string>> old = listSegments();
+    std::vector<std::string> old =
+        fsck::list(dir_, fsck::FileKind::CacheSegment);
     append(records);
-    for (const auto &[index, path] : old) {
+    for (const std::string &path : old) {
         std::error_code ec;
         fs::remove(path, ec);
     }

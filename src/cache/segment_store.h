@@ -63,18 +63,14 @@ struct SegmentStoreStats
 class SegmentStore
 {
   public:
-    /**
-     * @param dir segment directory, created if missing.
-     * @param fsck quarantine invalid segments during loadAll(); when
-     *        false they are skipped (and logged) but left in place.
-     */
-    explicit SegmentStore(std::string dir, bool fsck = true);
+    /** @param dir segment directory, created if missing. */
+    explicit SegmentStore(std::string dir);
 
     /**
-     * Parse every `seg-*.kv` in the directory (oldest first, so later
-     * segments win on duplicate keys) and return the union of their
-     * records. Invalid segments are quarantined (see file comment);
-     * this never throws for a bad segment.
+     * Parse every `seg-<digits>.kv` in the directory (oldest first, so
+     * later segments win on duplicate keys) and return the union of
+     * their records. Invalid segments are quarantined (see file
+     * comment); this never throws for a bad segment.
      */
     std::vector<SegmentRecord> loadAll();
 
@@ -105,11 +101,7 @@ class SegmentStore
      * failure (syntax, version, count, record format, checksum). */
     static std::vector<SegmentRecord> parseSegment(const std::string &path);
 
-    /** Sorted live segment paths with their numeric indices. */
-    std::vector<std::pair<uint64_t, std::string>> listSegments() const;
-
     std::string dir_;
-    bool fsck_ = true;
     uint64_t nextIndex_ = 0; ///< next segment file number to allocate
     SegmentStoreStats stats_;
 };

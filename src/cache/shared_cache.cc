@@ -13,6 +13,10 @@ namespace cache {
 
 namespace {
 
+/** Compact the on-disk tail at construction when it has grown past
+ * this many segments. */
+constexpr size_t kCompactAboveSegments = 8;
+
 size_t
 roundUpPow2(size_t value)
 {
@@ -48,8 +52,7 @@ SharedEvaluationCache::SharedEvaluationCache(SharedCacheOptions options)
         std::max(kEntryBytes, options_.maxBytes / shardCount);
 
     if (!options_.dir.empty()) {
-        store_ = std::make_unique<SegmentStore>(options_.dir,
-                                                options_.fsckOnLoad);
+        store_ = std::make_unique<SegmentStore>(options_.dir);
         // Warm start: everything the previous process persisted comes
         // back under owner 0, so any session of this process that hits
         // one of these entries scores a cross-session hit.
@@ -72,8 +75,7 @@ SharedEvaluationCache::SharedEvaluationCache(SharedCacheOptions options)
                     evictSegment(shard);
             }
         }
-        if (options_.compactAboveSegments > 0 &&
-            store_->segmentCount() > options_.compactAboveSegments)
+        if (store_->segmentCount() > kCompactAboveSegments)
             store_->compact(records);
         if (loadedEntries_ > 0)
             PB_INFORM("cache: warm start with "

@@ -83,13 +83,6 @@ struct SharedCacheOptions
      * window a crash can lose small without a write per publish.
      */
     size_t flushEveryPublishes = 256;
-
-    /** Quarantine torn segments at load (see SegmentStore). */
-    bool fsckOnLoad = true;
-
-    /** Compact the on-disk tail at construction when it has grown past
-     * this many segments (0 = never compact). */
-    size_t compactAboveSegments = 8;
 };
 
 /** Counter snapshot (every counter is monotonic except entries/bytes). */

@@ -266,7 +266,6 @@ EnginePool::runItem(Instance &instance, const apps::Benchmark &benchmark,
                     std::exception_ptr &error)
 {
     ExecutionEngine *engine = instance.engine.get();
-    const RetryPolicy &policy = retryPolicy();
     for (int attempt = 1;; ++attempt) {
         try {
             result = timedCall(instance, [engine, &benchmark, &config, n] {
@@ -282,11 +281,11 @@ EnginePool::runItem(Instance &instance, const apps::Benchmark &benchmark,
             noteTransientFailure();
             if (recordFailure(instance, /*timedOut=*/false))
                 return ItemStatus::Bounce;
-            if (attempt >= policy.maxAttempts)
+            if (attempt >= kMaxAttempts)
                 return ItemStatus::Bounce;
             noteRetryAttempt();
             recordRetry(instance);
-            retryBackoffSleep(policy, attempt);
+            retryBackoffSleep(attempt);
         } catch (const FatalError &) {
             // Infeasible configuration: a deterministic property of the
             // configuration, not an instance fault. Worst cost,
@@ -319,19 +318,17 @@ EnginePool::measureBatch(const apps::Benchmark &benchmark,
     };
 
     // A shared work queue drained by one thread per lane. Items a lane
-    // bounces go to the serial floor pass below, as does every item
-    // when no lane is live.
+    // bounces go to the serial floor pass below, as do the items no
+    // lane claimed before every lane was quarantined (all of them when
+    // no lane is live).
     std::vector<Instance *> lanes = laneSet(benchmark);
-    std::vector<size_t> leftovers;
-    if (lanes.empty()) {
+    if (lanes.empty())
         PB_WARN("all " << instances_.size()
                        << " pool instances are quarantined; pricing "
                        << configs.size() << " evaluation(s) as failed");
-        for (size_t i = 0; i < configs.size(); ++i)
-            leftovers.push_back(i);
-    }
     lanes.resize(std::min(lanes.size(), configs.size()));
     std::atomic<size_t> cursor{0};
+    std::vector<size_t> leftovers;
     std::mutex leftoverMutex;
     std::vector<std::thread> threads;
     threads.reserve(lanes.size());
@@ -350,6 +347,8 @@ EnginePool::measureBatch(const apps::Benchmark &benchmark,
     }
     for (std::thread &thread : threads)
         thread.join();
+    for (size_t i = cursor.load(); i < configs.size(); ++i)
+        leftovers.push_back(i);
     std::sort(leftovers.begin(), leftovers.end());
 
     // Serial floor: one more pass for left-over items on a surviving

@@ -13,7 +13,7 @@
  *
  * Failure semantics (measureBatch, the tuner path):
  *  - TransientError from an instance is retried on that instance with
- *    bounded exponential backoff (the pool's RetryPolicy).
+ *    bounded exponential backoff, up to kMaxAttempts tries.
  *  - An item that exhausts its retries is handed to a surviving
  *    instance (one serial floor pass); if it still fails it yields the
  *    NaN "evaluation failed" sentinel — worst cost upstream, never a
@@ -52,7 +52,7 @@
 namespace petabricks {
 namespace engine {
 
-/** Fault-tolerance knobs for EnginePool (retry uses RetryPolicy). */
+/** Fault-tolerance knobs for EnginePool (retry uses kMaxAttempts). */
 struct PoolOptions
 {
     /** Quarantine an instance after this many *consecutive* transient

@@ -13,21 +13,14 @@ namespace engine {
 // ---- ExecutionEngine failure policy ------------------------------------
 
 void
-retryBackoffSleep(const RetryPolicy &policy, int attempt)
+retryBackoffSleep(int attempt)
 {
-    int64_t millis = policy.backoffBaseMillis;
-    for (int i = 1; i < attempt && millis < policy.backoffMaxMillis; ++i)
+    constexpr int64_t kBackoffMaxMillis = 50;
+    int64_t millis = 1;
+    for (int i = 1; i < attempt && millis < kBackoffMaxMillis; ++i)
         millis *= 2;
-    millis = std::min<int64_t>(millis, policy.backoffMaxMillis);
-    if (millis > 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(millis));
-}
-
-void
-ExecutionEngine::setRetryPolicy(const RetryPolicy &policy)
-{
-    PB_ASSERT(policy.maxAttempts >= 1, "retry policy needs >= 1 attempt");
-    retryPolicy_ = policy;
+    millis = std::min(millis, kBackoffMaxMillis);
+    std::this_thread::sleep_for(std::chrono::milliseconds(millis));
 }
 
 uint64_t
@@ -57,14 +50,14 @@ ExecutionEngine::guarded(const std::function<double()> &evaluate)
             // retry within budget, then surface the NaN sentinel so the
             // caller prices it as worst cost without caching it.
             transientFailures_.fetch_add(1);
-            if (attempt >= retryPolicy_.maxAttempts) {
+            if (attempt >= kMaxAttempts) {
                 evaluationFailures_.fetch_add(1);
                 PB_WARN("evaluation failed after "
                         << attempt << " attempts: " << error.what());
                 return std::numeric_limits<double>::quiet_NaN();
             }
             retries_.fetch_add(1);
-            retryBackoffSleep(retryPolicy_, attempt);
+            retryBackoffSleep(attempt);
         } catch (const FatalError &) {
             // Infeasible configuration: deterministic, never retried.
             return std::numeric_limits<double>::infinity();
@@ -171,13 +164,17 @@ ModelEngine::cacheScope(const apps::Benchmark &benchmark) const
 
 // ---- RuntimeEngine -----------------------------------------------------
 
+/** Seed for the runtime and for the random input bindings runs are
+ * checked on. */
+constexpr uint64_t kBindingSeed = 20130316;
+
 RuntimeEngine::RuntimeEngine(RuntimeEngineOptions options)
     : options_(std::move(options))
 {
-    if (options_.useGpu && options_.machine.hasOpenCL)
+    if (options_.machine.hasOpenCL)
         device_ = std::make_unique<ocl::Device>(options_.machine.ocl);
     runtime_ = std::make_unique<runtime::Runtime>(
-        options_.workers, device_.get(), options_.bindingSeed);
+        options_.workers, device_.get(), kBindingSeed);
     executor_ = std::make_unique<compiler::TransformExecutor>(*runtime_);
 }
 
@@ -212,7 +209,7 @@ RuntimeEngine::run(const apps::Benchmark &benchmark,
     if (!benchmark.supportsRealMode())
         PB_FATAL("benchmark '" << benchmark.name()
                                << "' has no real-mode implementation");
-    Rng rng(options_.bindingSeed ^ static_cast<uint64_t>(n));
+    Rng rng(kBindingSeed ^ static_cast<uint64_t>(n));
     lang::Binding binding = benchmark.makeBinding(n, rng);
     return runOnBinding(benchmark, config, n, binding);
 }

@@ -41,28 +41,23 @@ namespace petabricks {
 namespace engine {
 
 /**
- * How an engine re-attempts evaluations that raise TransientError
- * (flaky device, injected fault, timed-out worker). Exponential
- * backoff: attempt k sleeps backoffBaseMillis * 2^(k-1), capped at
- * backoffMaxMillis. Non-transient FatalErrors (infeasible configs)
- * are never retried — they are deterministic.
+ * Total tries an engine gives an evaluation that raises TransientError
+ * (flaky device, injected fault, timed-out worker). Non-transient
+ * FatalErrors (infeasible configs) are never retried — they are
+ * deterministic.
  */
-struct RetryPolicy
-{
-    int maxAttempts = 3;      ///< total tries per evaluation (>= 1)
-    int backoffBaseMillis = 1;
-    int backoffMaxMillis = 50;
-};
+constexpr int kMaxAttempts = 3;
 
-/** Sleep before re-attempt @p attempt (1-based) per @p policy. */
-void retryBackoffSleep(const RetryPolicy &policy, int attempt);
+/** Sleep before re-attempt @p attempt (1-based): exponential backoff,
+ * 1 ms doubled per attempt, capped at 50 ms. */
+void retryBackoffSleep(int attempt);
 
 /** Monotonic failure accounting, per engine (snapshot form). */
 struct EngineFailureStats
 {
     int64_t transientFailures = 0; ///< TransientErrors observed
     int64_t retries = 0;           ///< re-attempts actually made
-    int64_t evaluationFailures = 0; ///< gave up after maxAttempts
+    int64_t evaluationFailures = 0; ///< gave up after kMaxAttempts
 };
 
 /** Outcome of evaluating one configuration at one input size. */
@@ -91,15 +86,13 @@ class ExecutionEngine
     // are atomics only so guarded() can run on batch worker threads).
     ExecutionEngine() = default;
     ExecutionEngine(const ExecutionEngine &other)
-        : retryPolicy_(other.retryPolicy_),
-          transientFailures_(other.transientFailures_.load()),
+        : transientFailures_(other.transientFailures_.load()),
           retries_(other.retries_.load()),
           evaluationFailures_(other.evaluationFailures_.load())
     {}
     ExecutionEngine &
     operator=(const ExecutionEngine &other)
     {
-        retryPolicy_ = other.retryPolicy_;
         transientFailures_.store(other.transientFailures_.load());
         retries_.store(other.retries_.load());
         evaluationFailures_.store(other.evaluationFailures_.load());
@@ -130,8 +123,8 @@ class ExecutionEngine
      * underneath. Unlike measure(), infeasible configurations
      * (FatalError) yield +inf instead of throwing, so one bad mutant
      * cannot abort a parallel generation. Transient failures
-     * (TransientError — crash, hang, flake) are retried per the
-     * engine's RetryPolicy; an evaluation that still fails after the
+     * (TransientError — crash, hang, flake) are retried up to
+     * kMaxAttempts tries; an evaluation that still fails after the
      * retry budget yields NaN, the "evaluation failed" sentinel:
      * callers must treat it as worst cost and never record it as a
      * real measurement (the TuningSession keeps NaN out of the
@@ -151,10 +144,6 @@ class ExecutionEngine
      */
     double measureGuarded(const apps::Benchmark &benchmark,
                           const tuner::Config &config, int64_t n);
-
-    /** Retry policy applied by measureGuarded()/the batch defaults. */
-    void setRetryPolicy(const RetryPolicy &policy);
-    const RetryPolicy &retryPolicy() const { return retryPolicy_; }
 
     /** Failures absorbed (or given up on) by this engine so far. */
     EngineFailureStats failureStats() const;
@@ -229,7 +218,6 @@ class ExecutionEngine
     void noteEvaluationFailure() { evaluationFailures_.fetch_add(1); }
 
   private:
-    RetryPolicy retryPolicy_;
     std::atomic<int64_t> transientFailures_{0};
     std::atomic<int64_t> retries_{0};
     std::atomic<int64_t> evaluationFailures_{0};
@@ -324,12 +312,6 @@ struct RuntimeEngineOptions
 
     /** CPU worker threads of the runtime. */
     int workers = 2;
-
-    /** Manage an emulated OpenCL device (requires machine.hasOpenCL). */
-    bool useGpu = true;
-
-    /** Seed for the random input bindings runs are checked on. */
-    uint64_t bindingSeed = 20130316;
 };
 
 /**

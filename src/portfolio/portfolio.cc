@@ -1,6 +1,5 @@
 #include "portfolio/portfolio.h"
 
-#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cinttypes>
@@ -127,8 +126,7 @@ recordFromFile(const std::string &path)
 
 } // namespace
 
-ChampionPortfolio::ChampionPortfolio(std::string dir, bool fsck)
-    : dir_(std::move(dir)), fsck_(fsck)
+ChampionPortfolio::ChampionPortfolio(std::string dir) : dir_(std::move(dir))
 {
     if (dir_.empty())
         return; // memory-only
@@ -137,41 +135,14 @@ ChampionPortfolio::ChampionPortfolio(std::string dir, bool fsck)
     if (ec)
         PB_FATAL("cannot create portfolio directory '"
                  << dir_ << "': " << ec.message());
-    loadExisting();
-}
-
-void
-ChampionPortfolio::loadExisting()
-{
-    std::vector<std::string> paths;
-    std::error_code ec;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(dir_, ec)) {
-        const std::string name = entry.path().filename().string();
-        if (entry.path().extension() == ".kv" &&
-            name.rfind("champ-", 0) == 0)
-            paths.push_back(entry.path().string());
-    }
-    std::sort(paths.begin(), paths.end()); // deterministic load order
-    for (const std::string &path : paths) {
-        try {
+    stats_.quarantined = fsck::loadEach(
+        dir_, fsck::FileKind::Champion, [this](const std::string &path) {
             ChampionRecord record = recordFromFile(path);
             Key key{record.benchmark, record.machineFingerprint,
                     record.inputSize};
             records_[key] = std::move(record);
             ++stats_.loaded;
-        } catch (const std::exception &e) {
-            if (fsck_) {
-                fsck::quarantine(path);
-                ++stats_.quarantined;
-                PB_WARN("portfolio: quarantined champion '"
-                        << path << "' (" << e.what() << ")");
-            } else {
-                PB_WARN("portfolio: skipping invalid champion '"
-                        << path << "' (" << e.what() << ")");
-            }
-        }
-    }
+        });
 }
 
 std::string

@@ -74,13 +74,12 @@ class ChampionPortfolio
 {
   public:
     /**
-     * @param dir champion directory; created if missing. Empty means
-     *        memory-only (no persistence) — bench harnesses and tests.
-     * @param fsck quarantine unreadable champion files at load (rename
-     *        to *.quarantine); false skips them without renaming.
-     *        Either way a bad file is never fatal.
+     * @param dir champion directory; created if missing, and every
+     *        unreadable champion file in it is quarantined (renamed to
+     *        *.quarantine), never fatal. Empty means memory-only (no
+     *        persistence) — bench harnesses and tests.
      */
-    explicit ChampionPortfolio(std::string dir = "", bool fsck = true);
+    explicit ChampionPortfolio(std::string dir = "");
 
     /**
      * Store @p record, replacing any previous champion for its
@@ -120,11 +119,9 @@ class ChampionPortfolio
   private:
     using Key = std::tuple<std::string, uint64_t, int64_t>;
 
-    void loadExisting();
     std::string championPath(const ChampionRecord &record) const;
 
     std::string dir_;
-    bool fsck_ = true;
 
     mutable std::mutex mutex_;
     std::map<Key, ChampionRecord> records_;

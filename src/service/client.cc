@@ -115,18 +115,15 @@ Client::commandWithRetry(const std::string &method,
                 throw;
         }
         // Honor the server's Retry-After hint when it sent one;
-        // exponential fallback otherwise. Both capped, both jittered —
-        // deterministically (xorshift64), so tests can bound the total.
-        long long sleepMillis =
-            lastRetryAfterSeconds_ >= 0
-                ? 1000LL * lastRetryAfterSeconds_
-                : static_cast<long long>(retry_.fallbackBaseMillis)
-                      << std::min(attempt, 20);
+        // exponential fallback from 100 ms otherwise. Both capped, both
+        // jittered — deterministically (xorshift64), so tests can bound
+        // the total.
+        long long sleepMillis = lastRetryAfterSeconds_ >= 0
+                                    ? 1000LL * lastRetryAfterSeconds_
+                                    : 100LL << std::min(attempt, 20);
         sleepMillis = std::min(
             sleepMillis, static_cast<long long>(retry_.maxSleepMillis));
         if (retry_.jitterCapMillis > 0) {
-            if (jitterState_ == 0)
-                jitterState_ = retry_.jitterSeed | 1;
             jitterState_ ^= jitterState_ << 13;
             jitterState_ ^= jitterState_ >> 7;
             jitterState_ ^= jitterState_ << 17;

@@ -42,10 +42,6 @@ struct ClientRetryPolicy
      * default — existing callers see no behavior change). */
     int attempts = 0;
 
-    /** Base for the exponential fallback sleep used when the 503
-     * carried no Retry-After header (millis, doubled per retry). */
-    int fallbackBaseMillis = 100;
-
     /** Hard cap on any single sleep, hinted or not (millis). A daemon
      * that says "Retry-After: 3600" should not wedge a client. */
     int maxSleepMillis = 5000;
@@ -53,9 +49,6 @@ struct ClientRetryPolicy
     /** Cap on the deterministic jitter added to every sleep so a herd
      * of clients told "Retry-After: 1" does not return in lockstep. */
     int jitterCapMillis = 100;
-
-    /** Seed for the jitter sequence (deterministic per client). */
-    uint64_t jitterSeed = 1;
 };
 
 /** See file comment. */
@@ -173,7 +166,7 @@ class Client
     ClientRetryPolicy retry_;
     int lastRetryAfterSeconds_ = -1;
     bool lastTransientWas503_ = false; ///< vs. a timeout (never retried)
-    uint64_t jitterState_ = 0;         ///< lazily seeded from retry_
+    uint64_t jitterState_ = 1;         ///< xorshift64 jitter sequence
 };
 
 } // namespace service

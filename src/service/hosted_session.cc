@@ -60,7 +60,7 @@ SessionSpec::fromCreateRequest(const KvFile &kv)
     if (kv.has("faultRate"))
         spec.faultRate = kv.getDouble("faultRate");
     spec.faultSeed = kv.getIntOr("faultSeed", spec.faultSeed);
-    if (spec.faultRate < 0.0 || spec.faultRate >= 1.0)
+    if (!(spec.faultRate >= 0.0 && spec.faultRate < 1.0)) // NaN too
         PB_FATAL("faultRate must be in [0, 1)");
 
     // Benchmark-derived defaults, then the machine's compile model,

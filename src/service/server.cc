@@ -53,7 +53,6 @@ introspectionToKv(const tuner::SessionIntrospection &view)
     kv.setInt("cache.misses", view.cacheStats.misses);
     kv.setInt("cache.insertions", view.cacheStats.insertions);
     kv.setInt("cache.invalidated", view.cacheStats.invalidated);
-    kv.setInt("cache.evictions", view.cacheStats.evictions);
     kv.setInt("cache.bytes",
               static_cast<int64_t>(view.cacheStats.bytes));
     // This session's traffic against the process-wide L2 tier (all
@@ -167,7 +166,7 @@ makeSharedCache(ServerOptions &options)
 TuningServer::TuningServer(ServerOptions options)
     : options_(std::move(options)), sharedCache_(makeSharedCache(options_)),
       portfolio_(std::make_unique<portfolio::ChampionPortfolio>(
-          options_.portfolioDir, options_.portfolioFsck)),
+          options_.portfolioDir)),
       table_(options_.table)
 {
     PB_ASSERT(options_.workers >= 1, "need at least one worker");
@@ -597,6 +596,9 @@ TuningServer::dispatch(const HttpRequest &request)
             "generations", options.tuner.generationsPerSize));
         options.tuner.seed = static_cast<uint64_t>(
             body.getIntOr("seed", static_cast<int64_t>(options.tuner.seed)));
+        if (options.tuner.populationSize < 1 ||
+            options.tuner.generationsPerSize < 1)
+            PB_FATAL("population and generations must be >= 1");
 
         tuner::PortfolioTuner tuner(*portfolio_, sharedCache_.get());
         std::vector<tuner::PortfolioRung> rungs =
@@ -787,8 +789,6 @@ TuningServer::ioLoop()
                     uint64_t id = ++nextConnId_;
                     Connection &connection = connections_[id];
                     connection.stream = std::move(stream);
-                    connection.parser =
-                        HttpParser(options_.maxRequestBytes);
                     std::lock_guard<std::mutex> lock(statsMutex_);
                     ++connectionsAccepted_;
                 }

@@ -92,15 +92,8 @@ struct ServerOptions
      */
     std::string portfolioDir;
 
-    /** Quarantine torn/corrupt portfolio champion files at boot
-     * (rename to *.quarantine); mirrors the spool/cache fsck flag. */
-    bool portfolioFsck = true;
-
     /** Seconds between idle-GC sweeps. */
     int64_t sweepIntervalSeconds = 5;
-
-    /** Per-request size cap (headers + body). */
-    size_t maxRequestBytes = 1 << 20;
 
     /**
      * Bound on queued worker commands. A burst beyond this answers
@@ -227,8 +220,8 @@ class TuningServer
     /** Declared before table_: sessions hold raw pointers into the
      * cache, so it must outlive every entry the table destroys. */
     std::unique_ptr<cache::SharedEvaluationCache> sharedCache_;
-    /** Loaded at construction (quarantining bad files per
-     * portfolioFsck); worker threads tune into and dispatch from it. */
+    /** Loaded at construction (quarantining bad files); worker
+     * threads tune into and dispatch from it. */
     std::unique_ptr<portfolio::ChampionPortfolio> portfolio_;
     SessionTable table_;
     uint16_t port_ = 0;

@@ -25,16 +25,13 @@ SessionTable::SessionTable(SessionTableOptions options)
                                                    << "': "
                                                    << ec.message());
 
-    if (options_.fsckSpool)
-        fsckSpoolDir();
+    fsckSpoolDir();
 
     // A restarted daemon must never hand out an id that collides with
     // a spooled session from its previous life.
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(options_.spoolDir, ec)) {
-        if (entry.path().extension() != ".meta")
-            continue;
-        std::string stem = entry.path().stem().string();
+    for (const std::string &path :
+         fsck::list(options_.spoolDir, fsck::FileKind::SpoolMeta)) {
+        std::string stem = fs::path(path).stem().string();
         if (stem.size() > 1 && stem[0] == 's') {
             char *end = nullptr;
             uint64_t n = std::strtoull(stem.c_str() + 1, &end, 10);
@@ -62,16 +59,16 @@ SessionTable::fsckSpoolDir()
                                                          << why << ")");
     };
 
-    std::error_code ec;
-    std::vector<std::string> metaIds;
-    std::vector<std::string> orphanCkptIds;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(options_.spoolDir, ec)) {
-        if (entry.path().extension() == ".meta")
-            metaIds.push_back(entry.path().stem().string());
-        else if (entry.path().extension() == ".ckpt")
-            orphanCkptIds.push_back(entry.path().stem().string());
-    }
+    auto ids = [&](fsck::FileKind kind) {
+        std::vector<std::string> out;
+        for (const std::string &path : fsck::list(options_.spoolDir, kind))
+            out.push_back(fs::path(path).stem().string());
+        return out;
+    };
+    const std::vector<std::string> metaIds =
+        ids(fsck::FileKind::SpoolMeta);
+    const std::vector<std::string> orphanCkptIds =
+        ids(fsck::FileKind::SpoolCheckpoint);
 
     for (const std::string &id : metaIds) {
         try {

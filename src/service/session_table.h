@@ -76,16 +76,6 @@ struct SessionTableOptions
     int64_t expireSeconds = 0;
 
     /**
-     * Verify every spooled session at construction: each .meta must
-     * parse into a spec and its .ckpt (if any) must restore into a
-     * live session. Corrupt pairs are quarantined (renamed with a
-     * `.quarantine` suffix) and counted, so one torn file can never
-     * take the daemon down or poison a later resume; healthy sessions
-     * keep serving. Orphan .ckpt files (no .meta) are quarantined too.
-     */
-    bool fsckSpool = true;
-
-    /**
      * Process-wide shared evaluation cache (L2) handed to every
      * hosted session built by this table, or nullptr for private-only
      * caching. Not owned; must outlive the table (the server declares
@@ -222,8 +212,15 @@ class SessionTable
     /** Delete @p entry's spool files (best-effort). */
     void removeSpoolFiles(const std::string &id);
 
-    /** Startup spool verification (see SessionTableOptions::fsckSpool);
-     * runs before the id scan, so quarantined files are invisible. */
+    /**
+     * Startup spool verification: each .meta must parse into a spec
+     * and its .ckpt (if any) must restore into a live session. Corrupt
+     * pairs are quarantined (renamed with a `.quarantine` suffix) and
+     * counted, so one torn file can never take the daemon down or
+     * poison a later resume; healthy sessions keep serving. Orphan
+     * .ckpt files (no .meta) are quarantined too. Runs before the id
+     * scan, so quarantined files are invisible.
+     */
     void fsckSpoolDir();
 
     SessionTableOptions options_;

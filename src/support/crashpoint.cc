@@ -261,16 +261,5 @@ catalog()
     return {s.registry.begin(), s.registry.end()};
 }
 
-bool
-registerAtomicSavePrefix(const std::string &prefix)
-{
-    State &s = state();
-    std::lock_guard<std::mutex> lock(s.mutex);
-    for (const char *suffix :
-         {".pre_write", ".write", ".pre_rename", ".post_rename"})
-        s.registry.insert(prefix + suffix);
-    return true;
-}
-
 } // namespace crashpoint
 } // namespace petabricks

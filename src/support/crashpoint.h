@@ -96,17 +96,6 @@ bool armed();
  */
 std::vector<std::string> catalog();
 
-/**
- * Register the four standard points for one atomic-save prefix
- * (`<p>.pre_write`, `<p>.write`, `<p>.pre_rename`, `<p>.post_rename`)
- * — for persistence paths beyond the built-ins. Call it before the
- * first saveAtomic with that prefix (NOT from a static initializer in
- * your own translation unit: static-library members that a binary
- * never references are dropped, initializers included). Returns true
- * for convenient use in an already-running context.
- */
-bool registerAtomicSavePrefix(const std::string &prefix);
-
 } // namespace crashpoint
 } // namespace petabricks
 

@@ -27,6 +27,20 @@ startsWith(const std::string &s, const std::string &prefix)
     return s.compare(0, prefix.size(), prefix) == 0;
 }
 
+/** True for `seg-<digits>.kv`, the names SegmentStore writes. */
+bool
+isSegmentName(const std::string &name)
+{
+    const std::string prefix = "seg-";
+    const std::string suffix = ".kv";
+    if (name.size() <= prefix.size() + suffix.size() ||
+        !startsWith(name, prefix) || !endsWith(name, suffix))
+        return false;
+    return std::all_of(name.begin() + prefix.size(),
+                       name.end() - suffix.size(),
+                       [](char c) { return c >= '0' && c <= '9'; });
+}
+
 } // namespace
 
 FileKind
@@ -42,7 +56,7 @@ classify(const std::string &path)
         return FileKind::SpoolMeta;
     if (endsWith(name, ".ckpt"))
         return FileKind::SpoolCheckpoint;
-    if (startsWith(name, "seg-") && endsWith(name, ".kv"))
+    if (isSegmentName(name))
         return FileKind::CacheSegment;
     if (startsWith(name, "champ-") && endsWith(name, ".kv"))
         return FileKind::Champion;
@@ -107,6 +121,34 @@ scan(const std::string &dir)
                   return a.path < b.path;
               });
     return out;
+}
+
+std::vector<std::string>
+list(const std::string &dir, FileKind kind)
+{
+    std::vector<std::string> paths;
+    for (const ScanEntry &entry : scan(dir))
+        if (entry.kind == kind)
+            paths.push_back(entry.path);
+    return paths;
+}
+
+int64_t
+loadEach(const std::string &dir, FileKind kind,
+         const std::function<void(const std::string &)> &load)
+{
+    int64_t quarantined = 0;
+    for (const std::string &path : list(dir, kind)) {
+        try {
+            load(path);
+        } catch (const std::exception &e) {
+            quarantine(path);
+            ++quarantined;
+            PB_WARN("fsck: quarantined " << kindName(kind) << " '" << path
+                                         << "' (" << e.what() << ")");
+        }
+    }
+    return quarantined;
 }
 
 size_t

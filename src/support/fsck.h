@@ -6,14 +6,15 @@
  * champion portfolio all follow the same discipline: on boot, any file
  * that fails to parse is renamed aside to `<name>.quarantine` — never
  * deleted, never fatal — and serving continues without it. This header
- * factors the rename-aside and the directory-scan logic the stores and
- * the `pbfsck` CLI share.
+ * holds the file-name rules, the boot-time load loop, the rename-aside
+ * and the directory scan the stores and the `pbfsck` CLI share.
  */
 
 #ifndef PETABRICKS_SUPPORT_FSCK_H
 #define PETABRICKS_SUPPORT_FSCK_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,7 @@ namespace fsck {
 enum class FileKind {
     SpoolMeta,       ///< `<id>.meta` — session spec
     SpoolCheckpoint, ///< `<id>.ckpt` — session checkpoint
-    CacheSegment,    ///< `seg-NNNNNNNN.kv` — cache segment
+    CacheSegment,    ///< `seg-<digits>.kv` — cache segment
     Champion,        ///< `champ-*.kv` — portfolio champion
     Temp,            ///< `*.tmp` — in-flight write, crash debris
     Quarantine,      ///< `*.quarantine` — fsck'd wreckage
@@ -60,6 +61,19 @@ struct ScanEntry {
  * by path. A missing directory yields an empty list.
  */
 std::vector<ScanEntry> scan(const std::string &dir);
+
+/** Paths of the files of @p kind in @p dir, in scan() order — oldest
+ * first for the zero-padded segment names. */
+std::vector<std::string> list(const std::string &dir, FileKind kind);
+
+/**
+ * The boot-time load of one store: call @p load on every file of
+ * @p kind in @p dir, in list() order. A file @p load throws on is
+ * quarantined and logged, and the load goes on with the next file.
+ * Returns the number of files quarantined.
+ */
+int64_t loadEach(const std::string &dir, FileKind kind,
+                 const std::function<void(const std::string &)> &load);
 
 /**
  * Delete quarantine files (and, when @p alsoTemps, `*.tmp` debris)

@@ -269,7 +269,6 @@ TEST(SharedCache, WarmStartCompactsLongTail)
     }
     SharedCacheOptions options = memoryOnly();
     options.dir = dir;
-    options.compactAboveSegments = 8;
     SharedEvaluationCache cache(options);
     EXPECT_EQ(cache.stats().loadedEntries, 12);
 

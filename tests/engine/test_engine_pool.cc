@@ -352,6 +352,71 @@ TEST(EnginePool, RethrowsTheLowestIndexUnexpectedException)
     EXPECT_EQ(pool.liveInstanceCount(), 3);
 }
 
+/** A serial model engine whose instances must not run concurrently.
+ * Given @p blockUntil, measure() first waits for it to hold. */
+class SerialOnlyEngine : public ModelEngine
+{
+  public:
+    explicit SerialOnlyEngine(std::function<bool()> blockUntil = {})
+        : ModelEngine(sim::MachineProfile::desktop(), 1),
+          blockUntil_(std::move(blockUntil))
+    {}
+
+    bool
+    concurrentInstancesSafe(const apps::Benchmark &) const override
+    {
+        return false;
+    }
+
+    double
+    measure(const apps::Benchmark &benchmark, const tuner::Config &config,
+            int64_t n) override
+    {
+        if (blockUntil_)
+            waitUntil(blockUntil_);
+        return ModelEngine::measure(benchmark, config, n);
+    }
+
+  private:
+    std::function<bool()> blockUntil_;
+};
+
+TEST(EnginePool, ItemsNoLaneClaimedReachTheFloorPass)
+{
+    SyntheticBenchmark bench;
+    auto configs = syntheticBatch(bench, {5, 9, 44});
+
+    // One serial lane: instance 0 blocks on the first item until the
+    // watchdog quarantines it, so its lane ends with two items never
+    // claimed. The deadline also bounds the floor pass's calls, so it
+    // leaves room for a loaded machine.
+    const EnginePool *observed = nullptr;
+    int built = 0;
+    PoolOptions options;
+    options.deadlineMillis = 300;
+    EnginePool pool(
+        [&]() -> std::unique_ptr<ExecutionEngine> {
+            if (built++ > 0)
+                return std::make_unique<SerialOnlyEngine>();
+            return std::make_unique<SerialOnlyEngine>([&observed] {
+                return observed->instanceStats(0).quarantined;
+            });
+        },
+        2, options);
+    observed = &pool;
+
+    std::vector<double> got = pool.measureBatch(bench, configs, 64);
+    ASSERT_EQ(got.size(), configs.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_DOUBLE_EQ(
+            got[i], static_cast<double>(configs[i].tunableValue("lws")))
+            << i;
+    EXPECT_EQ(pool.failureStats().evaluationFailures, 0);
+    EXPECT_TRUE(pool.instanceStats(0).quarantined);
+    EXPECT_EQ(pool.instanceStats(1).calls, 3);
+    EXPECT_EQ(pool.liveInstanceCount(), 1);
+}
+
 TEST(EnginePool, ConfiguresTunerLikeItsEngines)
 {
     sim::MachineProfile laptop = sim::MachineProfile::laptop();

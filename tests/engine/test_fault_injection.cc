@@ -192,13 +192,12 @@ TEST(FaultInjection, ExhaustedRetriesYieldTheNaNSentinel)
         EXPECT_TRUE(std::isnan(got[i])) << i;
 
     EngineFailureStats stats = faulty->failureStats();
-    const int maxAttempts = faulty->retryPolicy().maxAttempts;
     EXPECT_EQ(stats.evaluationFailures,
               static_cast<int64_t>(configs.size()));
     EXPECT_EQ(stats.transientFailures,
-              static_cast<int64_t>(configs.size()) * maxAttempts);
+              static_cast<int64_t>(configs.size()) * kMaxAttempts);
     EXPECT_EQ(stats.retries,
-              static_cast<int64_t>(configs.size()) * (maxAttempts - 1));
+              static_cast<int64_t>(configs.size()) * (kMaxAttempts - 1));
 }
 
 TEST(FaultInjection, InfeasibleConfigsAreNeverRetried)

@@ -238,25 +238,6 @@ TEST(Portfolio, GarbageFileIsQuarantined)
     EXPECT_EQ(portfolio.stats().quarantined, 1);
 }
 
-TEST(Portfolio, FsckOffSkipsBadFilesWithoutRenaming)
-{
-    std::string dir = freshDir("nofsck");
-    {
-        ChampionPortfolio portfolio(dir);
-        portfolio.put(makeRecord(256, 0.5));
-        portfolio.put(makeRecord(1024, 0.9));
-    }
-    std::vector<std::string> files = championFiles(dir);
-    ASSERT_EQ(files.size(), 2u);
-    fs::resize_file(files[1], 7);
-
-    ChampionPortfolio reloaded(dir, /*fsck=*/false);
-    EXPECT_EQ(reloaded.size(), 1u);
-    EXPECT_EQ(reloaded.stats().quarantined, 0);
-    EXPECT_TRUE(fs::exists(files[1])); // left in place for inspection
-    EXPECT_FALSE(fs::exists(files[1] + ".quarantine"));
-}
-
 TEST(Portfolio, PutRecomputesStaleConfigFingerprint)
 {
     ChampionPortfolio portfolio;

@@ -145,7 +145,7 @@ runWorkload(const std::string &prefix, const std::string &spool,
         sharedCache.flush();
     } else if (prefix == "portfolio.champ") {
         // Champion #1 persists clean; champion #2 hits the armed point.
-        portfolio::ChampionPortfolio portfolio(champDir, true);
+        portfolio::ChampionPortfolio portfolio(champDir);
         portfolio.put(championRecord(64));
         portfolio.put(championRecord(128));
     } else {
@@ -217,7 +217,7 @@ recoverAndCheck(const std::string &point, const std::string &prefix,
             EXPECT_EQ(*hit, 0.5 + 0.01 * i) << point;
         }
     } else if (prefix == "portfolio.champ") {
-        portfolio::ChampionPortfolio reborn(champDir, true);
+        portfolio::ChampionPortfolio reborn(champDir);
         EXPECT_LE(reborn.stats().quarantined, 1) << point;
         auto record =
             reborn.exact("Sort", 0xc0ffee00c0ffee00ull, 64);

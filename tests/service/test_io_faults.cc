@@ -160,7 +160,7 @@ TEST_F(IoFaultTest, PortfolioWriteFailureKeepsServingFromMemory)
     record.config = apps::findBenchmark("Sort")->seedConfig();
 
     {
-        portfolio::ChampionPortfolio portfolio(dir, true);
+        portfolio::ChampionPortfolio portfolio(dir);
         crashpoint::setSchedule("portfolio.champ.write=eio");
         portfolio.put(record); // must not throw
         crashpoint::clearSchedule();
@@ -178,7 +178,7 @@ TEST_F(IoFaultTest, PortfolioWriteFailureKeepsServingFromMemory)
 
     // Only the healthy put survived the restart — degradation, not
     // corruption.
-    portfolio::ChampionPortfolio reborn(dir, true);
+    portfolio::ChampionPortfolio reborn(dir);
     EXPECT_EQ(reborn.stats().quarantined, 0);
     EXPECT_FALSE(reborn.exact("Sort", 0xfeedull, 64).has_value());
     EXPECT_TRUE(reborn.exact("Sort", 0xfeedull, 128).has_value());

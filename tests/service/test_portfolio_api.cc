@@ -169,5 +169,19 @@ TEST(PortfolioApi, UnknownNamesMapToClientErrors)
     KvFile body;
     body.set("benchmark", "Black-Scholes");
     EXPECT_THROW(client.portfolioTune(body), FatalError);
+    // Out-of-range search options are the client's error too.
+    body.set("machine", "Desktop");
+    for (const char *key : {"population", "generations"}) {
+        KvFile outOfRange = body;
+        outOfRange.setInt(key, 0);
+        try {
+            client.portfolioTune(outOfRange);
+            FAIL() << "expected FatalError for " << key << " = 0";
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what()).find("daemon error 400"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
     server.stop();
 }

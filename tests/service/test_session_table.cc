@@ -286,6 +286,12 @@ TEST(SessionSpec, CreateRequestResolvesAndRoundTrips)
     EXPECT_THROW(SessionSpec::fromCreateRequest(bad), FatalError);
     KvFile empty;
     EXPECT_THROW(SessionSpec::fromCreateRequest(empty), FatalError);
+    for (const char *faultRate : {"1", "nan"}) {
+        KvFile outOfRange = request;
+        outOfRange.set("faultRate", faultRate);
+        EXPECT_THROW(SessionSpec::fromCreateRequest(outOfRange), FatalError)
+            << faultRate;
+    }
 }
 
 TEST(SessionTable, SpoolFsckQuarantinesCorruptPairsAndKeepsHealthyOnes)
@@ -339,24 +345,6 @@ TEST(SessionTable, SpoolFsckQuarantinesCorruptPairsAndKeepsHealthyOnes)
         table.step(healthyId, 8);
     expectChampionMatches(table.champion(healthyId),
                           runSpecLocally(tinySpec(7)));
-}
-
-TEST(SessionTable, FsckCanBeDisabled)
-{
-    std::string spool = spoolDir("nofsck");
-    {
-        SessionTableOptions bootstrap;
-        bootstrap.spoolDir = spool;
-        SessionTable ignored(bootstrap);
-    }
-    std::ofstream(spool + "/s50.meta") << "spec.benchmark = Sort\ntorn";
-
-    SessionTableOptions options;
-    options.spoolDir = spool;
-    options.fsckSpool = false;
-    SessionTable table(options);
-    EXPECT_EQ(table.stats().spoolQuarantined, 0);
-    EXPECT_TRUE(fs::exists(spool + "/s50.meta")); // untouched
 }
 
 TEST(SessionTable, CheckpointAllFlushesEveryResidentSession)

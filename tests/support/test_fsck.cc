@@ -41,6 +41,13 @@ TEST(Fsck, ClassifiesEveryStoreArtifact)
               FileKind::SpoolCheckpoint);
     EXPECT_EQ(fsck::classify("/cache/seg-00000004.kv"),
               FileKind::CacheSegment);
+    EXPECT_EQ(fsck::classify("/cache/seg-100000000.kv"),
+              FileKind::CacheSegment);
+    // A segment name carries digits only: SegmentStore loads nothing
+    // else.
+    EXPECT_EQ(fsck::classify("/cache/seg-abc.kv"), FileKind::Other);
+    EXPECT_EQ(fsck::classify("/cache/seg-4x.kv"), FileKind::Other);
+    EXPECT_EQ(fsck::classify("/cache/seg-.kv"), FileKind::Other);
     EXPECT_EQ(fsck::classify(
                   "/p/champ-sort-00c0ffee00c0ffee-1024.kv"),
               FileKind::Champion);

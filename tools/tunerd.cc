@@ -80,7 +80,6 @@ usage()
         "                     shared tier entirely (default 64MiB)\n"
         "  --portfolio-dir DIR  persist tuned champions here and serve\n"
         "                     them back across restarts (default: memory only)\n"
-        "  --no-fsck          skip spool verification at startup\n"
         "  --no-step-checkpoints  checkpoint per step command, not per generation\n"
         "  --crash-at SPEC    arm the crash/IO-fault schedule, e.g.\n"
         "                     'spool.ckpt.pre_rename=kill' or\n"
@@ -312,11 +311,6 @@ main(int argc, char **argv)
                 static_cast<size_t>(std::atoll(value()));
         else if (arg == "--portfolio-dir")
             options.portfolioDir = value();
-        else if (arg == "--no-fsck") {
-            options.table.fsckSpool = false;
-            options.cache.fsckOnLoad = false;
-            options.portfolioFsck = false;
-        }
         else if (arg == "--no-step-checkpoints")
             options.table.checkpointEachStep = false;
         else if (arg == "--crash-at")
