@@ -16,7 +16,9 @@
 
 #include <string>
 
+#include "benchmarks/benchmark.h"
 #include "compiler/backend.h"
+#include "compiler/eval_context.h"
 #include "tuner/config.h"
 
 namespace petabricks {
@@ -48,8 +50,8 @@ addBackendChoices(tuner::Config &config, const std::string &rule,
  * Resolved positions of one rule's choice structure within a Config —
  * the fast path's replacement for by-name lookups. Valid for every
  * configuration sharing the seed's structure (mutation never adds or
- * removes selectors/tunables), so an evaluation context resolves them
- * once per batch.
+ * removes selectors/tunables), so a benchmark resolves them once, in
+ * its constructor.
  */
 struct StageChoiceIds
 {
@@ -84,6 +86,13 @@ stageForIds(const tuner::Config &config, const StageChoiceIds &ids,
     stage.cpuSplit = cpuSplit;
     return stage;
 }
+
+/** EvalContext of the simulator-backed benchmarks: a
+ * compiler::EvaluationContext over the benchmark's TransformAnalysis. */
+struct SimEvalContext : EvalContext, compiler::EvaluationContext
+{
+    using compiler::EvaluationContext::EvaluationContext;
+};
 
 /** Build the stage placement the configuration selects at size @p n. */
 inline compiler::StageConfig

@@ -132,12 +132,15 @@ class Benchmark
 
     /**
      * Precompute the config-invariant evaluation state for
-     * (@p n, @p machine): slot extents, access-region geometry,
-     * transform structure, selector/tunable positions. Built once per
-     * evaluateBatch/generation by engine::ModelEngine and shared by
-     * every candidate of the batch. Default: nullptr (no fast path;
-     * the context overload of evaluate() then uses the reference
-     * path).
+     * (@p n, @p machine). State that depends on neither belongs in the
+     * benchmark's constructor: the simulator-backed benchmarks build
+     * their compiler::TransformAnalysis and selector/tunable positions
+     * there once, and a context binds that analysis to slot extents
+     * and the machine with O(rules) arithmetic. Built once per batch
+     * by engine::ModelEngine (once per query by the portfolio
+     * dispatcher) and shared by every candidate. Default: nullptr (no
+     * fast path; the context overload of evaluate() then uses the
+     * reference path).
      */
     virtual EvalContextPtr
     makeEvalContext(int64_t n, const sim::MachineProfile &machine) const

@@ -59,22 +59,6 @@ sizesFor(int64_t n)
             {"Price", shape}};
 }
 
-/** Config-invariant state shared by a batch (see Benchmark docs). */
-struct BsEvalContext : apps::EvalContext
-{
-    compiler::EvaluationContext sim;
-    StageChoiceIds rule;
-    size_t splitTun;
-
-    BsEvalContext(const std::shared_ptr<lang::Transform> &transform,
-                  int64_t n, const sim::MachineProfile &machine,
-                  const tuner::Config &schema)
-        : sim(transform, sizesFor(n), {500, 2000}, machine),
-          rule(stageChoiceIds(schema, "BlackScholes")),
-          splitTun(schema.tunableIndex("BlackScholes.split"))
-    {}
-};
-
 } // namespace
 
 double
@@ -98,6 +82,10 @@ BlackScholesBenchmark::BlackScholesBenchmark()
         .slot("Years", lang::SlotRole::Input)
         .slot("Price", lang::SlotRole::Output);
     transform_->choice("formula", {blackScholesRule()});
+    analysis_ = std::make_shared<compiler::TransformAnalysis>(*transform_);
+    tuner::Config schema = seedConfig();
+    rule_ = stageChoiceIds(schema, "BlackScholes");
+    splitTun_ = schema.tunableIndex("BlackScholes.split");
 }
 
 int64_t
@@ -144,8 +132,12 @@ apps::EvalContextPtr
 BlackScholesBenchmark::makeEvalContext(
     int64_t n, const sim::MachineProfile &machine) const
 {
-    return std::make_shared<BsEvalContext>(transform_, n, machine,
-                                           seedConfig());
+    int64_t rows = rowsFor(n); // sizesFor() by slot id: one shape
+    return std::make_shared<SimEvalContext>(
+        analysis_,
+        std::vector<compiler::SlotExtent>(transform_->slots().size(),
+                                          {(n + rows - 1) / rows, rows}),
+        lang::ParamEnv{500, 2000}, machine);
 }
 
 double
@@ -155,13 +147,14 @@ BlackScholesBenchmark::evaluate(const tuner::Config &config, int64_t n,
 {
     if (ctx == nullptr)
         return evaluate(config, n, machine);
-    const auto &bs = static_cast<const BsEvalContext &>(*ctx);
-    int split = static_cast<int>(config.tunableValueAt(bs.splitTun));
+    int split = static_cast<int>(config.tunableValueAt(splitTun_));
     thread_local compiler::TransformConfig plan;
     plan.choiceIndex = 0;
     plan.stages.clear();
-    plan.stages.push_back(stageForIds(config, bs.rule, n, split));
-    return compiler::simulateTransform(bs.sim, plan).seconds;
+    plan.stages.push_back(stageForIds(config, rule_, n, split));
+    return compiler::simulateTransform(
+               static_cast<const SimEvalContext &>(*ctx), plan)
+        .seconds;
 }
 
 std::vector<std::string>

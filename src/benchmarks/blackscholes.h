@@ -16,6 +16,7 @@
 
 #include <memory>
 
+#include "benchmarks/backend_util.h"
 #include "benchmarks/benchmark.h"
 #include "lang/transform.h"
 #include "support/rng.h"
@@ -77,6 +78,10 @@ class BlackScholesBenchmark : public Benchmark
 
   private:
     std::shared_ptr<lang::Transform> transform_;
+    // Model structure every evaluation context shares, built once.
+    compiler::TransformAnalysisPtr analysis_;
+    StageChoiceIds rule_;
+    size_t splitTun_ = 0;
 };
 
 } // namespace apps

@@ -94,53 +94,15 @@ convSizes(int64_t n, int64_t kw)
             {"buffer", {n - kw + 1, n}}};
 }
 
+/** convSizes() by slot id: In, Kernel, Out, buffer. */
+std::vector<compiler::SlotExtent>
+convExtents(int64_t n, int64_t kw)
+{
+    return {{n, n}, {kw, 1}, {n - kw + 1, n - kw + 1}, {n - kw + 1, n}};
+}
+
 constexpr const char *kRules[] = {"Convolve2D", "ConvolveRows",
                                   "ConvolveColumns"};
-
-/** Config-invariant state shared by a batch (see Benchmark docs). */
-struct ConvEvalContext : apps::EvalContext
-{
-    compiler::EvaluationContext sim;
-    size_t choiceSel;
-    StageChoiceIds rules[3]; // aligned with kRules
-    size_t splitTun;
-
-    ConvEvalContext(const std::shared_ptr<lang::Transform> &transform,
-                    int64_t n, int64_t kwidth,
-                    const sim::MachineProfile &machine,
-                    const tuner::Config &schema)
-        : sim(transform, convSizes(n, kwidth), {kwidth}, machine),
-          choiceSel(
-              schema.selectorIndex("SeparableConvolution.choice")),
-          rules{stageChoiceIds(schema, kRules[0]),
-                stageChoiceIds(schema, kRules[1]),
-                stageChoiceIds(schema, kRules[2])},
-          splitTun(schema.tunableIndex("SeparableConvolution.split"))
-    {}
-};
-
-/** planFor() via the context's pre-resolved config positions, into a
- * reused per-thread plan (no allocation in the batch loop). */
-const compiler::TransformConfig &
-planForFast(const tuner::Config &config, int64_t n,
-            const ConvEvalContext &ctx)
-{
-    thread_local compiler::TransformConfig plan;
-    int split = static_cast<int>(config.tunableValueAt(ctx.splitTun));
-    plan.stages.clear();
-    if (config.selectorAt(ctx.choiceSel).select(n) == 0) {
-        plan.choiceIndex = 0;
-        plan.stages.push_back(
-            stageForIds(config, ctx.rules[0], n, split));
-    } else {
-        plan.choiceIndex = 1;
-        plan.stages.push_back(
-            stageForIds(config, ctx.rules[1], n, split));
-        plan.stages.push_back(
-            stageForIds(config, ctx.rules[2], n, split));
-    }
-    return plan;
-}
 
 } // namespace
 
@@ -159,10 +121,16 @@ makeConvolutionTransform(int64_t kwidth)
 }
 
 ConvolutionBenchmark::ConvolutionBenchmark(int64_t kwidth)
-    : kwidth_(kwidth), transform_(makeConvolutionTransform(kwidth))
+    : kwidth_(kwidth), transform_(makeConvolutionTransform(kwidth)),
+      analysis_(std::make_shared<compiler::TransformAnalysis>(*transform_))
 {
     PB_ASSERT(kwidth >= 3 && kwidth % 2 == 1,
               "kernel width must be odd and >= 3");
+    tuner::Config schema = seedConfig();
+    choiceSel_ = schema.selectorIndex("SeparableConvolution.choice");
+    for (int r = 0; r < 3; ++r)
+        rules_[r] = stageChoiceIds(schema, kRules[r]);
+    splitTun_ = schema.tunableIndex("SeparableConvolution.split");
 }
 
 tuner::Config
@@ -214,8 +182,9 @@ ConvolutionBenchmark::makeEvalContext(
 {
     if (n <= kwidth_)
         return nullptr; // degenerate size: evaluate() is +inf anyway
-    return std::make_shared<ConvEvalContext>(transform_, n, kwidth_,
-                                             machine, seedConfig());
+    return std::make_shared<SimEvalContext>(
+        analysis_, convExtents(n, kwidth_), lang::ParamEnv{kwidth_},
+        machine);
 }
 
 double
@@ -227,9 +196,21 @@ ConvolutionBenchmark::evaluate(const tuner::Config &config, int64_t n,
         return std::numeric_limits<double>::infinity();
     if (ctx == nullptr)
         return evaluate(config, n, machine);
-    const auto &conv = static_cast<const ConvEvalContext &>(*ctx);
-    return compiler::simulateTransform(conv.sim,
-                                       planForFast(config, n, conv))
+    // planFor() via the pre-resolved config positions, into a reused
+    // per-thread plan (no allocation in the batch loop).
+    thread_local compiler::TransformConfig plan;
+    int split = static_cast<int>(config.tunableValueAt(splitTun_));
+    plan.stages.clear();
+    if (config.selectorAt(choiceSel_).select(n) == 0) {
+        plan.choiceIndex = 0;
+        plan.stages.push_back(stageForIds(config, rules_[0], n, split));
+    } else {
+        plan.choiceIndex = 1;
+        plan.stages.push_back(stageForIds(config, rules_[1], n, split));
+        plan.stages.push_back(stageForIds(config, rules_[2], n, split));
+    }
+    return compiler::simulateTransform(
+               static_cast<const SimEvalContext &>(*ctx), plan)
         .seconds;
 }
 

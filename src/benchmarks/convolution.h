@@ -15,6 +15,7 @@
 
 #include <memory>
 
+#include "benchmarks/backend_util.h"
 #include "benchmarks/benchmark.h"
 #include "lang/transform.h"
 #include "support/rng.h"
@@ -71,6 +72,11 @@ class ConvolutionBenchmark : public Benchmark
   private:
     int64_t kwidth_;
     std::shared_ptr<lang::Transform> transform_;
+    // Model structure every evaluation context shares, built once.
+    compiler::TransformAnalysisPtr analysis_;
+    size_t choiceSel_ = 0;
+    StageChoiceIds rules_[3]; // Convolve2D, ConvolveRows, ConvolveColumns
+    size_t splitTun_ = 0;
 };
 
 /** Build the SeparableConvolution transform for a given kernel width. */

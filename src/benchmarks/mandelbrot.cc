@@ -58,22 +58,6 @@ sizesFor(int64_t n)
  * making each point strongly compute bound. */
 constexpr int64_t kMaxIter = 64;
 
-/** Config-invariant state shared by a batch (see Benchmark docs). */
-struct MbEvalContext : apps::EvalContext
-{
-    compiler::EvaluationContext sim;
-    StageChoiceIds rule;
-    size_t splitTun;
-
-    MbEvalContext(const std::shared_ptr<lang::Transform> &transform,
-                  int64_t n, const sim::MachineProfile &machine,
-                  const tuner::Config &schema)
-        : sim(transform, sizesFor(n), {kMaxIter}, machine),
-          rule(stageChoiceIds(schema, "Mandelbrot")),
-          splitTun(schema.tunableIndex("Mandelbrot.split"))
-    {}
-};
-
 } // namespace
 
 double
@@ -97,6 +81,10 @@ MandelbrotBenchmark::MandelbrotBenchmark()
         .slot("Ci", lang::SlotRole::Input)
         .slot("Iter", lang::SlotRole::Output);
     transform_->choice("escape", {mandelbrotRule()});
+    analysis_ = std::make_shared<compiler::TransformAnalysis>(*transform_);
+    tuner::Config schema = seedConfig();
+    rule_ = stageChoiceIds(schema, "Mandelbrot");
+    splitTun_ = schema.tunableIndex("Mandelbrot.split");
 }
 
 int64_t
@@ -143,8 +131,12 @@ apps::EvalContextPtr
 MandelbrotBenchmark::makeEvalContext(
     int64_t n, const sim::MachineProfile &machine) const
 {
-    return std::make_shared<MbEvalContext>(transform_, n, machine,
-                                           seedConfig());
+    int64_t rows = rowsFor(n); // sizesFor() by slot id: one shape
+    return std::make_shared<SimEvalContext>(
+        analysis_,
+        std::vector<compiler::SlotExtent>(transform_->slots().size(),
+                                          {(n + rows - 1) / rows, rows}),
+        lang::ParamEnv{kMaxIter}, machine);
 }
 
 double
@@ -154,13 +146,14 @@ MandelbrotBenchmark::evaluate(const tuner::Config &config, int64_t n,
 {
     if (ctx == nullptr)
         return evaluate(config, n, machine);
-    const auto &mb = static_cast<const MbEvalContext &>(*ctx);
-    int split = static_cast<int>(config.tunableValueAt(mb.splitTun));
+    int split = static_cast<int>(config.tunableValueAt(splitTun_));
     thread_local compiler::TransformConfig plan;
     plan.choiceIndex = 0;
     plan.stages.clear();
-    plan.stages.push_back(stageForIds(config, mb.rule, n, split));
-    return compiler::simulateTransform(mb.sim, plan).seconds;
+    plan.stages.push_back(stageForIds(config, rule_, n, split));
+    return compiler::simulateTransform(
+               static_cast<const SimEvalContext &>(*ctx), plan)
+        .seconds;
 }
 
 std::vector<std::string>

@@ -91,25 +91,15 @@ poissonSizes(int64_t n, int iterations)
     return sizes;
 }
 
-/** Config-invariant state shared by a batch (see Benchmark docs). */
-struct PoissonEvalContext : apps::EvalContext
+/** poissonSizes() by slot id: In, then the Red/Black pairs. */
+std::vector<compiler::SlotExtent>
+poissonExtents(int64_t n, int iterations)
 {
-    compiler::EvaluationContext sim;
-    StageChoiceIds split;
-    StageChoiceIds iterate;
-    size_t chunksTun;
-
-    PoissonEvalContext(
-        const std::shared_ptr<lang::Transform> &transform, int64_t n,
-        int iterations, const sim::MachineProfile &machine,
-        const tuner::Config &schema)
-        : sim(transform, poissonSizes(n, iterations), {n, n, 15000},
-              machine),
-          split(stageChoiceIds(schema, "Poisson.split")),
-          iterate(stageChoiceIds(schema, "Poisson.iterate")),
-          chunksTun(schema.tunableIndex("Poisson.split.chunks"))
-    {}
-};
+    std::vector<compiler::SlotExtent> extents(
+        2 * static_cast<size_t>(iterations) + 3, {n / 2, n});
+    extents[0] = {n, n};
+    return extents;
+}
 
 } // namespace
 
@@ -143,8 +133,13 @@ makePoissonTransform(int iterations)
 
 PoissonBenchmark::PoissonBenchmark(int iterations)
     : iterations_(iterations),
-      transform_(makePoissonTransform(iterations))
+      transform_(makePoissonTransform(iterations)),
+      analysis_(std::make_shared<compiler::TransformAnalysis>(*transform_))
 {
+    tuner::Config schema = seedConfig();
+    split_ = stageChoiceIds(schema, "Poisson.split");
+    iterate_ = stageChoiceIds(schema, "Poisson.iterate");
+    chunksTun_ = schema.tunableIndex("Poisson.split.chunks");
 }
 
 tuner::Config
@@ -195,9 +190,9 @@ PoissonBenchmark::makeEvalContext(int64_t n,
 {
     if (n < 8 || n % 2 != 0)
         return nullptr; // degenerate size: evaluate() is +inf anyway
-    return std::make_shared<PoissonEvalContext>(transform_, n,
-                                                iterations_, machine,
-                                                seedConfig());
+    return std::make_shared<SimEvalContext>(
+        analysis_, poissonExtents(n, iterations_),
+        lang::ParamEnv{n, n, 15000}, machine);
 }
 
 double
@@ -209,14 +204,10 @@ PoissonBenchmark::evaluate(const tuner::Config &config, int64_t n,
         return std::numeric_limits<double>::infinity();
     if (ctx == nullptr)
         return evaluate(config, n, machine);
-    const auto &poisson =
-        static_cast<const PoissonEvalContext &>(*ctx);
-    int chunks =
-        static_cast<int>(config.tunableValueAt(poisson.chunksTun));
-    compiler::StageConfig split =
-        stageForIds(config, poisson.split, n, chunks);
+    int chunks = static_cast<int>(config.tunableValueAt(chunksTun_));
+    compiler::StageConfig split = stageForIds(config, split_, n, chunks);
     compiler::StageConfig iterate =
-        stageForIds(config, poisson.iterate, n, chunks);
+        stageForIds(config, iterate_, n, chunks);
     thread_local compiler::TransformConfig plan;
     plan.choiceIndex = 0;
     plan.stages.clear();
@@ -226,7 +217,9 @@ PoissonBenchmark::evaluate(const tuner::Config &config, int64_t n,
         plan.stages.push_back(iterate);
         plan.stages.push_back(iterate);
     }
-    return compiler::simulateTransform(poisson.sim, plan).seconds;
+    return compiler::simulateTransform(
+               static_cast<const SimEvalContext &>(*ctx), plan)
+        .seconds;
 }
 
 std::vector<std::string>

@@ -21,6 +21,7 @@
 
 #include <memory>
 
+#include "benchmarks/backend_util.h"
 #include "benchmarks/benchmark.h"
 #include "lang/transform.h"
 #include "support/rng.h"
@@ -92,6 +93,11 @@ class PoissonBenchmark : public Benchmark
   private:
     int iterations_;
     std::shared_ptr<lang::Transform> transform_;
+    // Model structure every evaluation context shares, built once.
+    compiler::TransformAnalysisPtr analysis_;
+    StageChoiceIds split_;
+    StageChoiceIds iterate_;
+    size_t chunksTun_ = 0;
 };
 
 } // namespace apps

@@ -1,19 +1,21 @@
 /**
  * @file
- * Config-invariant precomputation for model-mode evaluation.
+ * Config-invariant precomputation for model-mode evaluation, in two
+ * tiers by lifetime.
  *
- * The autotuner prices thousands of configurations per generation, and
- * every one of them used to rebuild the same scaffolding from scratch:
- * the choice dependency graph and its execution order, per-rule
- * admissibility, the string-keyed slot-extent map, per-rule input
- * extents, and the shared-bandwidth CPU spec. All of that depends only
- * on (transform, slot sizes, params, machine) — never on the candidate
- * configuration — so an EvaluationContext computes it once per
- * evaluateBatch/generation and the per-config inner loop
- * (simulateTransform(ctx, config)) touches nothing but dense arrays.
+ * A TransformAnalysis depends on the transform alone: interned slot
+ * ids, each choice's execution order, per-rule slot ids, admissibility,
+ * the copy-out classification's reader lists and access-shape classes.
+ * A benchmark builds it once, in its constructor. An EvaluationContext
+ * binds it to one (slot extents, params, machine) with O(rules)
+ * arithmetic — flops-per-point, region-rule costs and the
+ * shared-bandwidth CPU spec — so the autotuner can build one per
+ * generation and the dispatcher one per query, and the per-config inner
+ * loop (simulateTransform(ctx, config)) touches nothing but dense
+ * arrays.
  *
- * Thread safety: a built context is immutable, so one context may be
- * shared by all threads of a parallel batch (engine::ModelEngine's
+ * Thread safety: both tiers are immutable once built, so one context
+ * may be shared by all threads of a parallel batch (engine::ModelEngine's
  * pool); per-evaluation scratch lives in thread-local workspaces inside
  * the simulator.
  */
@@ -22,6 +24,7 @@
 #define PETABRICKS_COMPILER_EVAL_CONTEXT_H
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "compiler/admissibility.h"
@@ -33,85 +36,107 @@
 namespace petabricks {
 namespace compiler {
 
-/** Config-invariant data of one rule, in execution-order position. */
+/** Transform-invariant data of one rule, in execution-order position. */
 struct RuleEvalInfo
 {
     /** Index into the choice's rule list (StagePlan::ruleIndex). */
     size_t ruleIndex = 0;
+
+    /** Index of the rule's per-context data (rules of all choices). */
+    size_t id = 0;
 
     lang::RulePtr rule;
 
     int outputSlotId = -1;
     std::vector<int> inputSlotIds; // aligned with rule->inputSlots()
 
-    /** Output slot extents (every rule). */
-    int64_t outW = 0;
-    int64_t outH = 0;
-
-    bool isPointRule = false;
-
-    /** Input extents + flops per point, cached for point rules. */
-    SlotExtents extents;
-    double flopsPerPoint = 0.0;
-
     /** Phase 1-2 conversion analysis (planStages' per-config work). */
     Admissibility admissibility;
-
-    /** Region rules: native cost of the whole output, priced once
-     * (regionCost + CostModel::cpuSeconds are config-invariant). */
-    bool regionSequential = false;
-    double regionSeconds = 0.0;
 
     /** True if the output slot is a transform output (may-copy-out). */
     bool writesTransformOutput = false;
 
     /** Execution-order positions of later rules reading this rule's
-     * output — the copy-out classification's reader scan, which is
-     * structural and therefore config-invariant. */
+     * output — the copy-out classification's reader scan. */
     std::vector<size_t> readersAfter;
+
+    /** Access-shape class: shared by point rules with equal access
+     * patterns (slot names aside) and GPU cache hit rates, so with equal
+     * stage costs wherever flops and slot extents agree; -1 for region
+     * rules. */
+    int shapeClass = -1;
 };
 
-/** Precomputed structure of one algorithmic choice. */
-struct ChoiceEvalInfo
+/** Per-transform tier (see file comment); shared as const. */
+struct TransformAnalysis
 {
-    /** Rule indices in a valid execution order. */
-    std::vector<size_t> order;
+    explicit TransformAnalysis(const lang::Transform &transform);
 
-    /** Per-rule info, aligned with @ref order. */
-    std::vector<RuleEvalInfo> rules;
+    /** Slot ids; id i is the transform's i-th declared slot. */
+    SlotTable slots;
+
+    /** Slot ids of the transform's outputs (final lazy copy-out). */
+    std::vector<int> outputSlotIds;
+
+    /** Per choice, its rules in a valid execution order. */
+    std::vector<std::vector<RuleEvalInfo>> choices;
+
+    /** Rules across all choices (RuleEvalInfo::id is below this). */
+    size_t ruleCount = 0;
+
+    /** Access-shape classes (RuleEvalInfo::shapeClass is below this). */
+    int shapeClassCount = 0;
 };
 
-/** See file comment. */
+using TransformAnalysisPtr = std::shared_ptr<const TransformAnalysis>;
+
+/** (w, h) of one slot. */
+using SlotExtent = std::pair<int64_t, int64_t>;
+
+/** Per-(extents, params, machine) data of one rule. */
+struct RuleSizing
+{
+    double flopsPerPoint = 0.0; // point rules
+
+    /** Region rules: native cost of the whole output, priced once. */
+    bool regionSequential = false;
+    double regionSeconds = 0.0;
+
+    /** Point rules: the key of the rule's stage costs in the simulator's
+     * memos. Its shape class when its flops and extents match the
+     * class's first rule, else a class of its own. */
+    int costClass = -1;
+};
+
+/** Per-(n, machine) tier (see file comment). */
 class EvaluationContext
 {
   public:
     /**
-     * Precompute everything @p transform evaluations share.
-     *
-     * @param transform kept alive by the context.
-     * @param sizes extents of every slot at the evaluated input size.
+     * @param analysis the transform's analysis, kept alive.
+     * @param extents (w, h) of every slot, indexed by slot id.
      * @param params bound transform parameters.
      * @param machine profile configurations are priced on (copied).
      */
-    EvaluationContext(std::shared_ptr<const lang::Transform> transform,
-                      const SlotSizes &sizes, lang::ParamEnv params,
+    EvaluationContext(TransformAnalysisPtr analysis,
+                      std::vector<SlotExtent> extents,
+                      const lang::ParamEnv &params,
                       const sim::MachineProfile &machine);
 
-    const lang::Transform &transform() const { return *transform_; }
+    const TransformAnalysis &analysis() const { return *analysis_; }
     const sim::MachineProfile &machine() const { return machine_; }
-    const lang::ParamEnv &params() const { return params_; }
-    const SlotTable &slots() const { return slots_; }
 
-    const ChoiceEvalInfo &
-    choice(size_t index) const
+    SlotExtent
+    extent(int slot) const
     {
-        PB_ASSERT(index < choices_.size(),
-                  "choice " << index << " out of range");
-        return choices_[index];
+        return extents_[static_cast<size_t>(slot)];
     }
 
-    /** Slot ids of the transform's outputs (final lazy copy-out). */
-    const std::vector<int> &outputSlotIds() const { return outputSlots_; }
+    const RuleSizing &
+    sizing(const RuleEvalInfo &rule) const
+    {
+        return sizing_[rule.id];
+    }
 
     /** machine().cpu with bandwidth split across concurrent workers
      * (the per-chunk pricing spec the simulator derives per call). */
@@ -126,18 +151,13 @@ class EvaluationContext
     uint64_t contextId() const { return contextId_; }
 
   private:
-    std::shared_ptr<const lang::Transform> transform_;
-    lang::ParamEnv params_;
+    TransformAnalysisPtr analysis_;
     sim::MachineProfile machine_;
-    SlotTable slots_;
-    std::vector<std::pair<int64_t, int64_t>> extents_; // by slot id
-    std::vector<int> outputSlots_;
-    std::vector<ChoiceEvalInfo> choices_;
+    std::vector<SlotExtent> extents_; // by slot id
+    std::vector<RuleSizing> sizing_;  // by RuleEvalInfo::id
     sim::DeviceSpec cpuShared_;
     uint64_t contextId_ = 0;
 };
-
-using EvaluationContextPtr = std::shared_ptr<const EvaluationContext>;
 
 } // namespace compiler
 } // namespace petabricks

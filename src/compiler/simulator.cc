@@ -329,6 +329,8 @@ rowChunks(const Region &region, int parts)
 struct StageDyn
 {
     StageConfig config;
+    int64_t outW = 0;
+    int64_t outH = 0;
     int64_t gpuRows = 0;
     CopyOutPolicy copyOut = CopyOutPolicy::None;
 };
@@ -417,23 +419,25 @@ struct FastWorkspace
     std::vector<SimTaskId> copyIns;
     std::vector<SimTaskId> kdeps;
     std::vector<Region> chunks;
+    SlotExtents extents;
 
     /** Reused simulator: zero steady-state allocation across configs. */
     sim::ScheduleSimulator sched{1};
 
     /**
-     * Per-stage cost memos, valid for one EvaluationContext (keyed by
-     * its process-unique id; cleared on change). Stage costs are pure
-     * functions of (context, stage position, a few small config-derived
+     * Stage cost memos, valid for one EvaluationContext (keyed by its
+     * process-unique id; cleared on change). Stage costs are pure
+     * functions of (context, rule, a few small config-derived
      * integers), and candidate populations revisit the same few
      * placements constantly, so these hit nearly always.
      */
     uint64_t ctxId = 0;
 
-    /** (stagePos, gpuRows, cpuSplit) -> per-chunk CPU task seconds. */
+    /** (costClass, gpuRows, cpuSplit) -> per-chunk CPU task seconds.
+     * Keyed by class, so rules of one access shape share entries. */
     std::unordered_map<uint64_t, std::vector<double>> cpuChunkSecs;
 
-    /** (stagePos, gpuRows, lws, backend) -> kernel seconds. */
+    /** (costClass, gpuRows, lws, backend) -> kernel seconds. */
     std::unordered_map<uint64_t, double> gpuKernelSecs;
 
     void
@@ -452,15 +456,13 @@ thread_local FastWorkspace tlsWorkspace;
 /** Exact (collision-free) memo key for the CPU chunk table, or false
  * when a field exceeds its packed range (then compute unmemoized). */
 bool
-cpuChunkKey(size_t choiceIndex, size_t stagePos, int64_t gpuRows,
-            int cpuSplit, uint64_t &key)
+cpuChunkKey(int costClass, int64_t gpuRows, int cpuSplit, uint64_t &key)
 {
-    if (choiceIndex >= (1u << 4) || stagePos >= (1u << 12) ||
-        cpuSplit < 0 || cpuSplit >= (1 << 11) || gpuRows < 0 ||
+    if (costClass < 0 || costClass >= (1 << 16) || cpuSplit < 0 ||
+        cpuSplit >= (1 << 11) || gpuRows < 0 ||
         gpuRows >= (int64_t{1} << 37))
         return false;
-    key = (static_cast<uint64_t>(choiceIndex) << 60) |
-          (static_cast<uint64_t>(stagePos) << 48) |
+    key = (static_cast<uint64_t>(costClass) << 48) |
           (static_cast<uint64_t>(cpuSplit) << 37) |
           static_cast<uint64_t>(gpuRows);
     return true;
@@ -469,19 +471,30 @@ cpuChunkKey(size_t choiceIndex, size_t stagePos, int64_t gpuRows,
 /** Exact memo key for the GPU kernel-cost table, or false when a
  * field exceeds its packed range. */
 bool
-gpuKernelKey(size_t choiceIndex, size_t stagePos, int64_t gpuRows,
-             int lws, Backend backend, uint64_t &key)
+gpuKernelKey(int costClass, int64_t gpuRows, int lws, Backend backend,
+             uint64_t &key)
 {
-    if (choiceIndex >= (1u << 4) || stagePos >= (1u << 12) ||
-        lws < 0 || lws >= (1 << 11) || gpuRows < 0 ||
+    if (costClass < 0 || costClass >= (1 << 16) || lws < 0 ||
+        lws >= (1 << 11) || gpuRows < 0 ||
         gpuRows >= (int64_t{1} << 35))
         return false;
-    key = (static_cast<uint64_t>(choiceIndex) << 60) |
-          (static_cast<uint64_t>(stagePos) << 48) |
+    key = (static_cast<uint64_t>(costClass) << 48) |
           (static_cast<uint64_t>(lws) << 37) |
           (static_cast<uint64_t>(backend) << 35) |
           static_cast<uint64_t>(gpuRows);
     return true;
+}
+
+/** @p ri's extents under @p ctx, in rule_cost's form, into @p out. */
+const SlotExtents &
+slotExtentsOf(const EvaluationContext &ctx, const RuleEvalInfo &ri,
+              SlotExtents &out)
+{
+    std::tie(out.outputW, out.outputH) = ctx.extent(ri.outputSlotId);
+    out.inputs.clear();
+    for (int slot : ri.inputSlotIds)
+        out.inputs.push_back(ctx.extent(slot));
+    return out;
 }
 
 /**
@@ -491,7 +504,8 @@ gpuKernelKey(size_t choiceIndex, size_t stagePos, int64_t gpuRows,
  * only successful results are memoized).
  */
 double
-gpuStageSeconds(const RuleEvalInfo &ri, const StageDyn &stage,
+gpuStageSeconds(const RuleEvalInfo &ri, const SlotExtents &extents,
+                double flopsPerPoint, const StageDyn &stage,
                 const Region &gpuRegion,
                 const sim::MachineProfile &machine)
 {
@@ -508,10 +522,10 @@ gpuStageSeconds(const RuleEvalInfo &ri, const StageDyn &stage,
     }
     sim::CostReport kcost =
         stage.config.backend == Backend::OpenClLocal
-            ? pointRuleLocalCostCached(*ri.rule, gpuRegion, ri.extents,
-                                       ri.flopsPerPoint, range)
-            : pointRuleGlobalCostCached(*ri.rule, gpuRegion, ri.extents,
-                                        ri.flopsPerPoint, range);
+            ? pointRuleLocalCostCached(*ri.rule, gpuRegion, extents,
+                                       flopsPerPoint, range)
+            : pointRuleGlobalCostCached(*ri.rule, gpuRegion, extents,
+                                        flopsPerPoint, range);
     return sim::CostModel::kernelSeconds(machine.ocl, kcost,
                                          stage.config.localWorkSize);
 }
@@ -711,22 +725,27 @@ simulateTransform(const EvaluationContext &ctx,
                   const TransformConfig &config)
 {
     const sim::MachineProfile &machine = ctx.machine();
-    const ChoiceEvalInfo &choice = ctx.choice(config.choiceIndex);
-    PB_ASSERT(config.stages.size() == choice.rules.size(),
+    const TransformAnalysis &analysis = ctx.analysis();
+    PB_ASSERT(config.choiceIndex < analysis.choices.size(),
+              "choice " << config.choiceIndex << " out of range");
+    const std::vector<RuleEvalInfo> &rules =
+        analysis.choices[config.choiceIndex];
+    PB_ASSERT(config.stages.size() == rules.size(),
               "config has " << config.stages.size()
-                            << " stages, choice has "
-                            << choice.rules.size() << " rules");
+                            << " stages, choice has " << rules.size()
+                            << " rules");
 
     FastWorkspace &ws = tlsWorkspace;
 
     // ---- Stage planning (the planStages() work, minus everything the
     // context precomputed: execution order, extents, admissibility).
     ws.stages.clear();
-    ws.stages.reserve(choice.rules.size());
-    for (const RuleEvalInfo &ri : choice.rules) {
+    ws.stages.reserve(rules.size());
+    for (const RuleEvalInfo &ri : rules) {
         StageDyn stage;
         stage.config = config.stage(ri.ruleIndex);
         stage.config.validate();
+        std::tie(stage.outW, stage.outH) = ctx.extent(ri.outputSlotId);
         if (stage.config.backend != Backend::Cpu) {
             if (!ri.admissibility.convertible) {
                 PB_FATAL("rule '" << ri.rule->name()
@@ -741,7 +760,7 @@ simulateTransform(const EvaluationContext &ctx,
                                      "(bounding box is not a constant "
                                      "greater than one)");
             }
-            stage.gpuRows = stage.config.gpuRows(ri.outH);
+            stage.gpuRows = stage.config.gpuRows(stage.outH);
         }
         ws.stages.push_back(stage);
     }
@@ -749,7 +768,7 @@ simulateTransform(const EvaluationContext &ctx,
     // Copy-out classification over the precomputed reader lists.
     for (size_t p = 0; p < ws.stages.size(); ++p) {
         StageDyn &stage = ws.stages[p];
-        const RuleEvalInfo &ri = choice.rules[p];
+        const RuleEvalInfo &ri = rules[p];
         if (stage.gpuRows <= 0) {
             stage.copyOut = CopyOutPolicy::None;
             continue;
@@ -759,7 +778,7 @@ simulateTransform(const EvaluationContext &ctx,
         for (size_t q : ri.readersAfter) {
             const StageDyn &later = ws.stages[q];
             if (later.config.backend == Backend::Cpu ||
-                later.gpuRows < choice.rules[q].outH)
+                later.gpuRows < later.outH)
                 consumedByCpu = true;
             else
                 consumedByGpu = true;
@@ -782,21 +801,24 @@ simulateTransform(const EvaluationContext &ctx,
                      << machine.name << "')");
     }
 
-    // ---- Simulation, mirroring the reference path task-for-task (same
-    // task ids in the same order, so the makespan is bit-identical).
+    // ---- Simulation, mirroring the reference path task-for-task. A
+    // stage's CPU chunks enter as one group, which schedules exactly
+    // like the reference's one task per chunk, so the makespan is
+    // bit-identical.
     ws.bindContext(ctx);
     sim::ScheduleSimulator &sched = ws.sched;
     sched.reset(machine);
 
     FastResidency &residency = ws.residency;
-    residency.reset(ctx.slots().size());
+    residency.reset(analysis.slots.size());
     SimOutcome outcome;
 
-    ws.slotReady.assign(ctx.slots().size(), -1);
+    ws.slotReady.assign(analysis.slots.size(), -1);
 
     for (size_t p = 0; p < ws.stages.size(); ++p) {
         const StageDyn &stage = ws.stages[p];
-        const RuleEvalInfo &ri = choice.rules[p];
+        const RuleEvalInfo &ri = rules[p];
+        const RuleSizing &sizing = ctx.sizing(ri);
 
         ws.deps.clear();
         for (int input : ri.inputSlotIds) {
@@ -807,25 +829,26 @@ simulateTransform(const EvaluationContext &ctx,
         ws.stageParts.clear();
 
         bool hasGpuPart = stage.gpuRows > 0;
-        bool hasCpuPart = stage.gpuRows < ri.outH;
-        Region gpuRegion(0, 0, ri.outW, stage.gpuRows);
-        Region cpuRegion(0, stage.gpuRows, ri.outW,
-                         ri.outH - stage.gpuRows);
+        bool hasCpuPart = stage.gpuRows < stage.outH;
+        Region gpuRegion(0, 0, stage.outW, stage.gpuRows);
+        Region cpuRegion(0, stage.gpuRows, stage.outW,
+                         stage.outH - stage.gpuRows);
 
         // ---- CPU part ------------------------------------------------
         if (hasCpuPart) {
-            if (ri.isPointRule) {
+            if (ri.rule->isPointRule()) {
                 // Chunk task durations are a pure function of
-                // (stage position, gpuRows, cpuSplit): memoized across
-                // the batch's configurations.
+                // (cost class, gpuRows, cpuSplit): memoized across the
+                // batch's configurations and the class's rules.
                 auto computeChunkSecs = [&](std::vector<double> &secs) {
                     rowChunksInto(cpuRegion, stage.config.cpuSplit,
                                   ws.chunks);
+                    slotExtentsOf(ctx, ri, ws.extents);
                     secs.reserve(ws.chunks.size());
                     for (const Region &chunk : ws.chunks) {
                         sim::CostReport cost = pointRuleCpuCostCached(
-                            *ri.rule, chunk, ri.extents,
-                            ri.flopsPerPoint);
+                            *ri.rule, chunk, ws.extents,
+                            sizing.flopsPerPoint);
                         secs.push_back(sim::CostModel::cpuSeconds(
                             ctx.cpuSharedSpec(), cost, 1));
                     }
@@ -833,7 +856,7 @@ simulateTransform(const EvaluationContext &ctx,
                 uint64_t key = 0;
                 const std::vector<double> *secs = nullptr;
                 std::vector<double> local;
-                if (cpuChunkKey(config.choiceIndex, p, stage.gpuRows,
+                if (cpuChunkKey(sizing.costClass, stage.gpuRows,
                                 stage.config.cpuSplit, key)) {
                     auto it = ws.cpuChunkSecs.find(key);
                     if (it == ws.cpuChunkSecs.end()) {
@@ -848,14 +871,14 @@ simulateTransform(const EvaluationContext &ctx,
                     computeChunkSecs(local);
                     secs = &local;
                 }
-                for (double sec : *secs)
-                    ws.stageParts.push_back(sched.addTask(
-                        SimResource::CpuWorker, sec, ws.deps));
+                ws.stageParts.push_back(sched.addGroup(
+                    secs->data(), static_cast<int>(secs->size()),
+                    ws.deps));
             } else {
                 ws.stageParts.push_back(sched.addTask(
-                    ri.regionSequential ? SimResource::CpuWorker
-                                        : SimResource::CpuPool,
-                    ri.regionSeconds, ws.deps));
+                    sizing.regionSequential ? SimResource::CpuWorker
+                                            : SimResource::CpuPool,
+                    sizing.regionSeconds, ws.deps));
             }
         }
 
@@ -864,7 +887,7 @@ simulateTransform(const EvaluationContext &ctx,
             ws.copyIns.clear();
             const auto &accesses = ri.rule->accesses();
             for (size_t i = 0; i < accesses.size(); ++i) {
-                auto [inW, inH] = ri.extents.inputs[i];
+                auto [inW, inH] = ctx.extent(ri.inputSlotIds[i]);
                 Region needed =
                     inputRegionFor(accesses[i], gpuRegion, inW, inH);
                 if (needed.empty())
@@ -881,25 +904,30 @@ simulateTransform(const EvaluationContext &ctx,
             }
 
             // Kernel seconds (and the local-memory feasibility check)
-            // are a pure function of (stage position, gpuRows, lws,
-            // backend): memoized across the batch's configurations.
+            // are a pure function of (cost class, gpuRows, lws,
+            // backend): memoized like the chunk durations. Failed
+            // checks are never memoized, so each rule throws its own
+            // error.
             double ksec;
             {
+                auto compute = [&] {
+                    return gpuStageSeconds(
+                        ri, slotExtentsOf(ctx, ri, ws.extents),
+                        sizing.flopsPerPoint, stage, gpuRegion, machine);
+                };
                 uint64_t key = 0;
-                if (gpuKernelKey(config.choiceIndex, p, stage.gpuRows,
+                if (gpuKernelKey(sizing.costClass, stage.gpuRows,
                                  stage.config.localWorkSize,
                                  stage.config.backend, key)) {
                     auto it = ws.gpuKernelSecs.find(key);
                     if (it == ws.gpuKernelSecs.end()) {
-                        ksec = gpuStageSeconds(ri, stage, gpuRegion,
-                                               machine);
+                        ksec = compute();
                         ws.gpuKernelSecs.emplace(key, ksec);
                     } else {
                         ksec = it->second;
                     }
                 } else {
-                    ksec = gpuStageSeconds(ri, stage, gpuRegion,
-                                           machine);
+                    ksec = compute();
                 }
             }
             ws.kdeps = ws.deps;
@@ -929,7 +957,7 @@ simulateTransform(const EvaluationContext &ctx,
     }
 
     // Final lazy copy-out of transform outputs, as in the reference.
-    for (int slot : ctx.outputSlotIds()) {
+    for (int slot : analysis.outputSlotIds) {
         double bytes = residency.staleBytes(slot);
         if (bytes <= 0.0)
             continue;

@@ -97,6 +97,8 @@ struct DimAccess
     {
         return DimAccess{true, 0, 0, 1};
     }
+
+    bool operator==(const DimAccess &) const = default;
 };
 
 /** Which cells of one input a point rule reads per output cell. */

@@ -6,6 +6,7 @@
 #include "engine/fault_injection.h"
 #include "support/crashpoint.h"
 #include "support/error.h"
+#include "tuner/portfolio_tuner.h"
 
 namespace petabricks {
 namespace service {
@@ -47,14 +48,24 @@ SessionSpec::fromCreateRequest(const KvFile &kv)
     if (!kv.has("benchmark"))
         PB_FATAL("create request is missing the 'benchmark' key");
 
+    // An int-valued option, rejected rather than truncated when the
+    // request's value does not fit.
+    auto intOption = [&](const char *key, int fallback) {
+        int64_t value = kv.getIntOr(key, fallback);
+        if (value < std::numeric_limits<int>::min() ||
+            value > std::numeric_limits<int>::max())
+            PB_FATAL("create request option '" << key << "' = " << value
+                                               << " does not fit in int");
+        return static_cast<int>(value);
+    };
+
     SessionSpec spec;
     // findBenchmark canonicalizes the name (and rejects unknown ones).
     apps::BenchmarkPtr benchmark = apps::findBenchmark(kv.get("benchmark"));
     spec.benchmark = benchmark->name();
     if (kv.has("machine"))
         spec.machine = kv.get("machine");
-    spec.engineParallelism =
-        static_cast<int>(kv.getIntOr("engineParallelism", 1));
+    spec.engineParallelism = intOption("engineParallelism", 1);
     if (spec.engineParallelism < 0)
         PB_FATAL("engineParallelism must be >= 0");
     if (kv.has("faultRate"))
@@ -72,16 +83,15 @@ SessionSpec::fromCreateRequest(const KvFile &kv)
     tuner.maxInputSize = benchmark->testingInputSize();
     makeEngine(spec).configureTuner(tuner);
 
-    tuner.populationSize = static_cast<int>(
-        kv.getIntOr("populationSize", tuner.populationSize));
-    tuner.generationsPerSize = static_cast<int>(
-        kv.getIntOr("generationsPerSize", tuner.generationsPerSize));
+    tuner.populationSize = intOption("populationSize", tuner.populationSize);
+    tuner.generationsPerSize =
+        intOption("generationsPerSize", tuner.generationsPerSize);
     tuner.minInputSize = kv.getIntOr("minInputSize", tuner.minInputSize);
     tuner.maxInputSize = kv.getIntOr("maxInputSize", tuner.maxInputSize);
-    tuner.sizeGrowthFactor = static_cast<int>(
-        kv.getIntOr("sizeGrowthFactor", tuner.sizeGrowthFactor));
-    tuner.trialsPerEvaluation = static_cast<int>(
-        kv.getIntOr("trialsPerEvaluation", tuner.trialsPerEvaluation));
+    tuner.sizeGrowthFactor =
+        intOption("sizeGrowthFactor", tuner.sizeGrowthFactor);
+    tuner.trialsPerEvaluation =
+        intOption("trialsPerEvaluation", tuner.trialsPerEvaluation);
     tuner.seed = static_cast<uint64_t>(kv.getIntOr(
         "seed", static_cast<int64_t>(tuner.seed)));
     tuner.cacheEvaluations =
@@ -89,10 +99,12 @@ SessionSpec::fromCreateRequest(const KvFile &kv)
         0;
 
     if (tuner.populationSize < 1 || tuner.generationsPerSize < 1 ||
-        tuner.minInputSize < 1 ||
-        tuner.minInputSize > tuner.maxInputSize ||
-        tuner.sizeGrowthFactor < 2 || tuner.trialsPerEvaluation < 1)
+        tuner.trialsPerEvaluation < 1)
         PB_FATAL("create request has out-of-range tuner options");
+    // The session's size ladder, checked before anything is spooled.
+    tuner::PortfolioTuner::sizeLadder(tuner.minInputSize,
+                                      tuner.maxInputSize,
+                                      tuner.sizeGrowthFactor);
     return spec;
 }
 

@@ -26,7 +26,8 @@ ScheduleSimulator::reset()
     seconds_.clear();
     remainingDeps_.clear();
     finish_.clear();
-    labels_.clear();
+    firstSecond_.clear();
+    members_.clear();
     edges_.clear();
     cpuBusy_ = 0.0;
     gpuBusy_ = 0.0;
@@ -41,6 +42,8 @@ ScheduleSimulator::addTask(SimResource resource, double seconds,
     PB_ASSERT(seconds >= 0.0, "negative task duration");
     SimTaskId id = static_cast<SimTaskId>(resource_.size());
     resource_.push_back(resource);
+    firstSecond_.push_back(static_cast<int32_t>(seconds_.size()));
+    members_.push_back(1);
     seconds_.push_back(seconds);
     finish_.push_back(-1.0);
     int remaining = 0;
@@ -55,13 +58,16 @@ ScheduleSimulator::addTask(SimResource resource, double seconds,
 }
 
 SimTaskId
-ScheduleSimulator::addTask(SimResource resource, double seconds,
-                           const std::vector<SimTaskId> &deps,
-                           std::string label)
+ScheduleSimulator::addGroup(const double *seconds, int count,
+                            const std::vector<SimTaskId> &deps)
 {
-    SimTaskId id = addTask(resource, seconds, deps);
-    if (!label.empty())
-        labels_.emplace_back(id, std::move(label));
+    PB_ASSERT(count > 0, "a task group needs at least one member");
+    SimTaskId id = addTask(SimResource::CpuWorker, seconds[0], deps);
+    members_.back() = count;
+    for (int i = 1; i < count; ++i) {
+        PB_ASSERT(seconds[i] >= 0.0, "negative task duration");
+        seconds_.push_back(seconds[i]);
+    }
     return id;
 }
 
@@ -116,6 +122,11 @@ ScheduleSimulator::run()
         return a > b;
     };
     uint64_t seq = 0;
+    auto push = [&](double finish, SimTaskId id) {
+        heap_.push_back(
+            {finish, (seq++ << 32) | static_cast<uint32_t>(id)});
+        std::push_heap(heap_.begin(), heap_.end(), heapGreater);
+    };
     double now = 0.0;
     double makespan = 0.0;
     size_t completed = 0;
@@ -127,7 +138,11 @@ ScheduleSimulator::run()
                (oclSharesCpu_ && r == SimResource::GpuQueue);
     };
 
+    // Once released, a task's remainingDeps_ slot counts its members
+    // still queued or running; a group takes one queue entry.
     auto release = [&](SimTaskId id) {
+        remainingDeps_[static_cast<size_t>(id)] =
+            members_[static_cast<size_t>(id)];
         switch (resource_[static_cast<size_t>(id)]) {
           case SimResource::CpuWorker:
           case SimResource::CpuPool:
@@ -145,18 +160,16 @@ ScheduleSimulator::run()
           case SimResource::None:
             // Completes instantly; handled by the caller via the heap
             // with zero duration so ordering stays uniform.
-            heap_.push_back(
-                {now, (seq++ << 32) | static_cast<uint32_t>(id)});
-            std::push_heap(heap_.begin(), heap_.end(), heapGreater);
+            push(now, id);
             break;
         }
     };
 
-    auto start = [&](SimTaskId id) {
-        double dur = seconds_[static_cast<size_t>(id)];
-        heap_.push_back(
-            {now + dur, (seq++ << 32) | static_cast<uint32_t>(id)});
-        std::push_heap(heap_.begin(), heap_.end(), heapGreater);
+    // Start member @p member of @p id (0 for a plain task).
+    auto start = [&](SimTaskId id, int32_t member) {
+        double dur = seconds_[static_cast<size_t>(
+            firstSecond_[static_cast<size_t>(id)] + member)];
+        push(now + dur, id);
         if (resource_[static_cast<size_t>(id)] == SimResource::GpuQueue)
             gpuBusy_ += dur;
         if (needsFullPool(id))
@@ -164,6 +177,41 @@ ScheduleSimulator::run()
         else if (resource_[static_cast<size_t>(id)] ==
                  SimResource::CpuWorker)
             cpuBusy_ += dur;
+    };
+
+    // Members of the CPU queue's head group already started; only the
+    // head can be partly dispatched, since the queue is strict FIFO.
+    int32_t headStarted = 0;
+
+    // When a group reaches idle workers with nothing else running or
+    // queued, no other event can interleave with its members until the
+    // last one finishes. Schedule them on a local heap — keyed like the
+    // main one, a member's index standing in for its start sequence —
+    // and let only the last completion enter the main heap.
+    auto startIsolatedGroup = [&](SimTaskId id) {
+        const double *dur = &seconds_[static_cast<size_t>(
+            firstSecond_[static_cast<size_t>(id)])];
+        double last = now;
+        groupHeap_.clear();
+        for (int32_t i = 0; i < members_[static_cast<size_t>(id)]; ++i) {
+            double startAt = now;
+            if (i >= cpuWorkers_) {
+                startAt = groupHeap_.front().finish;
+                std::pop_heap(groupHeap_.begin(), groupHeap_.end(),
+                              heapGreater);
+                groupHeap_.pop_back();
+            }
+            cpuBusy_ += dur[i];
+            last = std::max(last, startAt + dur[i]);
+            groupHeap_.push_back(
+                {startAt + dur[i], static_cast<uint64_t>(i)});
+            std::push_heap(groupHeap_.begin(), groupHeap_.end(),
+                           heapGreater);
+        }
+        // From here the group is its last member, still running.
+        remainingDeps_[static_cast<size_t>(id)] = 1;
+        cpuInUse = 1;
+        push(last, id);
     };
 
     auto dispatch = [&]() {
@@ -182,20 +230,31 @@ ScheduleSimulator::run()
             } else {
                 if (cpuInUse >= cpuWorkers_)
                     break;
+                if (members_[static_cast<size_t>(head)] > 1 &&
+                    heap_.empty() && cpuHead + 1 == cpuReady_.size() &&
+                    gpuHead == gpuReady_.size() &&
+                    xferHead == xferReady_.size()) {
+                    ++cpuHead;
+                    startIsolatedGroup(head);
+                    continue;
+                }
                 ++cpuInUse;
             }
-            ++cpuHead;
-            start(head);
+            start(head, headStarted);
+            if (++headStarted == members_[static_cast<size_t>(head)]) {
+                headStarted = 0;
+                ++cpuHead;
+            }
         }
         if (!gpuBusy && gpuHead < gpuReady_.size()) {
             SimTaskId head = gpuReady_[gpuHead++];
             gpuBusy = true;
-            start(head);
+            start(head, 0);
         }
         if (!xferBusy && xferHead < xferReady_.size()) {
             SimTaskId head = xferReady_[xferHead++];
             xferBusy = true;
-            start(head);
+            start(head, 0);
         }
     };
 
@@ -213,12 +272,15 @@ ScheduleSimulator::run()
         heap_.pop_back();
         now = finish;
         makespan = std::max(makespan, now);
-        finish_[static_cast<size_t>(id)] = now;
-        ++completed;
 
         switch (resource_[static_cast<size_t>(id)]) {
           case SimResource::CpuWorker:
             --cpuInUse;
+            // A group completes with its last member.
+            if (--remainingDeps_[static_cast<size_t>(id)] > 0) {
+                dispatch();
+                continue;
+            }
             break;
           case SimResource::CpuPool:
             cpuInUse = 0;
@@ -234,6 +296,8 @@ ScheduleSimulator::run()
           case SimResource::None:
             break;
         }
+        finish_[static_cast<size_t>(id)] = now;
+        ++completed;
 
         int32_t depBegin = depStart_[static_cast<size_t>(id)];
         int32_t depEnd = depStart_[static_cast<size_t>(id) + 1];
@@ -249,16 +313,6 @@ ScheduleSimulator::run()
         PB_PANIC("schedule deadlocked: " << completed << "/"
                  << taskCount << " tasks completed (cycle in DAG?)");
     return makespan;
-}
-
-const std::string &
-ScheduleSimulator::taskLabel(SimTaskId task) const
-{
-    static const std::string kEmpty;
-    for (const auto &[id, label] : labels_)
-        if (id == task)
-            return label;
-    return kEmpty;
 }
 
 double

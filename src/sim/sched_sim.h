@@ -16,8 +16,10 @@
  * priced configuration), so the task store is struct-of-arrays with a
  * flat dependency edge list, and all run() scratch is reused: a
  * simulator instance reset() between runs performs no steady-state
- * allocation. Scheduling order is deterministic — the running-task heap
- * is keyed by (finish, sequence), a total order — so results are
+ * allocation. A stage's CPU chunks enter as one *group* node (one
+ * record, one dependency list and one release) instead of one task
+ * each. Scheduling order is deterministic — the running-task heap is
+ * keyed by (finish, sequence), a total order — so results are
  * independent of internal representation.
  */
 
@@ -25,8 +27,6 @@
 #define PETABRICKS_SIM_SCHED_SIM_H
 
 #include <cstdint>
-#include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -101,13 +101,18 @@ class ScheduleSimulator
                       const std::vector<SimTaskId> &deps = {});
 
     /**
-     * addTask() with a tracing/debugging label. Labels never affect
-     * scheduling and are stored sparsely, so the unlabeled overload —
-     * the model-mode fast path — stays allocation-free.
+     * Add @p count CpuWorker tasks sharing @p deps as one group node;
+     * member i runs for @p seconds[i]. Members are released, dispatched
+     * (FIFO, in index order) and accounted exactly like @p count
+     * addTask(CpuWorker, ...) calls, and the group completes in the
+     * event its last member does, so depending on the group schedules
+     * exactly like depending on every member. A group that finds the
+     * simulator otherwise idle is list-scheduled off the event heap.
+     *
+     * @return id usable as a dependency of later tasks.
      */
-    SimTaskId addTask(SimResource resource, double seconds,
-                      const std::vector<SimTaskId> &deps,
-                      std::string label);
+    SimTaskId addGroup(const double *seconds, int count,
+                       const std::vector<SimTaskId> &deps);
 
     /**
      * Run to completion.
@@ -117,9 +122,6 @@ class ScheduleSimulator
 
     /** Completion time of @p task; only valid after run(). */
     double finishTime(SimTaskId task) const;
-
-    /** Tracing label of @p task ("" if it was added unlabeled). */
-    const std::string &taskLabel(SimTaskId task) const;
 
     /** Busy time accumulated on the CPU pool, for utilization checks. */
     double cpuBusySeconds() const { return cpuBusy_; }
@@ -133,14 +135,15 @@ class ScheduleSimulator
     int cpuWorkers_;
     bool oclSharesCpu_;
 
-    // Task store, struct-of-arrays (indexed by SimTaskId).
+    // Task store, struct-of-arrays (indexed by SimTaskId). Task id's
+    // members_[id] durations (1 unless it is a group) start at
+    // seconds_[firstSecond_[id]].
     std::vector<SimResource> resource_;
+    std::vector<int32_t> firstSecond_;
+    std::vector<int32_t> members_;
     std::vector<double> seconds_;
     std::vector<int> remainingDeps_;
     std::vector<double> finish_;
-
-    /** Sparse labels: only labeled tasks pay for storage. */
-    std::vector<std::pair<SimTaskId, std::string>> labels_;
 
     /** (parent, child) dependency edges in insertion order. */
     std::vector<std::pair<SimTaskId, SimTaskId>> edges_;
@@ -171,6 +174,7 @@ class ScheduleSimulator
     std::vector<SimTaskId> gpuReady_;
     std::vector<SimTaskId> xferReady_;
     std::vector<Running> heap_;
+    std::vector<Running> groupHeap_; // an isolated group's workers
 
     double cpuBusy_ = 0.0;
     double gpuBusy_ = 0.0;

@@ -6,8 +6,9 @@
  * slot *name* (std::map<std::string, ...>), paying a string compare per
  * lookup and a node allocation per insert — once per rule application
  * per evaluated configuration. A SlotTable interns every slot name of a
- * transform once (at evaluation-context build time), after which the
- * per-config inner loop works entirely in small dense integer ids.
+ * transform once (when its compiler::TransformAnalysis is built), after
+ * which the per-config inner loop works entirely in small dense integer
+ * ids.
  */
 
 #ifndef PETABRICKS_SUPPORT_SLOT_TABLE_H

@@ -1,6 +1,7 @@
 #include "tuner/portfolio_tuner.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "engine/execution_engine.h"
 #include "support/error.h"
@@ -14,22 +15,24 @@ PortfolioTuner::sizeLadder(int64_t minSize, int64_t maxSize,
                            int growthFactor)
 {
     if (minSize < 1 || maxSize < minSize)
-        PB_FATAL("invalid portfolio size ladder [" << minSize << ", "
-                                                   << maxSize << "]");
+        PB_FATAL("invalid size ladder [" << minSize << ", " << maxSize
+                                         << "]");
     if (growthFactor < 2)
-        PB_FATAL("portfolio ladder growth factor must be >= 2 (got "
+        PB_FATAL("size ladder growth factor must be >= 2 (got "
                  << growthFactor << ")");
     std::vector<int64_t> sizes;
     for (int64_t size = minSize; size < maxSize;
          size *= growthFactor) {
         sizes.push_back(size);
-        // Overflow guard: a rung whose next step wraps just ends the
-        // geometric part; maxSize below still closes the ladder.
-        if (size > maxSize / growthFactor)
-            break;
+        // A step past int64 would wrap, and a wrapped rung can climb
+        // forever: refuse the ladder instead.
+        if (size > std::numeric_limits<int64_t>::max() / growthFactor)
+            PB_FATAL("size ladder [" << minSize << ", " << maxSize
+                                     << "] growing by " << growthFactor
+                                     << " overflows int64 after "
+                                     << size);
     }
     sizes.push_back(maxSize);
-    sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
     return sizes;
 }
 

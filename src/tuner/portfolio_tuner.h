@@ -89,8 +89,13 @@ class PortfolioTuner
         : portfolio_(portfolio), sharedCache_(sharedCache)
     {}
 
-    /** The geometric size schedule: minSize, minSize*growth, ...,
-     * always ending exactly at maxSize. */
+    /**
+     * The geometric size schedule: minSize, minSize*growth, ...,
+     * always ending exactly at maxSize. TuningSession walks the same
+     * ladder.
+     * @throws FatalError for an empty range, a growth factor below 2,
+     *         or a step that would overflow int64.
+     */
     static std::vector<int64_t> sizeLadder(int64_t minSize,
                                            int64_t maxSize,
                                            int growthFactor);

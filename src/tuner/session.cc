@@ -9,6 +9,7 @@
 #include "cache/shared_cache.h"
 #include "support/error.h"
 #include "support/logging.h"
+#include "tuner/portfolio_tuner.h"
 
 namespace petabricks {
 namespace tuner {
@@ -31,10 +32,9 @@ TuningSession::TuningSession(Evaluator &evaluator, Config seedConfig,
     PB_ASSERT(!mutators_.empty(), "config has nothing to tune");
 
     // Exponentially growing testing input sizes (Section 5.2).
-    for (int64_t s = options_.minInputSize; s < options_.maxInputSize;
-         s *= options_.sizeGrowthFactor)
-        sizes_.push_back(s);
-    sizes_.push_back(options_.maxInputSize);
+    sizes_ = PortfolioTuner::sizeLadder(options_.minInputSize,
+                                        options_.maxInputSize,
+                                        options_.sizeGrowthFactor);
 
     population_.push_back({seed_, 0.0});
 }

@@ -2,6 +2,8 @@
  * Model-mode behavior: the qualitative facts the paper reports must
  * hold in the machine model (who wins where, and why).
  */
+#include <cctype>
+
 #include <gtest/gtest.h>
 
 #include "benchmarks/registry.h"
@@ -265,6 +267,30 @@ TEST(ModelRegistry, SevenBenchmarksEvaluateEverywhere)
         EXPECT_FALSE(bench->describeConfig(seed,
                                            bench->testingInputSize())
                          .empty());
+    }
+}
+
+TEST(ModelRegistry, FindBenchmarkResolvesEveryNameInAnyCase)
+{
+    std::vector<BenchmarkPtr> all = allBenchmarks();
+    ASSERT_EQ(all.size(), 8u);
+    for (const auto &bench : all) {
+        std::string upper = bench->name(), lower = bench->name();
+        for (char &c : upper)
+            c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+        for (char &c : lower)
+            c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+        EXPECT_EQ(findBenchmark(upper)->name(), bench->name());
+        EXPECT_EQ(findBenchmark(lower)->name(), bench->name());
+    }
+    try {
+        findBenchmark("NoSuchBenchmark");
+        FAIL() << "unknown name resolved";
+    } catch (const FatalError &error) {
+        for (const auto &bench : all)
+            EXPECT_NE(std::string(error.what()).find(bench->name()),
+                      std::string::npos)
+                << bench->name();
     }
 }
 

@@ -292,6 +292,19 @@ TEST(SessionSpec, CreateRequestResolvesAndRoundTrips)
         EXPECT_THROW(SessionSpec::fromCreateRequest(outOfRange), FatalError)
             << faultRate;
     }
+    // A size ladder whose growth overflows int64 (the session's rung
+    // loop used to wrap to 0 and append forever), and a population that
+    // only fits int once truncated to 1.
+    KvFile overflowingLadder = request;
+    overflowingLadder.setInt("minInputSize", 1);
+    overflowingLadder.setInt("maxInputSize", int64_t{1} << 62);
+    overflowingLadder.setInt("sizeGrowthFactor", int64_t{1} << 30);
+    EXPECT_THROW(SessionSpec::fromCreateRequest(overflowingLadder),
+                 FatalError);
+    KvFile truncatedPopulation = request;
+    truncatedPopulation.setInt("populationSize", 4294967297);
+    EXPECT_THROW(SessionSpec::fromCreateRequest(truncatedPopulation),
+                 FatalError);
 }
 
 TEST(SessionTable, SpoolFsckQuarantinesCorruptPairsAndKeepsHealthyOnes)
