@@ -6,10 +6,12 @@
 #   2. Graceful drain: SIGTERM tunerd with detached work in flight; it
 #      must finish the in-flight stepping, checkpoint every session,
 #      and exit 0 — and a restart must resume to the identical champion.
-#   3. Corrupt-spool boot: plant torn .meta/.ckpt files in the spool;
-#      the daemon must quarantine them, report the count in /stats, and
-#      keep serving new sessions. `pbfsck list` must name the
-#      quarantined files and exit 1; after `pbfsck purge` it exits 0.
+#   3. Corrupt-spool boot: drain a stepped session and change one digit
+#      of a member's score in its checkpoint, and plant torn .meta/.ckpt
+#      files in the spool; the daemon must quarantine all three (the
+#      edited pair by its seal), report the count in /stats, and keep
+#      serving new sessions. `pbfsck list` must name the quarantined
+#      files and exit 1; after `pbfsck purge` it exits 0.
 #   4. Shared-cache persistence: run a search with --cache-dir, SIGTERM
 #      drain, plant a torn cache segment, restart on the same cache
 #      dir; the rerun must be served shared-cache hits (cross-session,
@@ -189,7 +191,21 @@ echo "daemon_smoke: PASS leg 2 (SIGTERM drain: champion identical)"
 # Leg 3: corrupt-spool boot — quarantine the wreckage, keep serving.
 # ===========================================================================
 SPOOL="$WORK/spool-fsck"
-mkdir -p "$SPOOL"
+start_daemon
+EDITED=$("$CLIENT" --port "$PORT" create "${SEARCH_ARGS[@]}")
+[ -n "$EDITED" ] || fail "fsck leg: create returned no session id"
+"$CLIENT" --port "$PORT" step --session "$EDITED" --steps 2 \
+    || fail "fsck leg: steps failed"
+stop_daemon || fail "fsck leg: drain exited nonzero"
+# One digit of the first finite population.*.seconds value: the file
+# still parses, and only the checkpoint's seal can tell.
+CKPT="$SPOOL/$EDITED.ckpt"
+awk '!done && /^population\.[0-9]+\.seconds = [0-9]/ {
+         $3 = (substr($3, 1, 1) + 1) % 10 substr($3, 2); done = 1 }
+     { print }' "$CKPT" > "$WORK/edited.ckpt"
+cmp -s "$CKPT" "$WORK/edited.ckpt" \
+    && fail "fsck leg: no population seconds value to edit in $CKPT"
+mv "$WORK/edited.ckpt" "$CKPT"
 printf 'spec.benchmark = Sort\ntrunca' > "$SPOOL/s90.meta" # torn mid-write
 printf 'not a checkpoint at all' > "$SPOOL/s92.ckpt"       # orphan garbage
 start_daemon
@@ -198,11 +214,14 @@ echo "daemon_smoke: fsck leg daemon up on port $PORT (pid $DAEMON_PID)"
 "$CLIENT" --port "$PORT" stats > "$WORK/fsck-stats.txt" \
     || fail "fsck leg: stats failed"
 QUARANTINED=$(sed -n 's/^table.spoolQuarantined = //p' "$WORK/fsck-stats.txt")
-[ "${QUARANTINED:-0}" -ge 2 ] \
-    || fail "expected >=2 quarantined spool entries, got '${QUARANTINED:-}'"
+[ "${QUARANTINED:-0}" -ge 3 ] \
+    || fail "expected >=3 quarantined spool entries, got '${QUARANTINED:-}'"
 [ -f "$SPOOL/s90.meta.quarantine" ] || fail "torn meta was not quarantined"
 [ -f "$SPOOL/s92.ckpt.quarantine" ] || fail "orphan ckpt was not quarantined"
-check_pbfsck "fsck leg" "$SPOOL" s90.meta.quarantine s92.ckpt.quarantine
+[ -f "$SPOOL/$EDITED.ckpt.quarantine" ] \
+    || fail "edited checkpoint was not quarantined"
+check_pbfsck "fsck leg" "$SPOOL" s90.meta.quarantine s92.ckpt.quarantine \
+    "$EDITED.meta.quarantine" "$EDITED.ckpt.quarantine"
 
 # The daemon must still serve real work off the fsck'd spool.
 "$CLIENT" --port "$PORT" run "${SEARCH_ARGS[@]}" > "$WORK/fsck-run.txt" \
@@ -210,7 +229,7 @@ check_pbfsck "fsck leg" "$SPOOL" s90.meta.quarantine s92.ckpt.quarantine
 if ! diff -u "$WORK/expected.txt" "$WORK/fsck-run.txt"; then
     fail "champion on the fsck'd spool differs from the reference"
 fi
-echo "daemon_smoke: PASS leg 3 (corrupt spool quarantined, daemon serving)"
+echo "daemon_smoke: PASS leg 3 (corrupt and edited spool quarantined, daemon serving)"
 stop_daemon || true
 assert_no_daemons 3
 

@@ -1,6 +1,7 @@
 #include "benchmarks/sort.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -50,20 +51,16 @@ bitonicGpuSeconds(int64_t n, const sim::MachineProfile &machine)
 {
     if (!machine.hasOpenCL)
         return std::numeric_limits<double>::infinity();
-    int64_t pow2 = 1;
-    int k = 0;
-    while (pow2 < n) {
-        pow2 <<= 1;
-        ++k;
-    }
-    double seconds =
-        machine.transfer.seconds(8.0 * static_cast<double>(pow2)) * 2;
+    // n padded to 2^k, a double: an int64 power overflows past n = 2^62.
+    const int k = n > 1 ? std::bit_width(static_cast<uint64_t>(n - 1)) : 0;
+    const double pow2 = std::ldexp(1.0, k);
+    double seconds = machine.transfer.seconds(8.0 * pow2) * 2;
     int stages = k * (k + 1) / 2;
     sim::CostReport perStage;
-    perStage.flops = 4.0 * static_cast<double>(pow2);
-    perStage.globalBytesRead = 16.0 * static_cast<double>(pow2);
-    perStage.globalBytesWritten = 8.0 * static_cast<double>(pow2);
-    perStage.workItems = static_cast<double>(pow2);
+    perStage.flops = 4.0 * pow2;
+    perStage.globalBytesRead = 16.0 * pow2;
+    perStage.globalBytesWritten = 8.0 * pow2;
+    perStage.workItems = pow2;
     for (int s = 0; s < stages; ++s)
         seconds += sim::CostModel::kernelSeconds(machine.ocl, perStage,
                                                  256);

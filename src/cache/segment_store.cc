@@ -8,7 +8,6 @@
 #include "support/crashpoint.h"
 #include "support/error.h"
 #include "support/fsck.h"
-#include "support/hash.h"
 #include "support/kvfile.h"
 
 namespace petabricks {
@@ -17,20 +16,6 @@ namespace cache {
 namespace fs = std::filesystem;
 
 namespace {
-
-/** Checksum covering every record, in index order. */
-uint64_t
-recordsChecksum(const std::vector<SegmentRecord> &records)
-{
-    Fnv1a hash;
-    for (const SegmentRecord &record : records) {
-        hash.mix(record.scope);
-        hash.mix(static_cast<uint64_t>(record.inputSize));
-        hash.mix(record.fingerprint);
-        hash.mix(record.seconds);
-    }
-    return hash.value();
-}
 
 std::string
 recordToText(const SegmentRecord &record)
@@ -100,8 +85,7 @@ std::vector<SegmentRecord>
 SegmentStore::parseSegment(const std::string &path)
 {
     KvFile kv = KvFile::load(path);
-    if (kv.getIntOr("segment.version", -1) != 1)
-        PB_FATAL("'" << path << "' is not a cache segment");
+    kv.verifySeal("segment", 2, path);
     int64_t count = kv.getInt("segment.count");
     if (count < 0)
         PB_FATAL("'" << path << "' has a negative record count");
@@ -110,11 +94,6 @@ SegmentStore::parseSegment(const std::string &path)
     for (int64_t i = 0; i < count; ++i)
         records.push_back(
             recordFromText(kv.get("entry." + std::to_string(i))));
-    uint64_t checksum = 0;
-    if (std::sscanf(kv.get("segment.checksum").c_str(), "%" SCNx64,
-                    &checksum) != 1 ||
-        checksum != recordsChecksum(records))
-        PB_FATAL("'" << path << "' fails its checksum (torn write?)");
     return records;
 }
 
@@ -138,14 +117,10 @@ SegmentStore::append(const std::vector<SegmentRecord> &records)
     if (records.empty())
         return;
     KvFile kv;
-    kv.setInt("segment.version", 1);
     kv.setInt("segment.count", static_cast<int64_t>(records.size()));
     for (size_t i = 0; i < records.size(); ++i)
         kv.set("entry." + std::to_string(i), recordToText(records[i]));
-    char checksum[24];
-    std::snprintf(checksum, sizeof(checksum), "%016" PRIx64,
-                  recordsChecksum(records));
-    kv.set("segment.checksum", checksum);
+    kv.seal("segment", 2);
 
     // The index advances even if the write fails: a later retry gets a
     // fresh slot, and the failed slot's number is never reused (same

@@ -10,17 +10,17 @@
  * half-written segment under a live name. What *can* appear after a
  * crash (or a copy of a dying disk) is a torn or truncated file, so
  * loading runs a boot-time fsck: a segment that fails any validation
- * (kvfile syntax, version, entry count, per-entry format, checksum) is
+ * (kvfile syntax, seal, entry count, per-entry format) is
  * renamed aside with a `.quarantine` suffix — preserved for
  * post-mortem, invisible to every later scan — and counted, and the
  * healthy segments still load. A torn segment can cost cached results;
  * it can never fail a boot or poison the cache with garbage.
  *
- * Segment format (one KvFile per segment):
+ * Segment format (one KvFile, sealed `segment` v2; v1 is quarantined):
  *
- *     segment.version  = 1
+ *     segment.version  = 2
  *     segment.count    = <records>
- *     segment.checksum = <fnv1a of every record, hex>
+ *     segment.checksum = <the seal's fnv1a of every other entry, hex>
  *     entry.<i>        = <scope-hex> <n> <fingerprint-hex> <bits-hex>
  *
  * Seconds are serialized as the double's exact bit pattern, so a value
@@ -98,7 +98,7 @@ class SegmentStore
     std::string segmentPath(uint64_t index) const;
 
     /** Parse one segment file; throws FatalError on any validation
-     * failure (syntax, version, count, record format, checksum). */
+     * failure (syntax, seal, count, record format). */
     static std::vector<SegmentRecord> parseSegment(const std::string &path);
 
     std::string dir_;

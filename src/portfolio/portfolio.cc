@@ -2,8 +2,6 @@
 
 #include <bit>
 #include <cctype>
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
 #include <limits>
 
@@ -11,7 +9,6 @@
 #include "support/crashpoint.h"
 #include "support/error.h"
 #include "support/fsck.h"
-#include "support/hash.h"
 #include "support/kvfile.h"
 #include "support/logging.h"
 
@@ -36,58 +33,21 @@ slugify(const std::string &name)
     return slug;
 }
 
-std::string
-hex16(uint64_t value)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-    return buf;
-}
-
-uint64_t
-parseHex16(const std::string &text, const char *what)
-{
-    uint64_t value = 0;
-    char trailing = 0;
-    if (std::sscanf(text.c_str(), "%" SCNx64 " %c", &value, &trailing) != 1)
-        PB_FATAL("malformed " << what << " '" << text << "'");
-    return value;
-}
-
-/** Content checksum over every entry except the checksum itself, in
- * sorted key order — any torn or edited byte fails the load. */
-uint64_t
-contentChecksum(const KvFile &kv)
-{
-    Fnv1a hash;
-    for (const std::string &key : kv.keys()) {
-        if (key == "portfolio.checksum")
-            continue;
-        hash.mix(key);
-        hash.mix(kv.get(key));
-    }
-    return hash.value();
-}
-
 KvFile
 recordToKv(const ChampionRecord &record)
 {
     KvFile kv;
-    kv.setInt("portfolio.version", 1);
     kv.set("champion.benchmark", record.benchmark);
     kv.set("champion.machine", record.machineName);
-    kv.set("champion.machineFingerprint",
-           hex16(record.machineFingerprint));
+    kv.setHex("champion.machineFingerprint", record.machineFingerprint);
     kv.setInt("champion.inputSize", record.inputSize);
     // The decimal is advisory (humans diffing the file); the bit
     // pattern is the value that round-trips exactly.
     kv.setDouble("champion.seconds", record.seconds);
-    kv.set("champion.secondsBits",
-           hex16(std::bit_cast<uint64_t>(record.seconds)));
-    kv.set("champion.configFingerprint",
-           hex16(record.configFingerprint));
+    kv.setHex("champion.secondsBits", std::bit_cast<uint64_t>(record.seconds));
+    kv.setHex("champion.configFingerprint", record.configFingerprint);
     record.config.saveValues(kv, "config.");
-    kv.set("portfolio.checksum", hex16(contentChecksum(kv)));
+    kv.seal("portfolio", 1);
     return kv;
 }
 
@@ -95,22 +55,16 @@ ChampionRecord
 recordFromFile(const std::string &path)
 {
     KvFile kv = KvFile::load(path);
-    if (kv.getIntOr("portfolio.version", -1) != 1)
-        PB_FATAL("'" << path << "' is not a portfolio champion file");
-    if (parseHex16(kv.get("portfolio.checksum"), "portfolio checksum") !=
-        contentChecksum(kv))
-        PB_FATAL("'" << path << "' fails its checksum (torn write?)");
+    kv.verifySeal("portfolio", 1, path);
 
     ChampionRecord record;
     record.benchmark = kv.get("champion.benchmark");
     record.machineName = kv.get("champion.machine");
-    record.machineFingerprint = parseHex16(
-        kv.get("champion.machineFingerprint"), "machine fingerprint");
+    record.machineFingerprint = kv.getHex("champion.machineFingerprint");
     record.inputSize = kv.getInt("champion.inputSize");
-    record.seconds = std::bit_cast<double>(
-        parseHex16(kv.get("champion.secondsBits"), "seconds bits"));
-    record.configFingerprint = parseHex16(
-        kv.get("champion.configFingerprint"), "config fingerprint");
+    record.seconds =
+        std::bit_cast<double>(kv.getHex("champion.secondsBits"));
+    record.configFingerprint = kv.getHex("champion.configFingerprint");
 
     // The benchmark's seed config is the deserialization schema, as
     // everywhere else (checkpoints, choice files). Unknown benchmark
@@ -145,23 +99,19 @@ ChampionPortfolio::ChampionPortfolio(std::string dir) : dir_(std::move(dir))
         });
 }
 
-std::string
-ChampionPortfolio::championPath(const ChampionRecord &record) const
-{
-    return dir_ + "/champ-" + slugify(record.benchmark) + "-" +
-           hex16(record.machineFingerprint) + "-" +
-           std::to_string(record.inputSize) + ".kv";
-}
-
 void
 ChampionPortfolio::put(ChampionRecord record)
 {
     record.configFingerprint = record.config.valueFingerprint();
     std::lock_guard<std::mutex> lock(mutex_);
     if (!dir_.empty()) {
-        const std::string path = championPath(record);
+        const KvFile kv = recordToKv(record);
+        const std::string path =
+            dir_ + "/champ-" + slugify(record.benchmark) + "-" +
+            kv.get("champion.machineFingerprint") + "-" +
+            std::to_string(record.inputSize) + ".kv";
         try {
-            recordToKv(record).saveAtomic(path, "portfolio.champ");
+            kv.saveAtomic(path, "portfolio.champ");
         } catch (const IoError &e) {
             // Keep the in-memory champion serving dispatches; the
             // previous on-disk champion (if any) is still intact, so a

@@ -13,11 +13,11 @@
  * "which stored program should run for (benchmark, n, machine)?".
  *
  * Persistence follows the cache segment-store idiom: one kvfile per
- * champion, content checksum over every field, the cost serialized as
- * exact IEEE-754 bits (the human-readable decimal is advisory), writes
+ * champion sealed as `portfolio` v1 (KvFile::seal), the cost as exact
+ * IEEE-754 bits (the human-readable decimal is advisory), writes
  * via temp-file + atomic rename, and a load pass that quarantines any
- * torn/corrupt file (renamed to *.quarantine) instead of failing the
- * boot. Champions are keyed by machine *content* fingerprint
+ * torn, corrupt or edited file (renamed to *.quarantine) instead of
+ * failing the boot. Champions are keyed by machine *content* fingerprint
  * (MachineProfile::fingerprint()), so a profile edit orphans its old
  * champions rather than serving stale programs.
  */

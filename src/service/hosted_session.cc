@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "engine/fault_injection.h"
+#include "service/http.h"
 #include "support/crashpoint.h"
 #include "support/error.h"
 #include "tuner/portfolio_tuner.h"
@@ -48,15 +49,8 @@ SessionSpec::fromCreateRequest(const KvFile &kv)
     if (!kv.has("benchmark"))
         PB_FATAL("create request is missing the 'benchmark' key");
 
-    // An int-valued option, rejected rather than truncated when the
-    // request's value does not fit.
     auto intOption = [&](const char *key, int fallback) {
-        int64_t value = kv.getIntOr(key, fallback);
-        if (value < std::numeric_limits<int>::min() ||
-            value > std::numeric_limits<int>::max())
-            PB_FATAL("create request option '" << key << "' = " << value
-                                               << " does not fit in int");
-        return static_cast<int>(value);
+        return service::intOption(key, kv.getIntOr(key, fallback));
     };
 
     SessionSpec spec;

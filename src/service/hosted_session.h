@@ -71,7 +71,7 @@ struct SessionSpec
      */
     static SessionSpec fromCreateRequest(const KvFile &kv);
 
-    /** Spool round-trip (exact: resolves to the same search). */
+    /** Spool round-trip (exact); unsealed, as `/create` echoes it. */
     KvFile toKv() const;
     static SessionSpec fromKv(const KvFile &kv);
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -72,11 +73,21 @@ HttpRequest::intParam(const std::string &key, int64_t fallback) const
         return fallback;
     const std::string &text = it->second;
     char *end = nullptr;
+    errno = 0;
     long long value = std::strtoll(text.c_str(), &end, 10);
-    if (text.empty() || end != text.c_str() + text.size())
-        PB_FATAL("query parameter '" << key << "' is not an integer: '"
+    if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE)
+        PB_FATAL("query parameter '" << key << "' is not an int64: '"
                                      << text << "'");
     return static_cast<int64_t>(value);
+}
+
+int
+intOption(const std::string &key, int64_t value)
+{
+    if (static_cast<int>(value) != value)
+        PB_FATAL("request option '" << key << "' = " << value
+                                    << " does not fit in int");
+    return static_cast<int>(value);
 }
 
 std::string

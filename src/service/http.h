@@ -20,6 +20,7 @@
 #define PETABRICKS_SERVICE_HTTP_H
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -43,7 +44,7 @@ struct HttpRequest
     std::string param(const std::string &key,
                       const std::string &fallback = std::string()) const;
 
-    /** Integer query parameter; fatal error on non-integer values. */
+    /** Integer query parameter; fatal error unless it is an int64. */
     int64_t intParam(const std::string &key, int64_t fallback) const;
 };
 
@@ -65,6 +66,10 @@ struct HttpResponse
     static HttpResponse ok(std::string body);
     static HttpResponse error(int status, std::string message);
 };
+
+/** @p value of request option @p key as an int: fatal error (a 400)
+ * where a cast would truncate it. */
+int intOption(const std::string &key, int64_t value);
 
 /** Decode %XX escapes and '+' in a URL component. */
 std::string urlDecode(const std::string &text);

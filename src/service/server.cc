@@ -2,8 +2,6 @@
 
 #include <bit>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <poll.h>
 #include <string_view>
 #include <vector>
@@ -108,15 +106,6 @@ commandName(const std::string &path)
     return "unknown";
 }
 
-/** 16-digit lower-case hex, the wire form for every fingerprint. */
-std::string
-hex16(uint64_t value)
-{
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016" PRIx64, value);
-    return buffer;
-}
-
 /** Render one stored champion under @p prefix (fingerprints as hex,
  * cost both human-readable and bit-exact, config values inline). */
 void
@@ -125,14 +114,12 @@ championToKv(KvFile &kv, const std::string &prefix,
 {
     kv.set(prefix + "benchmark", record.benchmark);
     kv.set(prefix + "machine", record.machineName);
-    kv.set(prefix + "machineFingerprint",
-           hex16(record.machineFingerprint));
+    kv.setHex(prefix + "machineFingerprint", record.machineFingerprint);
     kv.setInt(prefix + "inputSize", record.inputSize);
     kv.setDouble(prefix + "seconds", record.seconds);
-    kv.set(prefix + "secondsBits",
-           hex16(std::bit_cast<uint64_t>(record.seconds)));
-    kv.set(prefix + "configFingerprint",
-           hex16(record.configFingerprint));
+    kv.setHex(prefix + "secondsBits",
+              std::bit_cast<uint64_t>(record.seconds));
+    kv.setHex(prefix + "configFingerprint", record.configFingerprint);
 }
 
 const std::string &
@@ -456,8 +443,7 @@ TuningServer::dispatch(const HttpRequest &request)
 
     if (path == "/step") {
         const std::string &id = requiredParam(request, "session");
-        int steps =
-            static_cast<int>(request.intParam("steps", 1));
+        int steps = intOption("steps", request.intParam("steps", 1));
         if (steps < 1)
             PB_FATAL("'steps' must be >= 1");
         int advanced = table_.step(id, steps);
@@ -517,8 +503,7 @@ TuningServer::dispatch(const HttpRequest &request)
             const std::string prefix =
                 "machine." + std::to_string(i) + ".";
             kv.set(prefix + "name", machines[i].name);
-            kv.set(prefix + "fingerprint",
-                   hex16(machines[i].fingerprint()));
+            kv.setHex(prefix + "fingerprint", machines[i].fingerprint());
             kv.setInt(prefix + "hasOpenCL",
                       machines[i].hasOpenCL ? 1 : 0);
         }
@@ -556,7 +541,7 @@ TuningServer::dispatch(const HttpRequest &request)
             PB_FATAL("'n' must be a positive input size");
         portfolio::DispatchOptions options;
         options.topK =
-            static_cast<int>(request.intParam("topk", options.topK));
+            intOption("topk", request.intParam("topk", options.topK));
         options.crossMachine = request.intParam("cross", 0) != 0;
         portfolio::Dispatcher dispatcher(*portfolio_);
         portfolio::DispatchDecision decision =
@@ -567,8 +552,8 @@ TuningServer::dispatch(const HttpRequest &request)
         kv.set("dispatch.policy", decision.policy);
         kv.setInt("dispatch.requestedSize", n);
         kv.setDouble("dispatch.pricedSeconds", decision.pricedSeconds);
-        kv.set("dispatch.pricedSecondsBits",
-               hex16(std::bit_cast<uint64_t>(decision.pricedSeconds)));
+        kv.setHex("dispatch.pricedSecondsBits",
+                  std::bit_cast<uint64_t>(decision.pricedSeconds));
         decision.champion.config.saveValues(kv, "config.");
         return HttpResponse::ok(kv.toString());
     }
@@ -588,12 +573,14 @@ TuningServer::dispatch(const HttpRequest &request)
             options.sizes = body.getIntList("sizes");
         options.minSize = body.getIntOr("minSize", options.minSize);
         options.maxSize = body.getIntOr("maxSize", options.maxSize);
-        options.growthFactor = static_cast<int>(
-            body.getIntOr("growth", options.growthFactor));
-        options.tuner.populationSize = static_cast<int>(body.getIntOr(
-            "population", options.tuner.populationSize));
-        options.tuner.generationsPerSize = static_cast<int>(body.getIntOr(
-            "generations", options.tuner.generationsPerSize));
+        options.growthFactor = intOption(
+            "growth", body.getIntOr("growth", options.growthFactor));
+        options.tuner.populationSize = intOption(
+            "population",
+            body.getIntOr("population", options.tuner.populationSize));
+        options.tuner.generationsPerSize = intOption(
+            "generations",
+            body.getIntOr("generations", options.tuner.generationsPerSize));
         options.tuner.seed = static_cast<uint64_t>(
             body.getIntOr("seed", static_cast<int64_t>(options.tuner.seed)));
         if (options.tuner.populationSize < 1 ||
@@ -607,17 +594,16 @@ TuningServer::dispatch(const HttpRequest &request)
         KvFile kv;
         kv.set("tune.benchmark", benchmark->name());
         kv.set("tune.machine", machine.name);
-        kv.set("tune.machineFingerprint", hex16(machine.fingerprint()));
+        kv.setHex("tune.machineFingerprint", machine.fingerprint());
         kv.setInt("tune.rungs", static_cast<int64_t>(rungs.size()));
         for (size_t i = 0; i < rungs.size(); ++i) {
             const std::string prefix = "rung." + std::to_string(i) + ".";
             kv.setInt(prefix + "inputSize", rungs[i].inputSize);
             kv.setDouble(prefix + "seconds", rungs[i].champion.seconds);
-            kv.set(prefix + "secondsBits",
-                   hex16(std::bit_cast<uint64_t>(
-                       rungs[i].champion.seconds)));
-            kv.set(prefix + "configFingerprint",
-                   hex16(rungs[i].champion.configFingerprint));
+            kv.setHex(prefix + "secondsBits",
+                      std::bit_cast<uint64_t>(rungs[i].champion.seconds));
+            kv.setHex(prefix + "configFingerprint",
+                      rungs[i].champion.configFingerprint);
             kv.setInt(prefix + "sharedHits", rungs[i].sharedHits);
             kv.setInt(prefix + "sharedPublishes",
                       rungs[i].sharedPublishes);

@@ -13,6 +13,22 @@ namespace service {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+constexpr int64_t kSpecVersion = 1; ///< KvFile::seal; specs had none
+
+/** The spec spooled at @p path; one from before the seal has no seal. */
+SessionSpec
+loadSpec(const std::string &path)
+{
+    KvFile kv = KvFile::load(path);
+    if (kv.has("spec.version") || kv.has("spec.checksum"))
+        kv.verifySeal("spec", kSpecVersion, path);
+    return SessionSpec::fromKv(kv);
+}
+
+} // namespace
+
 SessionTable::SessionTable(SessionTableOptions options)
     : options_(std::move(options))
 {
@@ -75,7 +91,7 @@ SessionTable::fsckSpoolDir()
             // The full rehydration path: spec parse, session build,
             // checkpoint restore. Anything a later resume would trip
             // over trips here instead, once, at boot.
-            SessionSpec spec = SessionSpec::fromKv(KvFile::load(metaPath(id)));
+            SessionSpec spec = loadSpec(metaPath(id));
             const std::string ckpt = checkpointPath(id);
             if (fs::exists(ckpt)) {
                 HostedSession probe(spec);
@@ -206,8 +222,10 @@ SessionTable::create(const SessionSpec &spec)
     // degrades to memory-only (the session works but will not survive
     // a restart; its orphan checkpoint is quarantined by the next
     // boot's fsck) — the daemon itself must keep serving.
+    // Sealed here, not in toKv(): /create echoes toKv() to the client.
     try {
-        spec.toKv().saveAtomic(metaPath(id), "spool.meta");
+        spec.toKv().seal("spec", kSpecVersion).saveAtomic(metaPath(id),
+                                                           "spool.meta");
     } catch (const IoError &e) {
         spoolWriteFailures_.fetch_add(1, std::memory_order_relaxed);
         PB_WARN("service: meta write for session "
@@ -241,7 +259,7 @@ SessionTable::resume(const std::string &id)
         PB_FATAL("no spooled session '" << id << "' to resume");
     auto entry = std::make_shared<Entry>();
     entry->id = id;
-    entry->spec = SessionSpec::fromKv(KvFile::load(meta));
+    entry->spec = loadSpec(meta);
     entry->lastTouch = std::chrono::steady_clock::now();
     entries_[id] = entry;
     acquireIdleResident(*entry, lock);

@@ -214,10 +214,10 @@ class SessionTable
 
     /**
      * Startup spool verification: each .meta must parse into a spec
-     * and its .ckpt (if any) must restore into a live session. Corrupt
-     * pairs are quarantined (renamed with a `.quarantine` suffix) and
-     * counted, so one torn file can never take the daemon down or
-     * poison a later resume; healthy sessions keep serving. Orphan
+     * and its .ckpt (if any) must restore into a live session, seals
+     * included. Corrupt or edited pairs are quarantined (renamed with
+     * a `.quarantine` suffix) and counted, so one torn file can never
+     * take the daemon down or poison a later resume. Orphan
      * .ckpt files (no .meta) are quarantined too. Runs before the id
      * scan, so quarantined files are invisible.
      */

@@ -2,12 +2,12 @@
  * @file
  * Shared quarantine/fsck helpers for the three persistence stores.
  *
- * The checkpoint spool, the shared-cache segment store, and the
- * champion portfolio all follow the same discipline: on boot, any file
- * that fails to parse is renamed aside to `<name>.quarantine` — never
- * deleted, never fatal — and serving continues without it. This header
- * holds the file-name rules, the boot-time load loop, the rename-aside
- * and the directory scan the stores and the `pbfsck` CLI share.
+ * The spool, the cache segment store and the champion portfolio all
+ * follow one discipline: on boot, a file that fails to parse or to
+ * verify its KvFile::seal is renamed aside to `<name>.quarantine` —
+ * never deleted, never fatal — and serving continues without it. This
+ * header holds the file-name rules, the boot-time load loop, the
+ * rename-aside and the directory scan the stores and `pbfsck` share.
  */
 
 #ifndef PETABRICKS_SUPPORT_FSCK_H
@@ -23,10 +23,10 @@ namespace fsck {
 
 /** What kind of artifact a file in a store directory is. */
 enum class FileKind {
-    SpoolMeta,       ///< `<id>.meta` — session spec
-    SpoolCheckpoint, ///< `<id>.ckpt` — session checkpoint
-    CacheSegment,    ///< `seg-<digits>.kv` — cache segment
-    Champion,        ///< `champ-*.kv` — portfolio champion
+    SpoolMeta,       ///< `<id>.meta` — session spec, sealed `spec` v1
+    SpoolCheckpoint, ///< `<id>.ckpt` — session checkpoint, `session` v2
+    CacheSegment,    ///< `seg-<digits>.kv` — cache segment, `segment` v2
+    Champion,        ///< `champ-*.kv` — portfolio champion, `portfolio` v1
     Temp,            ///< `*.tmp` — in-flight write, crash debris
     Quarantine,      ///< `*.quarantine` — fsck'd wreckage
     Other,           ///< anything else

@@ -14,6 +14,7 @@
 
 #include "support/crashpoint.h"
 #include "support/error.h"
+#include "support/hash.h"
 
 namespace petabricks {
 
@@ -71,6 +72,15 @@ KvFile::setIntList(const std::string &key,
                     std::to_chars(digits, digits + sizeof(digits), values[i])
                         .ptr);
     }
+    set(key, std::move(text));
+}
+
+void
+KvFile::setHex(const std::string &key, uint64_t value)
+{
+    std::string text(16, '0');
+    for (size_t i = 16; i-- > 0; value >>= 4)
+        text[i] = "0123456789abcdef"[value & 0xf];
     set(key, std::move(text));
 }
 
@@ -142,6 +152,18 @@ KvFile::getIntList(const std::string &key) const
     return values;
 }
 
+uint64_t
+KvFile::getHex(const std::string &key) const
+{
+    const std::string &raw = get(key);
+    const char *end = raw.data() + raw.size();
+    uint64_t value = 0;
+    auto [stop, error] = std::from_chars(raw.data(), end, value, 16);
+    if (raw.empty() || error != std::errc() || stop != end)
+        PB_FATAL("key '" << key << "' is not 64-bit hex: " << raw);
+    return value;
+}
+
 int64_t
 KvFile::getIntOr(const std::string &key, int64_t fallback) const
 {
@@ -168,6 +190,32 @@ KvFile::section(const std::string &prefix) const
                                   it->first.substr(prefix.size()),
                                   it->second);
     return out;
+}
+
+KvFile &
+KvFile::seal(const std::string &kind, int64_t version)
+{
+    setInt(kind + ".version", version);
+    const std::string checksumKey = kind + ".checksum";
+    Fnv1a hash;
+    for (const auto &[key, value] : entries_)
+        if (key != checksumKey)
+            hash.mix(key).mix(value);
+    setHex(checksumKey, hash.value());
+    return *this;
+}
+
+void
+KvFile::verifySeal(const std::string &kind, int64_t version,
+                   const std::string &path) const
+{
+    // Sealing a file again changes nothing exactly when seal(kind,
+    // version) wrote it and nothing has changed it since.
+    KvFile resealed = *this;
+    if (resealed.seal(kind, version) != *this)
+        PB_FATAL("'" << path << "' is not an intact " << kind << " v"
+                     << version << " record (torn, edited, or another "
+                     << "kind or version)");
 }
 
 std::string

@@ -6,6 +6,9 @@
  * configuration file* (Section 3, Figure 3). We keep the same plain-text
  * model: one `key = value` per line, '#' comments, stable ordering so
  * files diff cleanly across tuner generations.
+ *
+ * Persisted records are sealed: seal() adds `<kind>.version` and
+ * `<kind>.checksum` (FNV-1a over the other entries in key order).
  */
 
 #ifndef PETABRICKS_SUPPORT_KVFILE_H
@@ -28,6 +31,8 @@ class KvFile
     void setDouble(const std::string &key, double value);
     void setIntList(const std::string &key,
                     const std::vector<int64_t> &values);
+    /** As 16 lower-case hex digits (fingerprints, IEEE-754 bits). */
+    void setHex(const std::string &key, uint64_t value);
 
     /** True if @p key is present. */
     bool has(const std::string &key) const;
@@ -37,6 +42,7 @@ class KvFile
     int64_t getInt(const std::string &key) const;
     double getDouble(const std::string &key) const;
     std::vector<int64_t> getIntList(const std::string &key) const;
+    uint64_t getHex(const std::string &key) const;
 
     /** Value of @p key, or @p fallback if absent. */
     int64_t getIntOr(const std::string &key, int64_t fallback) const;
@@ -51,6 +57,13 @@ class KvFile
     KvFile section(const std::string &prefix) const;
 
     size_t size() const { return entries_.size(); }
+
+    /** Set `<kind>.version`, then `<kind>.checksum`; call last. */
+    KvFile &seal(const std::string &kind, int64_t version);
+    /** Fatal error naming @p path unless seal(kind, version) wrote this
+     * file and nothing has changed it since. */
+    void verifySeal(const std::string &kind, int64_t version,
+                    const std::string &path) const;
 
     /** Render to the on-disk text format. */
     std::string toString() const;

@@ -360,8 +360,9 @@ TuningSession::onProgress(ProgressCallback callback)
 
 namespace {
 
-const char *const kVersionKey = "session.version";
 const char *const kSchemaKey = "session.schema";
+
+constexpr int64_t kCheckpointVersion = 2; ///< KvFile::seal; v1 had none
 
 std::string
 memberPrefix(size_t index)
@@ -412,7 +413,6 @@ KvFile
 TuningSession::checkpointKv() const
 {
     KvFile kv;
-    kv.setInt(kVersionKey, 1);
     kv.set(kSchemaKey, std::to_string(seed_.valueFingerprint()));
     // The options that shape the search trajectory: load() rejects a
     // checkpoint whose schedule disagrees with the session's, since a
@@ -445,6 +445,7 @@ TuningSession::checkpointKv() const
         kv.setDouble(prefix + "seconds", population_[i].seconds);
         population_[i].config.saveValues(kv, prefix);
     }
+    kv.seal("session", kCheckpointVersion);
     return kv;
 }
 
@@ -458,8 +459,9 @@ void
 TuningSession::load(const std::string &path)
 {
     KvFile kv = KvFile::load(path);
-    if (kv.getIntOr(kVersionKey, -1) != 1)
-        PB_FATAL("'" << path << "' is not a TuningSession checkpoint");
+    // A v1 checkpoint predates the seal; the content checks below remain.
+    if (kv.has("session.checksum") || kv.getIntOr("session.version", 0) != 1)
+        kv.verifySeal("session", kCheckpointVersion, path);
     if (kv.get(kSchemaKey) != std::to_string(seed_.valueFingerprint()))
         PB_FATAL("checkpoint '"
                  << path

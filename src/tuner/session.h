@@ -178,8 +178,8 @@ class TuningSession
     /**
      * Checkpoint the full search state to @p path (kvfile format):
      * population with scores, size/generation cursor, RNG seed and
-     * draw count, and accounting. Call between steps — a progress callback is a
-     * natural place.
+     * draw count, and accounting, sealed as `session` v2 (KvFile::seal).
+     * Call between steps — a progress callback is a natural place.
      */
     void save(const std::string &path) const;
 
@@ -191,7 +191,8 @@ class TuningSession
     KvFile checkpointKv() const;
 
     /**
-     * Restore a checkpoint written by save(). The session must have
+     * Restore a checkpoint written by save(), seal first; a v1 file
+     * predates the seal and has none. The session must have
      * been constructed with the same seed configuration and options as
      * the saved one (validated via the seed fingerprint); the
      * evaluation and compile caches restart cold, which affects only

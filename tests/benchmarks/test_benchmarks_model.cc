@@ -2,7 +2,11 @@
  * Model-mode behavior: the qualitative facts the paper reports must
  * hold in the machine model (who wins where, and why).
  */
+#include <bit>
 #include <cctype>
+#include <cmath>
+#include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -116,6 +120,33 @@ TEST(ModelSort, CpuPolyAlgorithmBeatsBitonicGpu)
         EXPECT_LT(bench.evaluate(cpu, n, machine),
                   bench.evaluate(gpu, n, machine))
             << machine.name;
+    }
+}
+
+TEST(ModelSort, BitonicPriceReturnsPastTwoToTheSixtyTwo)
+{
+    // The bitonic model pads n to a power of two, which no longer fits
+    // in an int64 once n > 2^62; pricing there must still return.
+    SortBenchmark bench;
+    tuner::Config gpu = SortBenchmark::gpuOnlyConfig();
+    // Up to 2^62, the prices are the bits the int64 padding gave.
+    const std::pair<int64_t, uint64_t> golden[] = {
+        {2, 0x3f092b362597d60cull},
+        {3, 0x3f12e0b031637d2bull},
+        {1000, 0x3f47341e64ea34bbull},
+        {int64_t{1} << 20, 0x3fa587e324bee816ull},
+        {(int64_t{1} << 40) + 1, 0x41139e3fa3624262ull},
+        {int64_t{1} << 62, 0x427605dc436dc931ull}};
+    for (auto [n, bits] : golden)
+        EXPECT_EQ(std::bit_cast<uint64_t>(bench.evaluate(gpu, n, kDesktop)),
+                  bits)
+            << n;
+    const double atLimit = bench.evaluate(gpu, int64_t{1} << 62, kDesktop);
+    for (int64_t n : {(int64_t{1} << 62) + 1,
+                      std::numeric_limits<int64_t>::max()}) {
+        const double seconds = bench.evaluate(gpu, n, kDesktop);
+        EXPECT_TRUE(std::isfinite(seconds)) << n;
+        EXPECT_GT(seconds, atLimit) << n;
     }
 }
 

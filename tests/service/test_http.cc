@@ -66,7 +66,8 @@ TEST(HttpParser, QueryDecoding)
 {
     HttpParser parser;
     const std::string wire =
-        "GET /x?a=1&b=hello%20world&c=x%2By&flag HTTP/1.1\r\n\r\n";
+        "GET /x?a=1&b=hello%20world&c=x%2By&flag&big=99999999999999999999"
+        " HTTP/1.1\r\n\r\n";
     parser.feed(wire.data(), wire.size());
     auto request = parser.next();
     ASSERT_TRUE(request.has_value());
@@ -78,6 +79,7 @@ TEST(HttpParser, QueryDecoding)
     EXPECT_EQ(request->param("missing", "dflt"), "dflt");
     EXPECT_EQ(request->intParam("missing", 7), 7);
     EXPECT_THROW(request->intParam("b", 0), FatalError);
+    EXPECT_THROW(request->intParam("big", 0), FatalError); // past int64
 }
 
 TEST(HttpParser, MalformedRequestLineFails)

@@ -185,3 +185,42 @@ TEST(PortfolioApi, UnknownNamesMapToClientErrors)
     }
     server.stop();
 }
+
+TEST(PortfolioApi, IntegersACastWouldChangeAre400s)
+{
+    TuningServer server(portfolioServerOptions("int_range"));
+    server.start();
+    Client client("127.0.0.1", server.port());
+    auto expect400 = [&](const std::string &method,
+                         const std::string &target,
+                         const std::string &body) {
+        try {
+            client.command(method, target, body);
+            ADD_FAILURE() << "accepted " << target << " " << body;
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what()).find("daemon error 400"),
+                      std::string::npos)
+                << target << ": " << error.what();
+        }
+    };
+
+    // 2^32 + 8 would run as 8 once cast to int.
+    for (const char *key : {"growth", "population", "generations"}) {
+        KvFile body = tinyTuneBody();
+        body.setInt(key, 4294967304);
+        expect400("POST", "/portfolio/tune", body.toString());
+    }
+    const std::string dispatch =
+        "/portfolio/champion?benchmark=Black-Scholes&machine=Desktop";
+    expect400("GET", dispatch + "&n=1024&topk=4294967297", "");
+    // Past int64, where strtoll would saturate to INT64_MAX.
+    expect400("GET", dispatch + "&n=99999999999999999999", "");
+
+    KvFile create;
+    create.set("benchmark", "Sort");
+    create.setInt("maxInputSize", 256);
+    const std::string id = client.create(create);
+    expect400("POST", "/step?session=" + id + "&steps=4294967297", "");
+    EXPECT_EQ(client.status(id).getInt("status.completedSteps"), 0);
+    server.stop();
+}

@@ -129,6 +129,69 @@ TEST(KvFile, SectionIsThePrefixRangeWithThePrefixStripped)
     EXPECT_EQ(kv.section("population.2.").size(), 0u);
 }
 
+TEST(KvFile, HexIsSixteenLowerCaseDigitsAndParsesBack)
+{
+    KvFile kv;
+    kv.setHex("zero", 0);
+    kv.setHex("bits", std::bit_cast<uint64_t>(0.25));
+    kv.setHex("max", std::numeric_limits<uint64_t>::max());
+    EXPECT_EQ(kv.get("zero"), "0000000000000000");
+    EXPECT_EQ(kv.get("bits"), "3fd0000000000000");
+    EXPECT_EQ(kv.get("max"), "ffffffffffffffff");
+    EXPECT_EQ(kv.getHex("bits"), std::bit_cast<uint64_t>(0.25));
+    EXPECT_EQ(kv.getHex("max"), std::numeric_limits<uint64_t>::max());
+    for (const char *bad :
+         {"", "0x1f", "-1", "12 34", "g", "1ffffffffffffffff"}) {
+        kv.set("bad", bad);
+        EXPECT_THROW(kv.getHex("bad"), FatalError) << bad;
+    }
+    EXPECT_THROW(kv.getHex("missing"), FatalError);
+}
+
+TEST(KvFileSeal, SealedFileVerifiesAndEveryChangeIsCaught)
+{
+    KvFile kv;
+    kv.set("record.name", "Sort");
+    kv.setInt("record.size", 1024);
+    kv.seal("demo", 3);
+    EXPECT_EQ(kv.getInt("demo.version"), 3);
+    EXPECT_EQ(kv.get("demo.checksum").size(), 16u);
+    const KvFile sealed = KvFile::fromString(kv.toString());
+    EXPECT_NO_THROW(sealed.verifySeal("demo", 3, "demo.kv"));
+
+    // Sealing again is idempotent: the checksum skips itself.
+    KvFile resealed = sealed;
+    resealed.seal("demo", 3);
+    EXPECT_EQ(resealed, sealed);
+
+    auto expectRejected = [](const KvFile &file, const char *kind,
+                             int64_t version) {
+        try {
+            file.verifySeal(kind, version, "/spool/demo.kv");
+            ADD_FAILURE() << "accepted " << file.toString();
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what()).find("/spool/demo.kv"),
+                      std::string::npos)
+                << error.what();
+        }
+    };
+    expectRejected(sealed, "demo", 4);  // another version
+    expectRejected(sealed, "other", 3); // another kind
+    KvFile edited = sealed;
+    edited.setInt("record.size", 1025);
+    expectRejected(edited, "demo", 3);
+    edited = sealed;
+    edited.set("record.extra", "1"); // an added entry
+    expectRejected(edited, "demo", 3);
+    edited = sealed;
+    edited.set("demo.checksum", "not hex");
+    expectRejected(edited, "demo", 3);
+    KvFile unsealed;
+    unsealed.set("record.name", "Sort");
+    unsealed.setInt("demo.version", 3);
+    expectRejected(unsealed, "demo", 3); // no checksum
+}
+
 // ---- Byte compatibility with the iostream implementation ---------------
 //
 // The renderer and parser once used ostringstream/istringstream. What

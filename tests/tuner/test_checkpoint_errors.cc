@@ -79,10 +79,10 @@ without(const KvFile &kv, std::initializer_list<const char *> drop)
 }
 
 /**
- * @p kv as the previous checkpoint format stored it: the RNG as
- * std::mt19937_64's operator<< dump instead of seed plus draw count.
- * The dump is of the twister seeded with @p seed after the saved
- * number of draws.
+ * @p kv as the oldest version 1 checkpoints stored it: unsealed, and
+ * the RNG as std::mt19937_64's operator<< dump instead of seed plus
+ * draw count. The dump is of the twister seeded with @p seed after the
+ * saved number of draws.
  */
 KvFile
 legacyForm(const KvFile &kv, uint64_t seed)
@@ -92,8 +92,10 @@ legacyForm(const KvFile &kv, uint64_t seed)
         kv.getInt("session.rngDraws")));
     std::ostringstream dump;
     dump << engine;
-    KvFile legacy = without(kv, {"session.rngSeed", "session.rngDraws"});
+    KvFile legacy = without(
+        kv, {"session.rngSeed", "session.rngDraws", "session.checksum"});
     legacy.set("session.rng", dump.str());
+    legacy.setInt("session.version", 1);
     return legacy;
 }
 
@@ -122,10 +124,13 @@ class CheckpointErrors : public ::testing::Test
         EXPECT_THROW(session.load(path_), FatalError);
     }
 
-    /** Overwrite the checkpoint with @p kv. */
+    /** Overwrite the checkpoint with @p kv, sealed anew: the seal would
+     * reject any edit first, and the checks behind it are the ones
+     * under test. */
     void
-    rewrite(const KvFile &kv)
+    rewrite(KvFile kv)
     {
+        kv.seal("session", 2);
         kv.save(path_);
     }
 
@@ -267,13 +272,32 @@ TEST_F(CheckpointErrors, BadRngKeysAreRejected)
     expectLoadThrows();
 }
 
+TEST_F(CheckpointErrors, EditedValueFailsTheSeal)
+{
+    // A member's score edited by hand: the file still parses, and only
+    // the seal tells it from a real checkpoint.
+    KvFile damaged = checkpoint_;
+    damaged.set("population.0.seconds", "1e-12");
+    damaged.save(path_);
+    expectLoadThrows();
+
+    // Without its checksum, a version 2 file is not a version 1 one.
+    without(checkpoint_, {"session.checksum"}).save(path_);
+    expectLoadThrows();
+
+    damaged = checkpoint_;
+    damaged.seal("session", 3);
+    damaged.save(path_);
+    expectLoadThrows();
+}
+
 TEST_F(CheckpointErrors, LegacyRngDumpResumesToTheUninterruptedChampion)
 {
     BowlEvaluator referenceEval;
     TuningResult reference =
         TuningSession(referenceEval, bowlSeed(), fastOptions()).run();
 
-    rewrite(legacyForm(checkpoint_, fastOptions().seed));
+    legacyForm(checkpoint_, fastOptions().seed).save(path_);
     BowlEvaluator eval;
     TuningSession session(eval, bowlSeed(), fastOptions());
     session.load(path_);
@@ -289,7 +313,7 @@ TEST_F(CheckpointErrors, LegacyRngDumpResumesToTheUninterruptedChampion)
 
 TEST_F(CheckpointErrors, LegacyRngDumpFromAnotherSeedIsRejected)
 {
-    rewrite(legacyForm(checkpoint_, fastOptions().seed + 1));
+    legacyForm(checkpoint_, fastOptions().seed + 1).save(path_);
     expectLoadThrows();
 }
 

@@ -298,6 +298,7 @@ TEST(TuningSession, LargePopulationCheckpointRoundTripsExactly)
         member.saveValues(checkpoint, prefix);
         checkpoint.setDouble(prefix + "seconds", 1.0 + i / 7.0);
     }
+    checkpoint.seal("session", 2); // sealed anew after the edits
     const std::string path = tempPath("session_large.ckpt");
     checkpoint.save(path);
 
