@@ -30,7 +30,7 @@ main()
     gpuOnly.selector("BlackScholes.backend")
         .setAlgorithm(0, backendAlg(compiler::Backend::OpenClGlobal));
     tuner::Config split = gpuOnly;
-    split.tunable("BlackScholes.ratio").value = 6;
+    split.setTunable("BlackScholes.ratio", 6);
     auto laptop = sim::MachineProfile::laptop();
     auto desktop = sim::MachineProfile::desktop();
     int64_t n = bench.testingInputSize();

@@ -54,8 +54,8 @@ makePopulation(const apps::Benchmark &benchmark, int64_t n, int count,
                Rng &rng)
 {
     tuner::Config seed = benchmark.seedConfig();
-    std::vector<tuner::MutatorPtr> mutators =
-        tuner::generateMutators(seed);
+    const std::vector<tuner::Mutator> &mutators =
+        seed.schema().mutators();
     std::vector<tuner::Config> configs;
     configs.reserve(static_cast<size_t>(count));
     configs.push_back(seed); // always include the seed itself
@@ -65,7 +65,7 @@ makePopulation(const apps::Benchmark &benchmark, int64_t n, int count,
         for (int64_t e = 0; e < edits; ++e) {
             size_t m = static_cast<size_t>(rng.uniformInt(
                 0, static_cast<int64_t>(mutators.size()) - 1));
-            mutators[m]->apply(config, rng, n);
+            mutators[m].apply(config, rng, n);
         }
         configs.push_back(std::move(config));
     }

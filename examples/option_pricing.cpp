@@ -28,7 +28,7 @@ main()
     tuner::Config config = bench.seedConfig();
     config.selector("BlackScholes.backend")
         .setAlgorithm(0, backendAlg(compiler::Backend::OpenClGlobal));
-    config.tunable("BlackScholes.ratio").value = 6;
+    config.setTunable("BlackScholes.ratio", 6);
 
     engine::RuntimeEngineOptions engineOptions;
     engineOptions.machine = sim::MachineProfile::laptop();

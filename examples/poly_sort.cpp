@@ -24,7 +24,7 @@ main()
     // The paper's Desktop config: "above 174762 2MS (PM), then QS
     // until 64294, then 4MS until 341, then IS" (Figure 6).
     tuner::Config config = bench.seedConfig();
-    tuner::Selector &s = config.selector("Sort.algorithm");
+    tuner::SelectorRef s = config.selector("Sort.algorithm");
     s.setAlgorithm(0, kSortInsertion);
     s.insertLevel(341, kSortMerge4);
     s.insertLevel(64294, kSortQuick);

@@ -34,24 +34,24 @@ backendAlg(compiler::Backend backend)
 /** Number of backends a rule can choose from. */
 inline constexpr int kBackendCount = 3;
 
-/** Register the standard per-rule choice structure on @p config. */
+/** Register the standard per-rule choice structure on @p schema. */
 inline void
-addBackendChoices(tuner::Config &config, const std::string &rule,
-                  bool hasLocalVariant)
+addBackendChoices(tuner::ConfigSchema::Builder &schema,
+                  const std::string &rule, bool hasLocalVariant)
 {
-    config.addSelector(tuner::Selector(
-        rule + ".backend", hasLocalVariant ? kBackendCount : 2,
-        backendAlg(compiler::Backend::Cpu)));
-    config.addTunable({rule + ".lws", 1, 1024, 64, false});
-    config.addTunable({rule + ".ratio", 0, 8, 8, false});
+    schema.addSelector(rule + ".backend",
+                       hasLocalVariant ? kBackendCount : 2,
+                       backendAlg(compiler::Backend::Cpu));
+    schema.addTunable({rule + ".lws", 1, 1024, 64, false});
+    schema.addTunable({rule + ".ratio", 0, 8, 8, false});
 }
 
 /**
- * Resolved positions of one rule's choice structure within a Config —
+ * Resolved positions of one rule's choice structure within a schema —
  * the fast path's replacement for by-name lookups. Valid for every
- * configuration sharing the seed's structure (mutation never adds or
- * removes selectors/tunables), so a benchmark resolves them once, in
- * its constructor.
+ * configuration of the benchmark (mutation never adds or removes
+ * selectors/tunables), so a benchmark resolves them once, in its
+ * constructor.
  */
 struct StageChoiceIds
 {
@@ -62,11 +62,22 @@ struct StageChoiceIds
 
 /** Resolve the standard per-rule choice structure of @p rule. */
 inline StageChoiceIds
-stageChoiceIds(const tuner::Config &config, const std::string &rule)
+stageChoiceIds(const tuner::ConfigSchema &schema, const std::string &rule)
 {
-    return {config.selectorIndex(rule + ".backend"),
-            config.tunableIndex(rule + ".lws"),
-            config.tunableIndex(rule + ".ratio")};
+    return {schema.selectorIndex(rule + ".backend"),
+            schema.tunableIndex(rule + ".lws"),
+            schema.tunableIndex(rule + ".ratio")};
+}
+
+/** The backend the rule's selector picks at size @p n. */
+inline compiler::Backend
+backendAt(const tuner::Config &config, const StageChoiceIds &ids,
+          int64_t n)
+{
+    int alg = config.selectorAt(ids.backend).select(n);
+    PB_ASSERT(alg >= 0 && alg < kBackendCount,
+              "bad backend algorithm " << alg);
+    return static_cast<compiler::Backend>(alg);
 }
 
 /** stageFor() via pre-resolved positions (no string construction). */
@@ -74,11 +85,8 @@ inline compiler::StageConfig
 stageForIds(const tuner::Config &config, const StageChoiceIds &ids,
             int64_t n, int cpuSplit)
 {
-    int alg = config.selectorAt(ids.backend).select(n);
-    PB_ASSERT(alg >= 0 && alg < kBackendCount,
-              "bad backend algorithm " << alg);
     compiler::StageConfig stage;
-    stage.backend = static_cast<compiler::Backend>(alg);
+    stage.backend = backendAt(config, ids, n);
     stage.localWorkSize =
         static_cast<int>(config.tunableValueAt(ids.lws));
     stage.gpuRatioEighths =
@@ -130,16 +138,30 @@ describeStage(const compiler::StageConfig &stage)
     return split;
 }
 
-/** Kernel source ids a stage JIT-compiles under the Section 5.4 model. */
+/**
+ * The kernel source names one rule's OpenCL variants JIT-compile under
+ * the Section 5.4 model, built once per rule (in the benchmark's
+ * constructor) so that kernelSources() only copies them.
+ */
+struct KernelNames
+{
+    std::string global;
+    std::string local;
+
+    explicit KernelNames(const std::string &rule)
+        : global("pbcl:" + rule + ":global"), local("pbcl:" + rule + ":local")
+    {}
+};
+
+/** Append the kernel source a stage on @p backend JIT-compiles. */
 inline void
 appendKernelSources(std::vector<std::string> &sources,
-                    const compiler::StageConfig &stage,
-                    const std::string &rule)
+                    compiler::Backend backend, const KernelNames &names)
 {
-    if (stage.backend == compiler::Backend::OpenClGlobal)
-        sources.push_back("pbcl:" + rule + ":global");
-    else if (stage.backend == compiler::Backend::OpenClLocal)
-        sources.push_back("pbcl:" + rule + ":local");
+    if (backend == compiler::Backend::OpenClGlobal)
+        sources.push_back(names.global);
+    else if (backend == compiler::Backend::OpenClLocal)
+        sources.push_back(names.local);
 }
 
 } // namespace apps

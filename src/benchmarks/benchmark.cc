@@ -15,6 +15,13 @@ Benchmark::nextInstanceId()
     return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
+EvalContextPtr
+positionsOnlyContext()
+{
+    static const EvalContextPtr context = std::make_shared<EvalContext>();
+    return context;
+}
+
 // ---- Default real-mode surface (benchmarks must opt in) ----------------
 
 const lang::Transform &

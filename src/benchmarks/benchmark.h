@@ -80,9 +80,10 @@ using ChoiceFilePtr = std::shared_ptr<ChoiceFile>;
  * Opaque config-invariant evaluation state a benchmark precomputes per
  * (input size, machine) — the model-mode fast path's unit of sharing.
  * Transform-style benchmarks wrap a compiler::EvaluationContext;
- * analytic benchmarks cache selector/tunable positions. Contexts are
- * immutable once built, so one context may serve a whole parallel
- * batch.
+ * analytic benchmarks hold their model constants (Strassen, SVD) or
+ * nothing at all (Sort, Tridiagonal). Config positions are resolved
+ * once, in each benchmark's constructor. Contexts are immutable once
+ * built, so one context may serve a whole parallel batch.
  */
 class EvalContext
 {
@@ -91,6 +92,13 @@ class EvalContext
 };
 
 using EvalContextPtr = std::shared_ptr<const EvalContext>;
+
+/**
+ * The context of an analytic benchmark whose fast path needs nothing
+ * beyond the config positions its constructor resolved: one shared,
+ * empty context that only selects the fast path.
+ */
+EvalContextPtr positionsOnlyContext();
 
 /** See file comment. */
 class Benchmark

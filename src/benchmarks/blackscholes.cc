@@ -83,9 +83,12 @@ BlackScholesBenchmark::BlackScholesBenchmark()
         .slot("Price", lang::SlotRole::Output);
     transform_->choice("formula", {blackScholesRule()});
     analysis_ = std::make_shared<compiler::TransformAnalysis>(*transform_);
-    tuner::Config schema = seedConfig();
-    rule_ = stageChoiceIds(schema, "BlackScholes");
-    splitTun_ = schema.tunableIndex("BlackScholes.split");
+    tuner::ConfigSchema::Builder schema;
+    addBackendChoices(schema, "BlackScholes", /*hasLocalVariant=*/false);
+    schema.addTunable({"BlackScholes.split", 1, 256, 16, true});
+    schema_ = schema.build();
+    rule_ = stageChoiceIds(*schema_, "BlackScholes");
+    splitTun_ = schema_->tunableIndex("BlackScholes.split");
 }
 
 int64_t
@@ -99,11 +102,7 @@ BlackScholesBenchmark::rowsFor(int64_t n)
 tuner::Config
 BlackScholesBenchmark::seedConfig() const
 {
-    tuner::Config config;
-    addBackendChoices(config, "BlackScholes",
-                      /*hasLocalVariant=*/false);
-    config.addTunable({"BlackScholes.split", 1, 256, 16, true});
-    return config;
+    return tuner::Config(schema_);
 }
 
 compiler::TransformConfig
@@ -162,8 +161,7 @@ BlackScholesBenchmark::kernelSources(const tuner::Config &config,
                                      int64_t n) const
 {
     std::vector<std::string> sources;
-    appendKernelSources(sources, planFor(config, n).stages[0],
-                        "BlackScholes");
+    appendKernelSources(sources, backendAt(config, rule_, n), kernels_);
     return sources;
 }
 

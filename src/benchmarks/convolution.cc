@@ -126,23 +126,24 @@ ConvolutionBenchmark::ConvolutionBenchmark(int64_t kwidth)
 {
     PB_ASSERT(kwidth >= 3 && kwidth % 2 == 1,
               "kernel width must be odd and >= 3");
-    tuner::Config schema = seedConfig();
-    choiceSel_ = schema.selectorIndex("SeparableConvolution.choice");
-    for (int r = 0; r < 3; ++r)
-        rules_[r] = stageChoiceIds(schema, kRules[r]);
-    splitTun_ = schema.tunableIndex("SeparableConvolution.split");
+    tuner::ConfigSchema::Builder schema;
+    schema.addSelector("SeparableConvolution.choice", 2, 0);
+    for (const char *rule : kRules)
+        addBackendChoices(schema, rule, /*hasLocalVariant=*/true);
+    schema.addTunable({"SeparableConvolution.split", 1, 256, 16, true});
+    schema_ = schema.build();
+    choiceSel_ = schema_->selectorIndex("SeparableConvolution.choice");
+    for (int r = 0; r < 3; ++r) {
+        rules_[r] = stageChoiceIds(*schema_, kRules[r]);
+        kernels_.emplace_back(kRules[r]);
+    }
+    splitTun_ = schema_->tunableIndex("SeparableConvolution.split");
 }
 
 tuner::Config
 ConvolutionBenchmark::seedConfig() const
 {
-    tuner::Config config;
-    config.addSelector(
-        tuner::Selector("SeparableConvolution.choice", 2, 0));
-    for (const char *rule : kRules)
-        addBackendChoices(config, rule, /*hasLocalVariant=*/true);
-    config.addTunable({"SeparableConvolution.split", 1, 256, 16, true});
-    return config;
+    return tuner::Config(schema_);
 }
 
 compiler::TransformConfig
@@ -218,12 +219,16 @@ std::vector<std::string>
 ConvolutionBenchmark::kernelSources(const tuner::Config &config,
                                     int64_t n) const
 {
+    // The rules of the chosen algorithm, in planFor()'s stage order.
     std::vector<std::string> sources;
-    compiler::TransformConfig plan = planFor(config, n);
-    const lang::Choice &choice = transform_->choiceAt(plan.choiceIndex);
-    for (size_t i = 0; i < choice.rules.size(); ++i)
-        appendKernelSources(sources, plan.stages[i],
-                            choice.rules[i]->name());
+    if (config.selectorAt(choiceSel_).select(n) == 0) {
+        appendKernelSources(sources, backendAt(config, rules_[0], n),
+                            kernels_[0]);
+    } else {
+        for (int r = 1; r < 3; ++r)
+            appendKernelSources(sources, backendAt(config, rules_[r], n),
+                                kernels_[r]);
+    }
     return sources;
 }
 

@@ -74,8 +74,10 @@ class ConvolutionBenchmark : public Benchmark
     std::shared_ptr<lang::Transform> transform_;
     // Model structure every evaluation context shares, built once.
     compiler::TransformAnalysisPtr analysis_;
+    tuner::ConfigSchemaPtr schema_;
     size_t choiceSel_ = 0;
     StageChoiceIds rules_[3]; // Convolve2D, ConvolveRows, ConvolveColumns
+    std::vector<KernelNames> kernels_; // by rule, as rules_
     size_t splitTun_ = 0;
 };
 

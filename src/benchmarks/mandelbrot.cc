@@ -82,9 +82,12 @@ MandelbrotBenchmark::MandelbrotBenchmark()
         .slot("Iter", lang::SlotRole::Output);
     transform_->choice("escape", {mandelbrotRule()});
     analysis_ = std::make_shared<compiler::TransformAnalysis>(*transform_);
-    tuner::Config schema = seedConfig();
-    rule_ = stageChoiceIds(schema, "Mandelbrot");
-    splitTun_ = schema.tunableIndex("Mandelbrot.split");
+    tuner::ConfigSchema::Builder schema;
+    addBackendChoices(schema, "Mandelbrot", /*hasLocalVariant=*/false);
+    schema.addTunable({"Mandelbrot.split", 1, 256, 16, true});
+    schema_ = schema.build();
+    rule_ = stageChoiceIds(*schema_, "Mandelbrot");
+    splitTun_ = schema_->tunableIndex("Mandelbrot.split");
 }
 
 int64_t
@@ -98,11 +101,7 @@ MandelbrotBenchmark::rowsFor(int64_t n)
 tuner::Config
 MandelbrotBenchmark::seedConfig() const
 {
-    tuner::Config config;
-    addBackendChoices(config, "Mandelbrot",
-                      /*hasLocalVariant=*/false);
-    config.addTunable({"Mandelbrot.split", 1, 256, 16, true});
-    return config;
+    return tuner::Config(schema_);
 }
 
 compiler::TransformConfig
@@ -161,8 +160,7 @@ MandelbrotBenchmark::kernelSources(const tuner::Config &config,
                                    int64_t n) const
 {
     std::vector<std::string> sources;
-    appendKernelSources(sources, planFor(config, n).stages[0],
-                        "Mandelbrot");
+    appendKernelSources(sources, backendAt(config, rule_, n), kernels_);
     return sources;
 }
 

@@ -81,8 +81,10 @@ class MandelbrotBenchmark : public Benchmark
     std::shared_ptr<lang::Transform> transform_;
     // Model structure every evaluation context shares, built once.
     compiler::TransformAnalysisPtr analysis_;
+    tuner::ConfigSchemaPtr schema_;
     StageChoiceIds rule_;
     size_t splitTun_ = 0;
+    KernelNames kernels_{"Mandelbrot"};
 };
 
 } // namespace apps

@@ -136,21 +136,20 @@ PoissonBenchmark::PoissonBenchmark(int iterations)
       transform_(makePoissonTransform(iterations)),
       analysis_(std::make_shared<compiler::TransformAnalysis>(*transform_))
 {
-    tuner::Config schema = seedConfig();
-    split_ = stageChoiceIds(schema, "Poisson.split");
-    iterate_ = stageChoiceIds(schema, "Poisson.iterate");
-    chunksTun_ = schema.tunableIndex("Poisson.split.chunks");
+    tuner::ConfigSchema::Builder schema;
+    addBackendChoices(schema, "Poisson.split", /*hasLocalVariant=*/true);
+    addBackendChoices(schema, "Poisson.iterate", /*hasLocalVariant=*/true);
+    schema.addTunable({"Poisson.split.chunks", 1, 256, 16, true});
+    schema_ = schema.build();
+    split_ = stageChoiceIds(*schema_, "Poisson.split");
+    iterate_ = stageChoiceIds(*schema_, "Poisson.iterate");
+    chunksTun_ = schema_->tunableIndex("Poisson.split.chunks");
 }
 
 tuner::Config
 PoissonBenchmark::seedConfig() const
 {
-    tuner::Config config;
-    addBackendChoices(config, "Poisson.split", /*hasLocalVariant=*/true);
-    addBackendChoices(config, "Poisson.iterate",
-                      /*hasLocalVariant=*/true);
-    config.addTunable({"Poisson.split.chunks", 1, 256, 16, true});
-    return config;
+    return tuner::Config(schema_);
 }
 
 compiler::TransformConfig
@@ -226,13 +225,16 @@ std::vector<std::string>
 PoissonBenchmark::kernelSources(const tuner::Config &config,
                                 int64_t n) const
 {
+    // The pack rules run on the split stage's backend, the updates on
+    // the iterate stage's (planFor()'s stage order).
     std::vector<std::string> sources;
-    compiler::TransformConfig plan = planFor(config, n);
-    appendKernelSources(sources, plan.stages[0], "PackRed");
-    appendKernelSources(sources, plan.stages[1], "PackBlack");
+    compiler::Backend split = backendAt(config, split_, n);
+    appendKernelSources(sources, split, packRedKernels_);
+    appendKernelSources(sources, split, packBlackKernels_);
     if (iterations_ >= 1) {
-        appendKernelSources(sources, plan.stages[2], "UpdateRed");
-        appendKernelSources(sources, plan.stages[3], "UpdateBlack");
+        compiler::Backend iterate = backendAt(config, iterate_, n);
+        appendKernelSources(sources, iterate, updateRedKernels_);
+        appendKernelSources(sources, iterate, updateBlackKernels_);
     }
     return sources;
 }

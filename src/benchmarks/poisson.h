@@ -95,9 +95,14 @@ class PoissonBenchmark : public Benchmark
     std::shared_ptr<lang::Transform> transform_;
     // Model structure every evaluation context shares, built once.
     compiler::TransformAnalysisPtr analysis_;
+    tuner::ConfigSchemaPtr schema_;
     StageChoiceIds split_;
     StageChoiceIds iterate_;
     size_t chunksTun_ = 0;
+    KernelNames packRedKernels_{"PackRed"};
+    KernelNames packBlackKernels_{"PackBlack"};
+    KernelNames updateRedKernels_{"UpdateRed"};
+    KernelNames updateBlackKernels_{"UpdateBlack"};
 };
 
 } // namespace apps

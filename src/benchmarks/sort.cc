@@ -43,7 +43,7 @@ struct ModelCtx
     /** Pre-resolved "Sort.algorithm" selector (the fast path); when
      * null, modelSort() looks it up by name per recursion level — the
      * reference path's pre-context behavior. */
-    const tuner::Selector *algorithm = nullptr;
+    const tuner::SelectorView *algorithm = nullptr;
 };
 
 double
@@ -355,7 +355,16 @@ makeSortTransform(const ChoiceFilePtr &choices)
 SortBenchmark::SortBenchmark()
     : choices_(std::make_shared<ChoiceFile>()),
       transform_(makeSortTransform(choices_))
-{}
+{
+    tuner::ConfigSchema::Builder schema;
+    schema.addSelector("Sort.algorithm", kSortAlgCount, kSortInsertion);
+    schema.addTunable({"Sort.taskCutoff", 16, 1 << 22, 512, true});
+    schema.addTunable({"Sort.pmCutoff", 16, 1 << 22, 1 << 16, true});
+    schema_ = schema.build();
+    algorithmSel_ = schema_->selectorIndex("Sort.algorithm");
+    taskCutoffTun_ = schema_->tunableIndex("Sort.taskCutoff");
+    pmCutoffTun_ = schema_->tunableIndex("Sort.pmCutoff");
+}
 
 lang::Binding
 SortBenchmark::makeBinding(int64_t n, Rng &rng) const
@@ -392,12 +401,7 @@ SortBenchmark::checkOutput(const lang::Binding &binding) const
 tuner::Config
 SortBenchmark::seedConfig() const
 {
-    tuner::Config config;
-    config.addSelector(
-        tuner::Selector("Sort.algorithm", kSortAlgCount, kSortInsertion));
-    config.addTunable({"Sort.taskCutoff", 16, 1 << 22, 512, true});
-    config.addTunable({"Sort.pmCutoff", 16, 1 << 22, 1 << 16, true});
-    return config;
+    return tuner::Config(schema_);
 }
 
 double
@@ -413,31 +417,13 @@ SortBenchmark::evaluate(const tuner::Config &config, int64_t n,
     return std::max(ws.work / ctx.workers, ws.span);
 }
 
-namespace {
-
-/** Pre-resolved config positions (see Benchmark docs). */
-struct SortEvalContext : apps::EvalContext
-{
-    size_t algorithmSel;
-    size_t taskCutoffTun;
-    size_t pmCutoffTun;
-
-    explicit SortEvalContext(const tuner::Config &schema)
-        : algorithmSel(schema.selectorIndex("Sort.algorithm")),
-          taskCutoffTun(schema.tunableIndex("Sort.taskCutoff")),
-          pmCutoffTun(schema.tunableIndex("Sort.pmCutoff"))
-    {}
-};
-
-} // namespace
-
 apps::EvalContextPtr
 SortBenchmark::makeEvalContext(int64_t n,
                                const sim::MachineProfile &machine) const
 {
     (void)n;
     (void)machine;
-    return std::make_shared<SortEvalContext>(seedConfig());
+    return positionsOnlyContext();
 }
 
 double
@@ -447,13 +433,13 @@ SortBenchmark::evaluate(const tuner::Config &config, int64_t n,
 {
     if (ctx == nullptr)
         return evaluate(config, n, machine);
-    const auto &sort = static_cast<const SortEvalContext &>(*ctx);
+    const tuner::SelectorView algorithm = config.selectorAt(algorithmSel_);
     ModelCtx mctx{config, machine,
                   machine.cpu.gflopsPerCore * 1e9,
                   std::min(machine.workerThreads, machine.cpu.cores),
-                  config.tunableValueAt(sort.taskCutoffTun),
-                  config.tunableValueAt(sort.pmCutoffTun),
-                  &config.selectorAt(sort.algorithmSel)};
+                  config.tunableValueAt(taskCutoffTun_),
+                  config.tunableValueAt(pmCutoffTun_),
+                  &algorithm};
     WorkSpan ws = modelSort(mctx, n);
     return std::max(ws.work / mctx.workers, ws.span);
 }
@@ -462,10 +448,10 @@ std::vector<std::string>
 SortBenchmark::kernelSources(const tuner::Config &config, int64_t n) const
 {
     // Walk the selector: does any level reachable from n use bitonic?
+    const tuner::SelectorView algorithm = config.selectorAt(algorithmSel_);
     for (int64_t s = n; s >= 1; s /= 2)
-        if (config.selector("Sort.algorithm").select(s) ==
-            kSortBitonicGpu)
-            return {"pbcl:bitonic:step"};
+        if (algorithm.select(s) == kSortBitonicGpu)
+            return {bitonicKernel_};
     return {};
 }
 
@@ -475,7 +461,7 @@ SortBenchmark::describeConfig(const tuner::Config &config,
 {
     // Render the poly-algorithm as the paper does: from large sizes
     // down to the base case.
-    const tuner::Selector &s = config.selector("Sort.algorithm");
+    const tuner::SelectorView s = config.selector("Sort.algorithm");
     std::string out;
     int64_t size = n;
     int last = -1;

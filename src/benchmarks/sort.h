@@ -96,6 +96,11 @@ class SortBenchmark : public Benchmark
   private:
     ChoiceFilePtr choices_;
     std::shared_ptr<lang::Transform> transform_;
+    tuner::ConfigSchemaPtr schema_;
+    size_t algorithmSel_ = 0;
+    size_t taskCutoffTun_ = 0;
+    size_t pmCutoffTun_ = 0;
+    std::string bitonicKernel_ = "pbcl:bitonic:step";
 };
 
 } // namespace apps

@@ -347,11 +347,11 @@ mmAlgName(int alg)
 } // namespace
 
 void
-addMatmulChoices(tuner::Config &config, const std::string &prefix)
+addMatmulChoices(tuner::ConfigSchema::Builder &schema,
+                 const std::string &prefix)
 {
-    config.addSelector(
-        tuner::Selector(prefix + ".mm.algorithm", kMmAlgCount, kMmNaive));
-    config.addTunable({prefix + ".mm.lws", 1, 1024, 64, false});
+    schema.addSelector(prefix + ".mm.algorithm", kMmAlgCount, kMmNaive);
+    schema.addTunable({prefix + ".mm.lws", 1, 1024, 64, false});
 }
 
 double
@@ -365,10 +365,10 @@ modelMatmulSeconds(const tuner::Config &config, const std::string &prefix,
 }
 
 MatmulChoiceIds
-matmulChoiceIds(const tuner::Config &config, const std::string &prefix)
+matmulChoiceIds(const tuner::ConfigSchema &schema, const std::string &prefix)
 {
-    return {config.selectorIndex(prefix + ".mm.algorithm"),
-            config.tunableIndex(prefix + ".mm.lws")};
+    return {schema.selectorIndex(prefix + ".mm.algorithm"),
+            schema.tunableIndex(prefix + ".mm.lws")};
 }
 
 MatmulLevelModel::MatmulLevelModel(int64_t n,
@@ -422,14 +422,13 @@ MatmulLevelModel::MatmulLevelModel(int64_t n,
 }
 
 double
-MatmulLevelModel::seconds(const tuner::Selector &algorithm,
-                          int lws) const
+MatmulLevelModel::seconds(tuner::SelectorView algorithm, int lws) const
 {
     // The recursion of modelMMT over precomputed level constants.
     struct Eval
     {
         const MatmulLevelModel &model;
-        const tuner::Selector &algorithm;
+        tuner::SelectorView algorithm;
         int lws;
 
         WorkSpan
@@ -476,15 +475,13 @@ MatmulLevelModel::seconds(const tuner::Selector &algorithm,
     return std::max(ws.work / workers_, ws.span);
 }
 
-std::vector<std::string>
-matmulKernelSources(const tuner::Config &config, const std::string &prefix,
-                    int64_t n)
+bool
+matmulUsesOpenCl(tuner::SelectorView algorithm, int64_t n)
 {
     for (int64_t s = n; s > kLeafSize; s /= 2)
-        if (config.selector(prefix + ".mm.algorithm").select(s) ==
-            kMmOpenCl)
-            return {"pbcl:MatMul:global"};
-    return {};
+        if (algorithm.select(s) == kMmOpenCl)
+            return true;
+    return false;
 }
 
 void
@@ -501,7 +498,7 @@ std::string
 describeMatmul(const tuner::Config &config, const std::string &prefix,
                int64_t n)
 {
-    const tuner::Selector &s =
+    const tuner::SelectorView s =
         config.selector(prefix + ".mm.algorithm");
     std::string out;
     int last = -1;
@@ -554,7 +551,12 @@ makeStrassenTransform(const ChoiceFilePtr &choices)
 StrassenBenchmark::StrassenBenchmark()
     : choices_(std::make_shared<ChoiceFile>()),
       transform_(makeStrassenTransform(choices_))
-{}
+{
+    tuner::ConfigSchema::Builder schema;
+    addMatmulChoices(schema, "Strassen");
+    schema_ = schema.build();
+    mm_ = matmulChoiceIds(*schema_, "Strassen");
+}
 
 lang::Binding
 StrassenBenchmark::makeBinding(int64_t n, Rng &rng) const
@@ -595,9 +597,7 @@ StrassenBenchmark::checkOutput(const lang::Binding &binding) const
 tuner::Config
 StrassenBenchmark::seedConfig() const
 {
-    tuner::Config config;
-    addMatmulChoices(config, "Strassen");
-    return config;
+    return tuner::Config(schema_);
 }
 
 double
@@ -609,15 +609,13 @@ StrassenBenchmark::evaluate(const tuner::Config &config, int64_t n,
 
 namespace {
 
-/** Pre-resolved config positions + level constants (Benchmark docs). */
+/** Level constants of the matmul model (Benchmark docs). */
 struct StrassenEvalContext : apps::EvalContext
 {
-    MatmulChoiceIds mm;
     MatmulLevelModel model;
 
-    StrassenEvalContext(const tuner::Config &schema, int64_t n,
-                        const sim::MachineProfile &machine)
-        : mm(matmulChoiceIds(schema, "Strassen")), model(n, machine)
+    StrassenEvalContext(int64_t n, const sim::MachineProfile &machine)
+        : model(n, machine)
     {}
 };
 
@@ -627,8 +625,7 @@ apps::EvalContextPtr
 StrassenBenchmark::makeEvalContext(
     int64_t n, const sim::MachineProfile &machine) const
 {
-    return std::make_shared<StrassenEvalContext>(seedConfig(), n,
-                                                 machine);
+    return std::make_shared<StrassenEvalContext>(n, machine);
 }
 
 double
@@ -641,15 +638,17 @@ StrassenBenchmark::evaluate(const tuner::Config &config, int64_t n,
     const auto &strassen =
         static_cast<const StrassenEvalContext &>(*ctx);
     return strassen.model.seconds(
-        config.selectorAt(strassen.mm.algorithm),
-        static_cast<int>(config.tunableValueAt(strassen.mm.lws)));
+        config.selectorAt(mm_.algorithm),
+        static_cast<int>(config.tunableValueAt(mm_.lws)));
 }
 
 std::vector<std::string>
 StrassenBenchmark::kernelSources(const tuner::Config &config,
                                  int64_t n) const
 {
-    return matmulKernelSources(config, "Strassen", n);
+    if (matmulUsesOpenCl(config.selectorAt(mm_.algorithm), n))
+        return {kMatmulKernel};
+    return {};
 }
 
 std::string

@@ -40,7 +40,8 @@ enum MatmulAlg
 };
 
 /** Register the matmul choice structure under @p prefix. */
-void addMatmulChoices(tuner::Config &config, const std::string &prefix);
+void addMatmulChoices(tuner::ConfigSchema::Builder &schema,
+                      const std::string &prefix);
 
 /**
  * Modeled seconds of an n x n matmul under @p config's "<prefix>.mm"
@@ -54,9 +55,9 @@ double modelMatmulSeconds(const tuner::Config &config,
 
 /**
  * Pre-resolved positions of the "<prefix>.mm" choice structure within
- * a Config — valid for every configuration sharing the schema's
- * structure. Evaluation contexts resolve these once per batch so the
- * recursive model consults selectors without building key strings.
+ * a schema — valid for every configuration of the benchmark. The
+ * benchmark resolves these once, in its constructor, so the recursive
+ * model consults selectors without building key strings.
  */
 struct MatmulChoiceIds
 {
@@ -64,7 +65,7 @@ struct MatmulChoiceIds
     size_t lws = 0;       // tunable "<prefix>.mm.lws"
 };
 
-MatmulChoiceIds matmulChoiceIds(const tuner::Config &config,
+MatmulChoiceIds matmulChoiceIds(const tuner::ConfigSchema &schema,
                                 const std::string &prefix);
 
 /**
@@ -88,7 +89,7 @@ class MatmulLevelModel
      * selector) with local work size @p lws (consulted only when a
      * level selects the OpenCL kernel).
      */
-    double seconds(const tuner::Selector &algorithm, int lws) const;
+    double seconds(tuner::SelectorView algorithm, int lws) const;
 
   private:
     struct Level
@@ -108,10 +109,12 @@ class MatmulLevelModel
     int workers_ = 1;
 };
 
-/** Kernel sources the matmul selector may JIT for size @p n. */
-std::vector<std::string> matmulKernelSources(const tuner::Config &config,
-                                             const std::string &prefix,
-                                             int64_t n);
+/** Kernel source of the synthesized matmul kernel (Section 5.4). */
+inline const std::string kMatmulKernel = "pbcl:MatMul:global";
+
+/** True if @p algorithm selects the OpenCL kernel at a level an n x n
+ * matmul reaches (it then JIT-compiles kMatmulKernel). */
+bool matmulUsesOpenCl(tuner::SelectorView algorithm, int64_t n);
 
 /** Execute C = A * B honoring the selector (real mode). */
 void runMatmul(const tuner::Config &config, const std::string &prefix,
@@ -175,6 +178,8 @@ class StrassenBenchmark : public Benchmark
   private:
     ChoiceFilePtr choices_;
     std::shared_ptr<lang::Transform> transform_;
+    tuner::ConfigSchemaPtr schema_;
+    MatmulChoiceIds mm_;
 };
 
 } // namespace apps

@@ -155,6 +155,16 @@ SvdBenchmark::SvdBenchmark(double accuracyTarget)
       choices_(std::make_shared<ChoiceFile>()),
       transform_(makeSvdTransform(choices_))
 {
+    tuner::ConfigSchema::Builder schema;
+    schema.addSelector("SVD.phase1", 2, kSvdPhase1Cpu);
+    addMatmulChoices(schema, "SVD");
+    // Rank fraction in eighths: the variable-accuracy knob. Start at
+    // full rank (always meets the target).
+    schema.addTunable({"SVD.k8", 1, 8, 8, false});
+    schema_ = schema.build();
+    mm_ = matmulChoiceIds(*schema_, "SVD");
+    phase1Sel_ = schema_->selectorIndex("SVD.phase1");
+    k8Tun_ = schema_->tunableIndex("SVD.k8");
 }
 
 lang::Binding
@@ -200,13 +210,7 @@ SvdBenchmark::checkOutput(const lang::Binding &binding) const
 tuner::Config
 SvdBenchmark::seedConfig() const
 {
-    tuner::Config config;
-    config.addSelector(tuner::Selector("SVD.phase1", 2, kSvdPhase1Cpu));
-    addMatmulChoices(config, "SVD");
-    // Rank fraction in eighths: the variable-accuracy knob. Start at
-    // full rank (always meets the target).
-    config.addTunable({"SVD.k8", 1, 8, 8, false});
-    return config;
+    return tuner::Config(schema_);
 }
 
 double
@@ -270,30 +274,23 @@ SvdBenchmark::evaluate(const tuner::Config &config, int64_t n,
 namespace {
 
 /**
- * Pre-resolved config positions plus everything in the SVD model that
- * does not depend on the configuration: the Jacobi phase, the
- * task-parallel GPU half, the matmul level constants, and the rank
- * projection factor per k8 setting. Each stored value is the exact
- * expression the reference evaluate() computes (bit-identical).
+ * Everything in the SVD model that does not depend on the
+ * configuration: the Jacobi phase, the task-parallel GPU half, the
+ * matmul level constants, and the rank projection factor per k8
+ * setting. Each stored value is the exact expression the reference
+ * evaluate() computes (bit-identical).
  */
 struct SvdEvalContext : apps::EvalContext
 {
-    MatmulChoiceIds mm;
-    size_t phase1Sel;
-    size_t k8Tun;
     MatmulLevelModel model;
     double jacobiSeconds;
     double gpuHalfSeconds;
     double projFactor[9] = {};
     bool k8Feasible[9] = {};
 
-    SvdEvalContext(const tuner::Config &schema, int64_t n,
-                   const sim::MachineProfile &machine,
+    SvdEvalContext(int64_t n, const sim::MachineProfile &machine,
                    double accuracyTarget)
-        : mm(matmulChoiceIds(schema, "SVD")),
-          phase1Sel(schema.selectorIndex("SVD.phase1")),
-          k8Tun(schema.tunableIndex("SVD.k8")),
-          model(n, machine, SvdBenchmark::kLocalityPenalty)
+        : model(n, machine, SvdBenchmark::kLocalityPenalty)
     {
         double dn = static_cast<double>(n);
 
@@ -327,8 +324,7 @@ apps::EvalContextPtr
 SvdBenchmark::makeEvalContext(int64_t n,
                               const sim::MachineProfile &machine) const
 {
-    return std::make_shared<SvdEvalContext>(seedConfig(), n, machine,
-                                            accuracyTarget_);
+    return std::make_shared<SvdEvalContext>(n, machine, accuracyTarget_);
 }
 
 double
@@ -343,16 +339,16 @@ SvdBenchmark::evaluate(const tuner::Config &config, int64_t n,
     // Same arithmetic as the reference overload over the context's
     // precomputed constants, with the (identical) matmul model priced
     // once instead of twice.
-    int k8 = static_cast<int>(config.tunableValueAt(svd.k8Tun));
+    int k8 = static_cast<int>(config.tunableValueAt(k8Tun_));
     if (!svd.k8Feasible[k8])
         return std::numeric_limits<double>::infinity();
 
     double mm = svd.model.seconds(
-        config.selectorAt(svd.mm.algorithm),
-        static_cast<int>(config.tunableValueAt(svd.mm.lws)));
+        config.selectorAt(mm_.algorithm),
+        static_cast<int>(config.tunableValueAt(mm_.lws)));
     double halfMm = mm / 2.0;
     double phase1;
-    if (config.selectorAt(svd.phase1Sel).select(n) ==
+    if (config.selectorAt(phase1Sel_).select(n) ==
         kSvdPhase1TaskParallel) {
         if (!machine.hasOpenCL)
             return std::numeric_limits<double>::infinity();
@@ -367,10 +363,11 @@ SvdBenchmark::evaluate(const tuner::Config &config, int64_t n,
 std::vector<std::string>
 SvdBenchmark::kernelSources(const tuner::Config &config, int64_t n) const
 {
-    std::vector<std::string> sources =
-        matmulKernelSources(config, "SVD", n);
-    if (config.selector("SVD.phase1").select(n) == kSvdPhase1TaskParallel)
-        sources.push_back("pbcl:MatMul:global");
+    std::vector<std::string> sources;
+    if (matmulUsesOpenCl(config.selectorAt(mm_.algorithm), n))
+        sources.push_back(kMatmulKernel);
+    if (config.selectorAt(phase1Sel_).select(n) == kSvdPhase1TaskParallel)
+        sources.push_back(kMatmulKernel);
     return sources;
 }
 

@@ -25,6 +25,7 @@
 #define PETABRICKS_BENCHMARKS_SVD_H
 
 #include "benchmarks/benchmark.h"
+#include "benchmarks/strassen.h"
 #include "support/matrix.h"
 #include "support/rng.h"
 
@@ -106,6 +107,10 @@ class SvdBenchmark : public Benchmark
     double accuracyTarget_;
     ChoiceFilePtr choices_;
     std::shared_ptr<lang::Transform> transform_;
+    tuner::ConfigSchemaPtr schema_;
+    MatmulChoiceIds mm_;
+    size_t phase1Sel_ = 0;
+    size_t k8Tun_ = 0;
 };
 
 /**

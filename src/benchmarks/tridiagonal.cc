@@ -201,7 +201,14 @@ makeTridiagTransform(const ChoiceFilePtr &choices)
 TridiagBenchmark::TridiagBenchmark()
     : choices_(std::make_shared<ChoiceFile>()),
       transform_(makeTridiagTransform(choices_))
-{}
+{
+    tuner::ConfigSchema::Builder schema;
+    schema.addSelector("Tridiag.algorithm", kTriAlgCount, kTriThomas);
+    schema.addTunable({"Tridiag.lws", 1, 1024, 128, false});
+    schema_ = schema.build();
+    algorithmSel_ = schema_->selectorIndex("Tridiag.algorithm");
+    lwsTun_ = schema_->tunableIndex("Tridiag.lws");
+}
 
 lang::Binding
 TridiagBenchmark::makeBinding(int64_t n, Rng &rng) const
@@ -237,11 +244,7 @@ TridiagBenchmark::checkOutput(const lang::Binding &binding) const
 tuner::Config
 TridiagBenchmark::seedConfig() const
 {
-    tuner::Config config;
-    config.addSelector(
-        tuner::Selector("Tridiag.algorithm", kTriAlgCount, kTriThomas));
-    config.addTunable({"Tridiag.lws", 1, 1024, 128, false});
-    return config;
+    return tuner::Config(schema_);
 }
 
 namespace {
@@ -297,18 +300,6 @@ modelCyclicGpuSeconds(int64_t n, int lws,
     return transfers + kernels;
 }
 
-/** Pre-resolved config positions (see Benchmark docs). */
-struct TridiagEvalContext : apps::EvalContext
-{
-    size_t algorithmSel;
-    size_t lwsTun;
-
-    explicit TridiagEvalContext(const tuner::Config &schema)
-        : algorithmSel(schema.selectorIndex("Tridiag.algorithm")),
-          lwsTun(schema.tunableIndex("Tridiag.lws"))
-    {}
-};
-
 } // namespace
 
 double
@@ -337,7 +328,7 @@ TridiagBenchmark::makeEvalContext(int64_t n,
 {
     (void)n;
     (void)machine;
-    return std::make_shared<TridiagEvalContext>(seedConfig());
+    return positionsOnlyContext();
 }
 
 double
@@ -347,8 +338,7 @@ TridiagBenchmark::evaluate(const tuner::Config &config, int64_t n,
 {
     if (ctx == nullptr)
         return evaluate(config, n, machine);
-    const auto &tri = static_cast<const TridiagEvalContext &>(*ctx);
-    switch (config.selectorAt(tri.algorithmSel).select(n)) {
+    switch (config.selectorAt(algorithmSel_).select(n)) {
       case kTriThomas:
         return modelThomasSeconds(n, machine);
       case kTriCyclicCpu:
@@ -356,7 +346,7 @@ TridiagBenchmark::evaluate(const tuner::Config &config, int64_t n,
       case kTriCyclicGpu: {
         if (!machine.hasOpenCL)
             return std::numeric_limits<double>::infinity();
-        int lws = static_cast<int>(config.tunableValueAt(tri.lwsTun));
+        int lws = static_cast<int>(config.tunableValueAt(lwsTun_));
         return modelCyclicGpuSeconds(n, lws, machine);
       }
       default:
@@ -368,8 +358,8 @@ std::vector<std::string>
 TridiagBenchmark::kernelSources(const tuner::Config &config,
                                 int64_t n) const
 {
-    if (config.selector("Tridiag.algorithm").select(n) == kTriCyclicGpu)
-        return {"pbcl:tridiag:cr"};
+    if (config.selectorAt(algorithmSel_).select(n) == kTriCyclicGpu)
+        return {crKernel_};
     return {};
 }
 

@@ -100,6 +100,10 @@ class TridiagBenchmark : public Benchmark
   private:
     ChoiceFilePtr choices_;
     std::shared_ptr<lang::Transform> transform_;
+    tuner::ConfigSchemaPtr schema_;
+    size_t algorithmSel_ = 0;
+    size_t lwsTun_ = 0;
+    std::string crKernel_ = "pbcl:tridiag:cr";
 };
 
 } // namespace apps

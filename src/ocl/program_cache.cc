@@ -4,23 +4,25 @@ namespace petabricks {
 namespace ocl {
 
 double
-ProgramCache::compile(const std::string &sourceHash)
+ProgramCache::compile(ProgramId program)
 {
-    if (livePrograms_.count(sourceHash)) {
+    if (program >= state_.size())
+        state_.resize(program + 1, 0);
+    uint8_t &state = state_[program];
+    if (state & kLive) {
         ++stats_.inProcessHits;
         return 0.0;
     }
     double seconds;
-    if (irCache_.count(sourceHash)) {
+    if (state & kInIrCache) {
         // Parse/optimize skipped; architecture-specific JIT remains.
         seconds = compileSeconds_ * (1.0 - irCacheSavings_);
         ++stats_.irCacheHits;
     } else {
         seconds = compileSeconds_;
         ++stats_.fullCompiles;
-        irCache_.insert(sourceHash);
     }
-    livePrograms_.insert(sourceHash);
+    state = kLive | kInIrCache;
     stats_.totalSeconds += seconds;
     return seconds;
 }
@@ -28,14 +30,14 @@ ProgramCache::compile(const std::string &sourceHash)
 void
 ProgramCache::endRun()
 {
-    livePrograms_.clear();
+    for (uint8_t &state : state_)
+        state &= static_cast<uint8_t>(~kLive);
 }
 
 void
 ProgramCache::clear()
 {
-    livePrograms_.clear();
-    irCache_.clear();
+    state_.clear();
 }
 
 } // namespace ocl

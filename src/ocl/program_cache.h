@@ -11,22 +11,25 @@
  * partial).
  *
  * ProgramCache reproduces that accounting: it charges full compile cost
- * the first time a source hash is seen, nothing while the program stays
+ * the first time a source is seen, nothing while the program stays
  * alive in the current process, and a reduced cost when a new process
  * run finds the IR in the on-disk cache. The autotuner charges these
- * seconds to its tuning-time model (Figure 8).
+ * seconds to its tuning-time model (Figure 8). Sources are keyed by
+ * small dense ids the caller interns (TuningSession interns each kernel
+ * source name once), so a lookup is an array index.
  */
 
 #ifndef PETABRICKS_OCL_PROGRAM_CACHE_H
 #define PETABRICKS_OCL_PROGRAM_CACHE_H
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 namespace petabricks {
 namespace ocl {
+
+/** Interned identity of one kernel source (dense, from 0). */
+using ProgramId = uint32_t;
 
 /** Compile statistics for Figure 8's tuning-time accounting. */
 struct CompileStats
@@ -51,10 +54,10 @@ class ProgramCache
     {}
 
     /**
-     * Compile (or look up) the program for @p sourceHash.
+     * Compile (or look up) the program for source @p program.
      * @return modeled seconds spent compiling.
      */
-    double compile(const std::string &sourceHash);
+    double compile(ProgramId program);
 
     /**
      * End the current process run: live programs are dropped but their
@@ -70,8 +73,8 @@ class ProgramCache
   private:
     double compileSeconds_;
     double irCacheSavings_;
-    std::unordered_set<std::string> livePrograms_;
-    std::unordered_set<std::string> irCache_;
+    enum : uint8_t { kLive = 1, kInIrCache = 2 };
+    std::vector<uint8_t> state_; ///< kLive | kInIrCache, by ProgramId
     CompileStats stats_;
 };
 

@@ -52,16 +52,23 @@ Dispatcher::dispatch(const apps::Benchmark &benchmark, int64_t n,
     // Preselect the topK nearest tuned sizes. stable_sort over the
     // portfolio's stable key order keeps the whole pipeline
     // deterministic; clamping to >= 2 guarantees both ladder
-    // neighbors of an in-between n stay in contention.
+    // neighbors of an in-between n stay in contention. Each distance
+    // is computed once and the sort runs on (distance, position).
     const size_t topK =
         static_cast<size_t>(std::max(options.topK, 2));
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [n](const ChampionRecord &a, const ChampionRecord &b) {
-                         return logDistance(a.inputSize, n) <
-                                logDistance(b.inputSize, n);
+    std::vector<std::pair<double, size_t>> order;
+    order.reserve(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i)
+        order.emplace_back(logDistance(candidates[i].inputSize, n), i);
+    std::stable_sort(order.begin(), order.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
                      });
-    if (candidates.size() > topK)
-        candidates.resize(topK);
+    std::vector<ChampionRecord> nearest;
+    nearest.reserve(std::min(topK, order.size()));
+    for (size_t k = 0; k < order.size() && k < topK; ++k)
+        nearest.push_back(std::move(candidates[order[k].second]));
+    candidates = std::move(nearest);
 
     // Price every surviving candidate at the queried n under the pure
     // model; infeasible placements (e.g. GPU-placed champions dispatched

@@ -12,6 +12,7 @@
 #define PETABRICKS_SUPPORT_RNG_H
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <random>
 #include <string>
@@ -109,6 +110,8 @@ class Rng
      * @param value value to scale; must be positive for a useful result.
      * @param sigma spread; ln(2) makes halving and doubling one-sigma
      *        events, matching the paper's mutator description.
+     * @return the scaled value, at least 1 and saturated at INT64_MAX
+     *         (a product of 2^63 or more has no int64 value).
      */
     int64_t
     lognormalScale(int64_t value, double sigma = 0.6931471805599453)
@@ -117,6 +120,8 @@ class Rng
         double scaled = static_cast<double>(value) * dist(*this);
         if (scaled < 1.0)
             return 1;
+        if (scaled >= 0x1p63)
+            return std::numeric_limits<int64_t>::max();
         return static_cast<int64_t>(scaled);
     }
 

@@ -2,248 +2,272 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "support/error.h"
-
-namespace {
-
-/** lower_bound over a name-sorted entry vector. */
-template <typename Entries>
-auto
-findEntry(Entries &entries, const std::string &name)
-{
-    return std::lower_bound(entries.begin(), entries.end(), name,
-                            [](const auto &entry, const std::string &key) {
-                                return entry.first < key;
-                            });
-}
-
-} // namespace
+#include "tuner/mutators.h"
 
 namespace petabricks {
 namespace tuner {
 
-Selector::Selector(std::string name, int algorithmCount,
-                   int defaultAlgorithm)
-    : name_(std::move(name)), algorithmCount_(algorithmCount)
+namespace {
+
+/** Position of @p name in a name-sorted entry vector; @p kind names
+ * the entry kind in the error a missing name raises. */
+template <typename Entries>
+size_t
+findEntry(const Entries &entries, const std::string &name, const char *kind)
+{
+    auto it = std::lower_bound(entries.begin(), entries.end(), name,
+                               [](const auto &entry, const std::string &key) {
+                                   return entry.name < key;
+                               });
+    PB_ASSERT(it != entries.end() && it->name == name,
+              "no " << kind << " '" << name << "'");
+    return static_cast<size_t>(it - entries.begin());
+}
+
+template <typename Entries>
+bool
+hasEntry(const Entries &entries, const std::string &name)
+{
+    return std::any_of(entries.begin(), entries.end(),
+                       [&](const auto &entry) { return entry.name == name; });
+}
+
+/** Same names, algorithm counts, bounds and sizeLike flags. */
+bool
+sameStructure(const ConfigSchema &a, const ConfigSchema &b)
+{
+    auto sameSelector = [](const SelectorSpec &x, const SelectorSpec &y) {
+        return x.name == y.name && x.algorithmCount == y.algorithmCount;
+    };
+    auto sameTunable = [](const TunableSpec &x, const TunableSpec &y) {
+        return x.name == y.name && x.minValue == y.minValue &&
+               x.maxValue == y.maxValue && x.sizeLike == y.sizeLike;
+    };
+    return &a == &b ||
+           (std::equal(a.selectors().begin(), a.selectors().end(),
+                       b.selectors().begin(), b.selectors().end(),
+                       sameSelector) &&
+            std::equal(a.tunables().begin(), a.tunables().end(),
+                       b.tunables().begin(), b.tunables().end(),
+                       sameTunable));
+}
+
+} // namespace
+
+// ---- ConfigSchema ------------------------------------------------------
+
+void
+ConfigSchema::Builder::addSelector(std::string name, int algorithmCount,
+                                   int defaultAlgorithm)
 {
     PB_ASSERT(algorithmCount >= 1, "selector needs at least 1 algorithm");
     PB_ASSERT(defaultAlgorithm >= 0 && defaultAlgorithm < algorithmCount,
               "default algorithm out of range");
-    algorithms_.push_back(defaultAlgorithm);
+    PB_ASSERT(!hasEntry(selectors_, name),
+              "duplicate selector '" << name << "'");
+    selectors_.push_back({std::move(name), algorithmCount, defaultAlgorithm});
 }
 
 void
-Selector::checkInvariants() const
+ConfigSchema::Builder::addTunable(TunableSpec tunable)
 {
-    PB_ASSERT(algorithms_.size() == cutoffs_.size() + 1,
-              "selector '" << name_ << "' level/cutoff mismatch");
-    for (size_t i = 1; i < cutoffs_.size(); ++i)
-        PB_ASSERT(cutoffs_[i - 1] <= cutoffs_[i],
-                  "selector '" << name_ << "' cutoffs out of order");
-    for (int alg : algorithms_)
-        PB_ASSERT(alg >= 0 && alg < algorithmCount_,
-                  "selector '" << name_ << "' algorithm out of range");
+    PB_ASSERT(tunable.minValue <= tunable.defaultValue &&
+                  tunable.defaultValue <= tunable.maxValue,
+              "tunable '" << tunable.name << "' value out of bounds");
+    PB_ASSERT(!hasEntry(tunables_, tunable.name),
+              "duplicate tunable '" << tunable.name << "'");
+    tunables_.push_back(std::move(tunable));
 }
 
-int
-Selector::select(int64_t inputSize) const
+ConfigSchemaPtr
+ConfigSchema::Builder::build()
 {
-    // SELECT(input, s) = alpha_i s.t. c_i > size >= c_(i-1),
-    // with c_0 = 0 and c_m = infinity.
-    size_t i = 0;
-    while (i < cutoffs_.size() && inputSize >= cutoffs_[i])
-        ++i;
-    return algorithms_[i];
+    return std::make_shared<const ConfigSchema>(std::move(selectors_),
+                                                std::move(tunables_));
+}
+
+ConfigSchema::ConfigSchema(std::vector<SelectorSpec> selectors,
+                           std::vector<TunableSpec> tunables)
+    : selectors_(std::move(selectors)), tunables_(std::move(tunables))
+{
+    auto byName = [](const auto &a, const auto &b) { return a.name < b.name; };
+    std::sort(selectors_.begin(), selectors_.end(), byName);
+    std::sort(tunables_.begin(), tunables_.end(), byName);
+
+    // Selector blocks first, then one word per tunable.
+    size_t offset = 0;
+    for (SelectorSpec &spec : selectors_) {
+        spec.offset = offset;
+        offset += kSelectorWords;
+    }
+    for (TunableSpec &spec : tunables_)
+        spec.offset = offset++;
+
+    defaults_.assign(offset, 0);
+    for (const SelectorSpec &spec : selectors_) {
+        defaults_[spec.offset] = 1;
+        defaults_[spec.offset + kSelectorLevels] = spec.defaultAlgorithm;
+    }
+    for (const TunableSpec &spec : tunables_)
+        defaults_[spec.offset] = spec.defaultValue;
+
+    mutators_ = generateMutators(*this);
+}
+
+ConfigSchema::~ConfigSchema() = default;
+
+size_t
+ConfigSchema::selectorIndex(const std::string &name) const
+{
+    return findEntry(selectors_, name, "selector");
+}
+
+size_t
+ConfigSchema::tunableIndex(const std::string &name) const
+{
+    return findEntry(tunables_, name, "tunable");
+}
+
+// ---- SelectorRef -------------------------------------------------------
+
+void
+SelectorRef::checkInvariants() const
+{
+    const size_t m = levels();
+    PB_ASSERT(m >= 1 && m <= static_cast<size_t>(kSelectorLevels),
+              "selector '" << name() << "' has " << m << " levels");
+    std::span<const int64_t> cuts = cutoffs();
+    for (size_t i = 0; i < cuts.size(); ++i)
+        PB_ASSERT(cuts[i] >= 1 && (i == 0 || cuts[i - 1] <= cuts[i]),
+                  "selector '" << name() << "' cutoffs out of order");
+    for (int64_t alg : algorithms())
+        PB_ASSERT(alg >= 0 && alg < algorithmCount(),
+                  "selector '" << name() << "' algorithm out of range");
 }
 
 void
-Selector::insertLevel(int64_t cutoff, int algorithm)
+SelectorRef::insertLevel(int64_t cutoff, int algorithm)
 {
-    PB_ASSERT(algorithm >= 0 && algorithm < algorithmCount_,
+    PB_ASSERT(algorithm >= 0 && algorithm < algorithmCount(),
               "algorithm out of range");
     PB_ASSERT(cutoff >= 1, "cutoff must be positive");
-    if (levels() >= static_cast<size_t>(kSelectorLevels))
+    const size_t m = levels();
+    if (m >= static_cast<size_t>(kSelectorLevels))
         return; // full: every transform offers at most 12 levels
+    int64_t *cuts = block() + 1;
+    int64_t *algs = block() + kSelectorLevels;
     size_t pos = 0;
-    while (pos < cutoffs_.size() && cutoffs_[pos] < cutoff)
+    while (pos < m - 1 && cuts[pos] < cutoff)
         ++pos;
-    cutoffs_.insert(cutoffs_.begin() + static_cast<int64_t>(pos), cutoff);
-    // The new algorithm governs sizes >= cutoff up to the next level.
-    algorithms_.insert(
-        algorithms_.begin() + static_cast<int64_t>(pos) + 1, algorithm);
+    // Shift the tails up one slot; the new algorithm governs sizes
+    // >= cutoff up to the next level.
+    std::memmove(cuts + pos + 1, cuts + pos, (m - 1 - pos) * sizeof(int64_t));
+    cuts[pos] = cutoff;
+    std::memmove(algs + pos + 2, algs + pos + 1,
+                 (m - 1 - pos) * sizeof(int64_t));
+    algs[pos + 1] = algorithm;
+    block()[0] = static_cast<int64_t>(m + 1);
     checkInvariants();
 }
 
 void
-Selector::removeLevel(size_t level)
+SelectorRef::removeLevel(size_t level)
 {
-    PB_ASSERT(level < algorithms_.size(), "level out of range");
-    if (algorithms_.size() == 1)
+    const size_t m = levels();
+    PB_ASSERT(level < m, "level out of range");
+    if (m == 1)
         return; // must keep at least one algorithm
-    algorithms_.erase(algorithms_.begin() + static_cast<int64_t>(level));
+    int64_t *cuts = block() + 1;
+    int64_t *algs = block() + kSelectorLevels;
+    std::memmove(algs + level, algs + level + 1,
+                 (m - 1 - level) * sizeof(int64_t));
+    algs[m - 1] = 0;
     size_t cut = level == 0 ? 0 : level - 1;
-    cutoffs_.erase(cutoffs_.begin() + static_cast<int64_t>(cut));
+    std::memmove(cuts + cut, cuts + cut + 1, (m - 2 - cut) * sizeof(int64_t));
+    cuts[m - 2] = 0;
+    block()[0] = static_cast<int64_t>(m - 1);
     checkInvariants();
 }
 
 void
-Selector::setAlgorithm(size_t level, int algorithm)
+SelectorRef::setAlgorithm(size_t level, int algorithm)
 {
-    PB_ASSERT(level < algorithms_.size(), "level out of range");
-    PB_ASSERT(algorithm >= 0 && algorithm < algorithmCount_,
+    PB_ASSERT(level < levels(), "level out of range");
+    PB_ASSERT(algorithm >= 0 && algorithm < algorithmCount(),
               "algorithm out of range");
-    algorithms_[level] = algorithm;
+    block()[kSelectorLevels + level] = algorithm;
 }
 
 void
-Selector::setCutoff(size_t index, int64_t value)
+SelectorRef::setCutoff(size_t index, int64_t value)
 {
-    PB_ASSERT(index < cutoffs_.size(), "cutoff index out of range");
+    const size_t cutoffCount = levels() - 1;
+    PB_ASSERT(index < cutoffCount, "cutoff index out of range");
     PB_ASSERT(value >= 1, "cutoff must be positive");
-    int64_t lo = index == 0 ? 1 : cutoffs_[index - 1];
-    int64_t hi = index + 1 < cutoffs_.size()
-                     ? cutoffs_[index + 1]
+    int64_t *cuts = block() + 1;
+    int64_t lo = index == 0 ? 1 : cuts[index - 1];
+    int64_t hi = index + 1 < cutoffCount
+                     ? cuts[index + 1]
                      : std::numeric_limits<int64_t>::max();
-    cutoffs_[index] = std::min(hi, std::max(lo, value));
+    cuts[index] = std::min(hi, std::max(lo, value));
     checkInvariants();
 }
 
-void
-Selector::save(KvFile &kv, const std::string &prefix) const
+// ---- Config ------------------------------------------------------------
+
+Config::Config()
 {
-    kv.setIntList(prefix + name_ + ".cutoffs", cutoffs_);
-    std::vector<int64_t> algs(algorithms_.begin(), algorithms_.end());
-    kv.setIntList(prefix + name_ + ".algorithms", algs);
+    static const ConfigSchemaPtr empty =
+        std::make_shared<const ConfigSchema>(std::vector<SelectorSpec>{},
+                                             std::vector<TunableSpec>{});
+    schema_ = empty;
 }
 
-Selector
-Selector::load(const KvFile &kv, const std::string &name,
-               int algorithmCount)
-{
-    Selector s(name, algorithmCount);
-    s.cutoffs_ = kv.getIntList(name + ".cutoffs");
-    s.algorithms_.clear();
-    for (int64_t a : kv.getIntList(name + ".algorithms")) {
-        if (a < 0 || a >= algorithmCount)
-            PB_FATAL("selector '" << name << "' algorithm " << a
-                                  << " out of range");
-        s.algorithms_.push_back(static_cast<int>(a));
-    }
-    if (s.algorithms_.size() != s.cutoffs_.size() + 1)
-        PB_FATAL("selector '" << name << "' malformed in config file");
-    s.checkInvariants();
-    return s;
-}
+Config::Config(ConfigSchemaPtr schema)
+    : schema_(std::move(schema)), values_(schema_->defaults())
+{}
 
-void
-Config::addSelector(Selector selector)
-{
-    std::string name = selector.name();
-    auto it = findEntry(selectors_, name);
-    PB_ASSERT(it == selectors_.end() || it->first != name,
-              "duplicate selector '" << name << "'");
-    selectors_.emplace(it, std::move(name), std::move(selector));
-}
-
-void
-Config::addTunable(Tunable tunable)
-{
-    PB_ASSERT(tunable.minValue <= tunable.value &&
-                  tunable.value <= tunable.maxValue,
-              "tunable '" << tunable.name << "' value out of bounds");
-    std::string name = tunable.name;
-    auto it = findEntry(tunables_, name);
-    PB_ASSERT(it == tunables_.end() || it->first != name,
-              "duplicate tunable '" << name << "'");
-    tunables_.emplace(it, std::move(name), std::move(tunable));
-}
-
-bool
-Config::hasSelector(const std::string &name) const
-{
-    auto it = findEntry(selectors_, name);
-    return it != selectors_.end() && it->first == name;
-}
-
-Selector &
-Config::selector(const std::string &name)
-{
-    auto it = findEntry(selectors_, name);
-    PB_ASSERT(it != selectors_.end() && it->first == name,
-              "no selector '" << name << "'");
-    return it->second;
-}
-
-const Selector &
+SelectorView
 Config::selector(const std::string &name) const
 {
-    auto it = findEntry(selectors_, name);
-    PB_ASSERT(it != selectors_.end() && it->first == name,
-              "no selector '" << name << "'");
-    return it->second;
+    return selectorAt(schema_->selectorIndex(name));
 }
 
-bool
-Config::hasTunable(const std::string &name) const
+SelectorRef
+Config::selector(const std::string &name)
 {
-    auto it = findEntry(tunables_, name);
-    return it != tunables_.end() && it->first == name;
+    return selectorAt(schema_->selectorIndex(name));
 }
 
-Tunable &
-Config::tunable(const std::string &name)
-{
-    auto it = findEntry(tunables_, name);
-    PB_ASSERT(it != tunables_.end() && it->first == name,
-              "no tunable '" << name << "'");
-    return it->second;
-}
-
-const Tunable &
+const TunableSpec &
 Config::tunable(const std::string &name) const
 {
-    auto it = findEntry(tunables_, name);
-    PB_ASSERT(it != tunables_.end() && it->first == name,
-              "no tunable '" << name << "'");
-    return it->second;
+    return schema_->tunables()[schema_->tunableIndex(name)];
 }
 
-size_t
-Config::selectorIndex(const std::string &name) const
+int64_t
+Config::tunableValue(const std::string &name) const
 {
-    auto it = findEntry(selectors_, name);
-    PB_ASSERT(it != selectors_.end() && it->first == name,
-              "no selector '" << name << "'");
-    return static_cast<size_t>(it - selectors_.begin());
+    return values_[tunable(name).offset];
 }
 
-size_t
-Config::tunableIndex(const std::string &name) const
+void
+Config::setTunable(const std::string &name, int64_t value)
 {
-    auto it = findEntry(tunables_, name);
-    PB_ASSERT(it != tunables_.end() && it->first == name,
-              "no tunable '" << name << "'");
-    return static_cast<size_t>(it - tunables_.begin());
+    setTunableAt(schema_->tunableIndex(name), value);
 }
 
-std::vector<std::string>
-Config::selectorNames() const
+void
+Config::setTunableAt(size_t index, int64_t value)
 {
-    std::vector<std::string> names;
-    for (const auto &kv : selectors_)
-        names.push_back(kv.first);
-    return names;
-}
-
-std::vector<std::string>
-Config::tunableNames() const
-{
-    std::vector<std::string> names;
-    for (const auto &kv : tunables_)
-        names.push_back(kv.first);
-    return names;
+    const TunableSpec &spec = tunableAt(index);
+    PB_ASSERT(spec.minValue <= value && value <= spec.maxValue,
+              "tunable '" << spec.name << "' value out of bounds");
+    values_[spec.offset] = value;
 }
 
 KvFile
@@ -257,33 +281,69 @@ Config::toKv() const
 void
 Config::saveValues(KvFile &kv, const std::string &prefix) const
 {
-    for (const auto &[name, selector] : selectors_)
-        selector.save(kv, prefix);
-    for (const auto &[name, tunable] : tunables_)
-        kv.setInt(prefix + name, tunable.value);
+    for (size_t i = 0; i < schema_->selectors().size(); ++i) {
+        SelectorView s = selectorAt(i);
+        kv.setIntList(prefix + s.name() + ".cutoffs",
+                      {s.cutoffs().begin(), s.cutoffs().end()});
+        kv.setIntList(prefix + s.name() + ".algorithms",
+                      {s.algorithms().begin(), s.algorithms().end()});
+    }
+    for (const TunableSpec &spec : schema_->tunables())
+        kv.setInt(prefix + spec.name, values_[spec.offset]);
 }
 
 void
 Config::loadValues(const KvFile &kv)
 {
-    for (auto &[name, selector] : selectors_)
-        selector = Selector::load(kv, name, selector.algorithmCount());
-    for (auto &[name, tunable] : tunables_) {
-        int64_t v = kv.getInt(name);
-        if (v < tunable.minValue || v > tunable.maxValue)
-            PB_FATAL("tunable '" << name << "' value " << v
-                                 << " outside [" << tunable.minValue
-                                 << ", " << tunable.maxValue << "]");
-        tunable.value = v;
+    // Checked into a fresh array, so a rejected file changes nothing.
+    std::vector<int64_t> values(values_.size(), 0);
+    for (const SelectorSpec &spec : schema_->selectors()) {
+        const std::string &name = spec.name;
+        std::vector<int64_t> cutoffs = kv.getIntList(name + ".cutoffs");
+        std::vector<int64_t> algorithms =
+            kv.getIntList(name + ".algorithms");
+        for (int64_t a : algorithms)
+            if (a < 0 || a >= spec.algorithmCount)
+                PB_FATAL("selector '" << name << "' algorithm " << a
+                                      << " out of range");
+        if (algorithms.size() != cutoffs.size() + 1)
+            PB_FATAL("selector '" << name << "' malformed in config file");
+        if (algorithms.size() > static_cast<size_t>(kSelectorLevels))
+            PB_FATAL("selector '" << name << "' has " << algorithms.size()
+                                  << " levels, more than "
+                                  << kSelectorLevels);
+        for (size_t i = 0; i < cutoffs.size(); ++i) {
+            if (cutoffs[i] < 1)
+                PB_FATAL("selector '" << name << "' cutoff " << cutoffs[i]
+                                      << " is below 1");
+            if (i > 0 && cutoffs[i] < cutoffs[i - 1])
+                PB_FATAL("selector '" << name << "' cutoffs descend ("
+                                      << cutoffs[i - 1] << " then "
+                                      << cutoffs[i] << ")");
+        }
+        int64_t *block = values.data() + spec.offset;
+        block[0] = static_cast<int64_t>(algorithms.size());
+        std::copy(cutoffs.begin(), cutoffs.end(), block + 1);
+        std::copy(algorithms.begin(), algorithms.end(),
+                  block + kSelectorLevels);
     }
+    for (const TunableSpec &spec : schema_->tunables()) {
+        int64_t v = kv.getInt(spec.name);
+        if (v < spec.minValue || v > spec.maxValue)
+            PB_FATAL("tunable '" << spec.name << "' value " << v
+                                 << " outside [" << spec.minValue << ", "
+                                 << spec.maxValue << "]");
+        values[spec.offset] = v;
+    }
+    values_ = std::move(values);
 }
 
 uint64_t
 Config::valueFingerprint() const
 {
-    // FNV-1a over the structure in map (= sorted-name) order, with
-    // separator words so adjacent fields cannot alias. Stable across
-    // processes, which the checkpoint schema check relies on.
+    // FNV-1a over the structure in sorted-name order, with separator
+    // words so adjacent fields cannot alias. Stable across processes,
+    // which the checkpoint schema check relies on.
     uint64_t hash = 1469598103934665603ull;
     auto mix = [&hash](uint64_t value) {
         for (int byte = 0; byte < 8; ++byte) {
@@ -297,18 +357,20 @@ Config::valueFingerprint() const
             hash *= 1099511628211ull;
         }
     };
-    for (const auto &[name, selector] : selectors_) {
-        mixString(name);
+    for (const SelectorSpec &spec : schema_->selectors()) {
+        const int64_t *block = values_.data() + spec.offset;
+        const size_t levels = static_cast<size_t>(block[0]);
+        mixString(spec.name);
         mix(0xc07f0ff5u);
-        for (int64_t cutoff : selector.cutoffs())
-            mix(static_cast<uint64_t>(cutoff));
+        for (size_t i = 0; i + 1 < levels; ++i)
+            mix(static_cast<uint64_t>(block[1 + i]));
         mix(0xa19051u);
-        for (int algorithm : selector.algorithms())
-            mix(static_cast<uint64_t>(algorithm));
+        for (size_t i = 0; i < levels; ++i)
+            mix(static_cast<uint64_t>(block[kSelectorLevels + i]));
     }
-    for (const auto &[name, tunable] : tunables_) {
-        mixString(name);
-        mix(static_cast<uint64_t>(tunable.value));
+    for (const TunableSpec &spec : schema_->tunables()) {
+        mixString(spec.name);
+        mix(static_cast<uint64_t>(values_[spec.offset]));
     }
     return hash;
 }
@@ -318,20 +380,25 @@ Config::log10SpaceSize(int64_t maxInputSize) const
 {
     double logSize = 0.0;
     double logMax = std::log10(static_cast<double>(maxInputSize));
-    for (const auto &[name, selector] : selectors_) {
+    for (const SelectorSpec &spec : schema_->selectors()) {
         // Up to kSelectorLevels algorithm slots and kSelectorLevels-1
         // free cutoff placements in [1, maxInput].
         logSize += kSelectorLevels *
-                   std::log10(static_cast<double>(
-                       selector.algorithmCount()));
+                   std::log10(static_cast<double>(spec.algorithmCount));
         logSize += (kSelectorLevels - 1) * logMax;
     }
-    for (const auto &[name, tunable] : tunables_) {
-        double range = static_cast<double>(tunable.maxValue -
-                                           tunable.minValue + 1);
+    for (const TunableSpec &spec : schema_->tunables()) {
+        double range =
+            static_cast<double>(spec.maxValue - spec.minValue + 1);
         logSize += std::log10(range);
     }
     return logSize;
+}
+
+bool
+Config::operator==(const Config &other) const
+{
+    return values_ == other.values_ && sameStructure(*schema_, *other.schema_);
 }
 
 } // namespace tuner

@@ -7,15 +7,30 @@ namespace tuner {
 
 namespace {
 
-class SelectorAddLevel : public Mutator
+bool
+targetsSelector(Mutator::Kind kind)
 {
-  public:
-    explicit SelectorAddLevel(std::string name) : name_(std::move(name)) {}
+    return kind != Mutator::Kind::TunableLognormal &&
+           kind != Mutator::Kind::TunableUniform;
+}
 
-    bool
-    apply(Config &config, Rng &rng, int64_t currentInputSize) const override
-    {
-        Selector &s = config.selector(name_);
+} // namespace
+
+Mutator::Mutator(Kind kind, const ConfigSchema &schema,
+                 const std::string &name)
+    : kind_(kind),
+      index_(targetsSelector(kind) ? schema.selectorIndex(name)
+                                   : schema.tunableIndex(name)),
+      target_(targetsSelector(kind) ? &schema.selectors()[index_].name
+                                    : &schema.tunables()[index_].name)
+{}
+
+bool
+Mutator::apply(Config &config, Rng &rng, int64_t currentInputSize) const
+{
+    switch (kind_) {
+      case Kind::SelectorAddLevel: {
+        SelectorRef s = config.selectorAt(index_);
         if (s.levels() >= static_cast<size_t>(kSelectorLevels))
             return false;
         // Seed the new cutoff near the size under test, jittered
@@ -26,48 +41,17 @@ class SelectorAddLevel : public Mutator
             static_cast<int>(rng.uniformInt(0, s.algorithmCount() - 1));
         s.insertLevel(cutoff, algorithm);
         return true;
-    }
-
-    std::string name() const override { return "add-level:" + name_; }
-
-  private:
-    std::string name_;
-};
-
-class SelectorRemoveLevel : public Mutator
-{
-  public:
-    explicit SelectorRemoveLevel(std::string name) : name_(std::move(name))
-    {}
-
-    bool
-    apply(Config &config, Rng &rng, int64_t) const override
-    {
-        Selector &s = config.selector(name_);
+      }
+      case Kind::SelectorRemoveLevel: {
+        SelectorRef s = config.selectorAt(index_);
         if (s.levels() <= 1)
             return false;
         s.removeLevel(static_cast<size_t>(
             rng.uniformInt(0, static_cast<int64_t>(s.levels()) - 1)));
         return true;
-    }
-
-    std::string name() const override { return "remove-level:" + name_; }
-
-  private:
-    std::string name_;
-};
-
-class SelectorChangeAlgorithm : public Mutator
-{
-  public:
-    explicit SelectorChangeAlgorithm(std::string name)
-        : name_(std::move(name))
-    {}
-
-    bool
-    apply(Config &config, Rng &rng, int64_t) const override
-    {
-        Selector &s = config.selector(name_);
+      }
+      case Kind::SelectorChangeAlgorithm: {
+        SelectorRef s = config.selectorAt(index_);
         if (s.algorithmCount() <= 1)
             return false;
         size_t level = static_cast<size_t>(
@@ -77,24 +61,9 @@ class SelectorChangeAlgorithm : public Mutator
         s.setAlgorithm(level, static_cast<int>(rng.uniformInt(
                                   0, s.algorithmCount() - 1)));
         return true;
-    }
-
-    std::string name() const override { return "change-alg:" + name_; }
-
-  private:
-    std::string name_;
-};
-
-class SelectorScaleCutoff : public Mutator
-{
-  public:
-    explicit SelectorScaleCutoff(std::string name) : name_(std::move(name))
-    {}
-
-    bool
-    apply(Config &config, Rng &rng, int64_t) const override
-    {
-        Selector &s = config.selector(name_);
+      }
+      case Kind::SelectorScaleCutoff: {
+        SelectorRef s = config.selectorAt(index_);
         if (s.cutoffs().empty())
             return false;
         size_t index = static_cast<size_t>(rng.uniformInt(
@@ -102,113 +71,59 @@ class SelectorScaleCutoff : public Mutator
         // Lognormal scaling: halving as likely as doubling.
         s.setCutoff(index, rng.lognormalScale(s.cutoffs()[index]));
         return true;
-    }
-
-    std::string name() const override { return "scale-cutoff:" + name_; }
-
-  private:
-    std::string name_;
-};
-
-class TunableLognormal : public Mutator
-{
-  public:
-    explicit TunableLognormal(std::string name) : name_(std::move(name)) {}
-
-    bool
-    apply(Config &config, Rng &rng, int64_t) const override
-    {
-        Tunable &t = config.tunable(name_);
-        int64_t next = t.clamp(rng.lognormalScale(std::max<int64_t>(
-            t.value, 1)));
-        if (next == t.value)
+      }
+      case Kind::TunableLognormal: {
+        const TunableSpec &t = config.tunableAt(index_);
+        int64_t value = config.tunableValueAt(index_);
+        int64_t next =
+            t.clamp(rng.lognormalScale(std::max<int64_t>(value, 1)));
+        if (next == value)
             return false;
-        t.value = next;
+        config.setTunableAt(index_, next);
         return true;
-    }
-
-    std::string name() const override { return "lognormal:" + name_; }
-
-  private:
-    std::string name_;
-};
-
-class TunableUniform : public Mutator
-{
-  public:
-    explicit TunableUniform(std::string name) : name_(std::move(name)) {}
-
-    bool
-    apply(Config &config, Rng &rng, int64_t) const override
-    {
-        Tunable &t = config.tunable(name_);
+      }
+      case Kind::TunableUniform: {
+        const TunableSpec &t = config.tunableAt(index_);
         if (t.maxValue == t.minValue)
             return false;
-        t.value = rng.uniformInt(t.minValue, t.maxValue);
+        config.setTunableAt(index_, rng.uniformInt(t.minValue, t.maxValue));
         return true;
+      }
     }
-
-    std::string name() const override { return "uniform:" + name_; }
-
-  private:
-    std::string name_;
-};
-
-} // namespace
-
-MutatorPtr
-makeSelectorAddLevel(std::string selectorName)
-{
-    return std::make_unique<SelectorAddLevel>(std::move(selectorName));
+    PB_PANIC("bad mutator kind");
 }
 
-MutatorPtr
-makeSelectorRemoveLevel(std::string selectorName)
+std::string
+Mutator::name() const
 {
-    return std::make_unique<SelectorRemoveLevel>(std::move(selectorName));
-}
-
-MutatorPtr
-makeSelectorChangeAlgorithm(std::string selectorName)
-{
-    return std::make_unique<SelectorChangeAlgorithm>(
-        std::move(selectorName));
-}
-
-MutatorPtr
-makeSelectorScaleCutoff(std::string selectorName)
-{
-    return std::make_unique<SelectorScaleCutoff>(std::move(selectorName));
-}
-
-MutatorPtr
-makeTunableLognormal(std::string tunableName)
-{
-    return std::make_unique<TunableLognormal>(std::move(tunableName));
-}
-
-MutatorPtr
-makeTunableUniform(std::string tunableName)
-{
-    return std::make_unique<TunableUniform>(std::move(tunableName));
-}
-
-std::vector<MutatorPtr>
-generateMutators(const Config &config)
-{
-    std::vector<MutatorPtr> mutators;
-    for (const std::string &name : config.selectorNames()) {
-        mutators.push_back(makeSelectorAddLevel(name));
-        mutators.push_back(makeSelectorRemoveLevel(name));
-        mutators.push_back(makeSelectorChangeAlgorithm(name));
-        mutators.push_back(makeSelectorScaleCutoff(name));
+    switch (kind_) {
+      case Kind::SelectorAddLevel: return "add-level:" + *target_;
+      case Kind::SelectorRemoveLevel: return "remove-level:" + *target_;
+      case Kind::SelectorChangeAlgorithm: return "change-alg:" + *target_;
+      case Kind::SelectorScaleCutoff: return "scale-cutoff:" + *target_;
+      case Kind::TunableLognormal: return "lognormal:" + *target_;
+      case Kind::TunableUniform: return "uniform:" + *target_;
     }
-    for (const std::string &name : config.tunableNames()) {
-        if (config.tunable(name).sizeLike)
-            mutators.push_back(makeTunableLognormal(name));
-        else
-            mutators.push_back(makeTunableUniform(name));
-    }
+    PB_PANIC("bad mutator kind");
+}
+
+std::vector<Mutator>
+generateMutators(const ConfigSchema &schema)
+{
+    std::vector<Mutator> mutators;
+    mutators.reserve(4 * schema.selectors().size() +
+                     schema.tunables().size());
+    for (const SelectorSpec &spec : schema.selectors())
+        for (Mutator::Kind kind : {Mutator::Kind::SelectorAddLevel,
+                                   Mutator::Kind::SelectorRemoveLevel,
+                                   Mutator::Kind::SelectorChangeAlgorithm,
+                                   Mutator::Kind::SelectorScaleCutoff})
+            mutators.emplace_back(kind, schema, spec.name);
+    for (const TunableSpec &spec : schema.tunables())
+        mutators.emplace_back(spec.sizeLike
+                                  ? Mutator::Kind::TunableLognormal
+                                  : Mutator::Kind::TunableUniform,
+                              schema, spec.name);
     return mutators;
 }
 

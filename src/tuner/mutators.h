@@ -18,7 +18,6 @@
 #ifndef PETABRICKS_TUNER_MUTATORS_H
 #define PETABRICKS_TUNER_MUTATORS_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,11 +27,32 @@
 namespace petabricks {
 namespace tuner {
 
-/** A configuration mutation operator. */
+/**
+ * A configuration mutation operator: one of the families above applied
+ * to one selector or tunable, which it addresses by position, so it
+ * applies to every configuration of its schema (or of one with the
+ * same structure).
+ */
 class Mutator
 {
   public:
-    virtual ~Mutator() = default;
+    enum class Kind
+    {
+        SelectorAddLevel,        ///< add a level at a lognormal cutoff
+        SelectorRemoveLevel,     ///< remove a random level
+        SelectorChangeAlgorithm, ///< redraw a random level's algorithm
+        SelectorScaleCutoff,     ///< scale a random cutoff lognormally
+        TunableLognormal,        ///< scale a size-like tunable lognormally
+        TunableUniform,          ///< resample a tunable uniformly
+    };
+
+    /**
+     * The @p kind mutator of the selector (the Selector kinds) or
+     * tunable (the Tunable kinds) named @p name in @p schema. It refers
+     * to the schema's copy of the name, so it is valid while @p schema
+     * lives.
+     */
+    Mutator(Kind kind, const ConfigSchema &schema, const std::string &name);
 
     /**
      * Mutate @p config in place.
@@ -41,38 +61,24 @@ class Mutator
      * @return false if the mutation was a no-op (e.g. removing a level
      *         from a single-level selector).
      */
-    virtual bool apply(Config &config, Rng &rng,
-                       int64_t currentInputSize) const = 0;
+    bool apply(Config &config, Rng &rng, int64_t currentInputSize) const;
 
-    virtual std::string name() const = 0;
+    /** "<family>:<target name>", e.g. "add-level:Sort.algorithm". */
+    std::string name() const;
+
+  private:
+    Kind kind_;
+    size_t index_;              ///< selector or tunable position
+    const std::string *target_; ///< the name, owned by the schema
 };
 
-using MutatorPtr = std::unique_ptr<Mutator>;
-
-/** Add a level to a selector at a lognormal-scaled cutoff. */
-MutatorPtr makeSelectorAddLevel(std::string selectorName);
-
-/** Remove a random level from a selector. */
-MutatorPtr makeSelectorRemoveLevel(std::string selectorName);
-
-/** Re-draw the algorithm of a random level uniformly. */
-MutatorPtr makeSelectorChangeAlgorithm(std::string selectorName);
-
-/** Scale a random cutoff of a selector lognormally. */
-MutatorPtr makeSelectorScaleCutoff(std::string selectorName);
-
-/** Scale a size-like tunable lognormally. */
-MutatorPtr makeTunableLognormal(std::string tunableName);
-
-/** Resample a categorical tunable uniformly from its range. */
-MutatorPtr makeTunableUniform(std::string tunableName);
-
 /**
- * Generate the full mutator set for @p config — the automatic
+ * Generate the full mutator set for @p schema — the automatic
  * per-program generation step: four mutators per selector plus one per
- * tunable (lognormal for size-like, uniform otherwise).
+ * tunable (lognormal for size-like, uniform otherwise). Every schema
+ * does this once, at construction (ConfigSchema::mutators()).
  */
-std::vector<MutatorPtr> generateMutators(const Config &config);
+std::vector<Mutator> generateMutators(const ConfigSchema &schema);
 
 } // namespace tuner
 } // namespace petabricks

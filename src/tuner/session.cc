@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "cache/shared_cache.h"
 #include "support/error.h"
@@ -28,8 +28,8 @@ TuningSession::TuningSession(Evaluator &evaluator, Config seedConfig,
     PB_ASSERT(options_.generationsPerSize >= 1,
               "generations per size must be >= 1");
 
-    mutators_ = generateMutators(seed_);
-    PB_ASSERT(!mutators_.empty(), "config has nothing to tune");
+    PB_ASSERT(!seed_.schema().mutators().empty(),
+              "config has nothing to tune");
 
     // Exponentially growing testing input sizes (Section 5.2).
     sizes_ = PortfolioTuner::sizeLadder(options_.minInputSize,
@@ -108,33 +108,47 @@ TuningSession::measureBatch(const std::vector<Config> &configs,
     }
 
     if (!evalIndex.empty()) {
-        std::vector<Config> pending;
-        pending.reserve(evalIndex.size());
-        for (size_t i : evalIndex)
-            pending.push_back(configs[i]);
-
         // The generation-level batch: one evaluator call for every
-        // config the cache could not answer.
+        // config the cache could not answer. evalIndex ascends, so when
+        // it has no gaps the misses are one run of @p configs and are
+        // handed over as they are; otherwise they are gathered.
+        std::span<const Config> batch(configs);
+        std::vector<Config> pending;
+        if (evalIndex.back() - evalIndex.front() + 1 == evalIndex.size()) {
+            batch = batch.subspan(evalIndex.front(), evalIndex.size());
+        } else {
+            pending.reserve(evalIndex.size());
+            for (size_t i : evalIndex)
+                pending.push_back(configs[i]);
+            batch = pending;
+        }
         std::vector<double> measured =
-            evaluator_.evaluateBatch(pending, size);
-        PB_ASSERT(measured.size() == pending.size(),
+            evaluator_.evaluateBatch(batch, size);
+        PB_ASSERT(measured.size() == batch.size(),
                   "evaluator returned " << measured.size()
                                         << " results for a batch of "
-                                        << pending.size());
+                                        << batch.size());
 
+        std::vector<ocl::ProgramId> programs;
         for (size_t k = 0; k < evalIndex.size(); ++k) {
             size_t i = evalIndex[k];
             // Section 5.4 accounting: each evaluation is a fresh
             // test-process run — live programs are gone, only the IR
             // cache survives. Identical kernel sources within one
-            // configuration are compiled (and priced) once.
+            // configuration are compiled (and priced) once, in the
+            // order the benchmark lists them.
             compileModel_.endRun();
             double compile = 0.0;
-            std::unordered_set<std::string> uniqueSources;
+            programs.clear();
             for (const std::string &src :
-                 evaluator_.kernelSources(configs[i], size))
-                if (uniqueSources.insert(src).second)
-                    compile += compileModel_.compile(src);
+                 evaluator_.kernelSources(configs[i], size)) {
+                ocl::ProgramId id = programId(src);
+                if (std::find(programs.begin(), programs.end(), id) ==
+                    programs.end()) {
+                    programs.push_back(id);
+                    compile += compileModel_.compile(id);
+                }
+            }
             report_.compileSeconds += compile;
 
             double secs = measured[k];
@@ -179,6 +193,14 @@ TuningSession::measureBatch(const std::vector<Config> &configs,
     return seconds;
 }
 
+ocl::ProgramId
+TuningSession::programId(const std::string &source)
+{
+    return programIds_
+        .try_emplace(source, static_cast<ocl::ProgramId>(programIds_.size()))
+        .first->second;
+}
+
 bool
 TuningSession::step()
 {
@@ -203,8 +225,11 @@ TuningSession::step()
     // evaluate every changed child as one batch, then select — the
     // same order of draws and comparisons as the serial loop.
     const size_t parents = population_.size();
+    const std::vector<Mutator> &mutators = seed_.schema().mutators();
     std::vector<Config> children;
     std::vector<size_t> childParent;
+    children.reserve(parents);
+    childParent.reserve(parents);
     for (size_t p = 0; p < parents; ++p) {
         Config child = population_[p].config;
         // Mostly single mutations; occasionally chain several so
@@ -215,9 +240,9 @@ TuningSession::step()
             ++chain;
         bool changed = false;
         for (int m = 0; m < chain; ++m) {
-            const Mutator &mutator = *mutators_[static_cast<size_t>(
+            const Mutator &mutator = mutators[static_cast<size_t>(
                 rng_.uniformInt(0,
-                                static_cast<int64_t>(mutators_.size()) -
+                                static_cast<int64_t>(mutators.size()) -
                                     1))];
             changed |= mutator.apply(child, rng_, size);
         }

@@ -34,6 +34,7 @@
 
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ocl/program_cache.h"
@@ -220,6 +221,9 @@ class TuningSession
     std::vector<double> measureBatch(const std::vector<Config> &configs,
                                      int64_t size);
 
+    /** The dense id of kernel source @p source, interned on first use. */
+    ocl::ProgramId programId(const std::string &source);
+
     void emitProgress();
 
     Evaluator &evaluator_;
@@ -227,9 +231,9 @@ class TuningSession
     TunerOptions options_;
     Rng rng_;
     ocl::ProgramCache compileModel_;
+    std::unordered_map<std::string, ocl::ProgramId> programIds_;
     EvaluationCache cache_;
     TuningResult report_;
-    std::vector<MutatorPtr> mutators_;
     std::vector<int64_t> sizes_;
     std::vector<Member> population_;
     size_t sizeIndex_ = 0;

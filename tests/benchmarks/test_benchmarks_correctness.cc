@@ -66,7 +66,7 @@ TEST(BlackScholesReal, SplitRatioMatchesReference)
     tuner::Config config = bench.seedConfig();
     config.selector("BlackScholes.backend")
         .setAlgorithm(0, backendAlg(compiler::Backend::OpenClGlobal));
-    config.tunable("BlackScholes.ratio").value = 6; // 75% GPU, 25% CPU
+    config.setTunable("BlackScholes.ratio", 6); // 75% GPU, 25% CPU
     exec.execute(bench.transform(), binding, bench.planFor(config, 640));
     exec.syncOutputs(bench.transform(), binding);
     EXPECT_LT(maxAbsDiff(binding.matrix("Price"),
@@ -171,7 +171,7 @@ TEST(SortReal, PolyAlgorithmSorts)
     // middle, 4MS lower, IS at the base.
     SortBenchmark bench;
     tuner::Config config = bench.seedConfig();
-    tuner::Selector &s = config.selector("Sort.algorithm");
+    tuner::SelectorRef s = config.selector("Sort.algorithm");
     s.setAlgorithm(0, kSortInsertion);
     s.insertLevel(64, kSortMerge4);
     s.insertLevel(2048, kSortQuick);
@@ -252,7 +252,7 @@ TEST(StrassenReal, PolyAlgorithmRecursion)
     }
     StrassenBenchmark bench;
     tuner::Config config = bench.seedConfig();
-    tuner::Selector &s = config.selector("Strassen.mm.algorithm");
+    tuner::SelectorRef s = config.selector("Strassen.mm.algorithm");
     s.setAlgorithm(0, kMmLapack);
     s.insertLevel(48, kMmRecursive8);
     s.insertLevel(96, kMmStrassen);
@@ -293,7 +293,7 @@ TEST(SvdReal, ErrorDecreasesWithRank)
     double prev = 2.0;
     for (int k8 : {2, 4, 8}) {
         tuner::Config config = bench.seedConfig();
-        config.tunable("SVD.k8").value = k8;
+        config.setTunable("SVD.k8", k8);
         double err = 0.0;
         bench.approximate(config, a, &err);
         EXPECT_LE(err, prev + 1e-9) << "k8=" << k8;

@@ -50,7 +50,7 @@ TEST(ModelBlackScholes, LaptopPrefersSplit)
     gpuOnly.selector("BlackScholes.backend")
         .setAlgorithm(0, backendAlg(compiler::Backend::OpenClGlobal));
     tuner::Config split = gpuOnly;
-    split.tunable("BlackScholes.ratio").value = 6; // 75/25
+    split.setTunable("BlackScholes.ratio", 6); // 75/25
     double tGpu = bench.evaluate(gpuOnly, n, kLaptop);
     double tSplit = bench.evaluate(split, n, kLaptop);
     EXPECT_LT(tSplit, tGpu); // the split wins on Laptop...
@@ -110,7 +110,7 @@ TEST(ModelSort, CpuPolyAlgorithmBeatsBitonicGpu)
     SortBenchmark bench;
     int64_t n = bench.testingInputSize();
     tuner::Config cpu = bench.seedConfig();
-    tuner::Selector &s = cpu.selector("Sort.algorithm");
+    tuner::SelectorRef s = cpu.selector("Sort.algorithm");
     s.setAlgorithm(0, kSortInsertion);
     s.insertLevel(341, kSortMerge4);
     s.insertLevel(64294, kSortQuick);
@@ -184,7 +184,7 @@ TEST(ModelStrassen, ServerPrefersParallelDecompositionOverLapack)
     lapack.selector("Strassen.mm.algorithm").setAlgorithm(0, kMmLapack);
     // 8-way decomposition down to LAPACK leaves below 512.
     tuner::Config decomp = bench.seedConfig();
-    tuner::Selector &s = decomp.selector("Strassen.mm.algorithm");
+    tuner::SelectorRef s = decomp.selector("Strassen.mm.algorithm");
     s.setAlgorithm(0, kMmLapack);
     s.insertLevel(512, kMmRecursive8);
     EXPECT_LT(bench.evaluate(decomp, n, kServer),
@@ -254,7 +254,7 @@ TEST(ModelSvd, AccuracyTargetGatesConfigs)
 {
     SvdBenchmark bench(0.30);
     tuner::Config tooCoarse = bench.seedConfig();
-    tooCoarse.tunable("SVD.k8").value = 1;
+    tooCoarse.setTunable("SVD.k8", 1);
     EXPECT_TRUE(std::isinf(
         bench.evaluate(tooCoarse, 256, kDesktop)));
     tuner::Config fine = bench.seedConfig();

@@ -58,8 +58,8 @@ mutatedPopulation(const apps::Benchmark &benchmark, int64_t n,
                   int count, uint64_t seed)
 {
     tuner::Config base = benchmark.seedConfig();
-    std::vector<tuner::MutatorPtr> mutators =
-        tuner::generateMutators(base);
+    const std::vector<tuner::Mutator> &mutators =
+        base.schema().mutators();
     Rng rng(seed);
     std::vector<tuner::Config> configs{base};
     while (configs.size() < static_cast<size_t>(count)) {
@@ -68,7 +68,7 @@ mutatedPopulation(const apps::Benchmark &benchmark, int64_t n,
         for (int64_t e = 0; e < edits; ++e) {
             size_t m = static_cast<size_t>(rng.uniformInt(
                 0, static_cast<int64_t>(mutators.size()) - 1));
-            mutators[m]->apply(config, rng, n);
+            mutators[m].apply(config, rng, n);
         }
         configs.push_back(std::move(config));
     }

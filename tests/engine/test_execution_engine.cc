@@ -49,7 +49,7 @@ TEST(RuntimeEngine, TunedConfigsStayCorrect)
 
     apps::SortBenchmark sort;
     tuner::Config poly = sort.seedConfig();
-    tuner::Selector &s = poly.selector("Sort.algorithm");
+    tuner::SelectorRef s = poly.selector("Sort.algorithm");
     s.setAlgorithm(0, apps::kSortInsertion);
     s.insertLevel(64, apps::kSortMerge4);
     s.insertLevel(1024, apps::kSortQuick);
@@ -170,7 +170,7 @@ TEST(RuntimeEngine, MeasurePricesInaccurateResultsAsInfeasible)
     apps::SvdBenchmark svd;
     RuntimeEngine engine;
     tuner::Config lowRank = svd.seedConfig();
-    lowRank.tunable("SVD.k8").value = 1;
+    lowRank.setTunable("SVD.k8", 1);
     EXPECT_GT(engine.run(svd, lowRank, 32).maxError,
               svd.realModeTolerance());
     EXPECT_TRUE(std::isinf(engine.measure(svd, lowRank, 32)));

@@ -36,9 +36,9 @@ class SyntheticBenchmark : public apps::Benchmark
     tuner::Config
     seedConfig() const override
     {
-        tuner::Config config;
-        config.addTunable({"lws", 1, 1024, 1, false});
-        return config;
+        tuner::ConfigSchema::Builder schema;
+        schema.addTunable({"lws", 1, 1024, 1, false});
+        return tuner::Config(schema.build());
     }
 
     double
@@ -69,7 +69,7 @@ syntheticBatch(const SyntheticBenchmark &bench,
     std::vector<tuner::Config> configs;
     for (int64_t lws : values) {
         tuner::Config config = bench.seedConfig();
-        config.tunable("lws").value = lws;
+        config.setTunable("lws", lws);
         configs.push_back(config);
     }
     return configs;
@@ -426,7 +426,7 @@ TEST(FaultInjection, FailedEvaluationsAreNeverCachedAsRealCosts)
     // have answered from the cache instead.
     SyntheticBenchmark bench;
     tuner::Config seed = bench.seedConfig();
-    seed.tunable("lws").value = 7;
+    seed.setTunable("lws", 7);
 
     AlwaysFailingEvaluator evaluator(7);
     tuner::TunerOptions options;

@@ -46,7 +46,7 @@ makeRecord(int64_t n, double seconds, int64_t splitValue = 16)
     record.seconds = seconds;
     record.config =
         apps::findBenchmark("Black-Scholes")->seedConfig();
-    record.config.tunable("BlackScholes.split").value = splitValue;
+    record.config.setTunable("BlackScholes.split", splitValue);
     return record;
 }
 

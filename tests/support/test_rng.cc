@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -90,6 +91,28 @@ TEST(Rng, LognormalSpreadMatchesSigma)
     }
     double frac = static_cast<double>(within) / total;
     EXPECT_NEAR(frac, 0.68, 0.06);
+}
+
+TEST(Rng, LognormalScaleSaturatesAtInt64Max)
+{
+    // A product of 2^63 or more has no int64 value: it saturates, and
+    // every draw below 2^63 converts exactly as before.
+    Rng rng(11);
+    std::mt19937_64 engine(11);
+    const int64_t base = 9000000000000000000;
+    int saturated = 0;
+    for (int i = 0; i < 400; ++i) {
+        std::lognormal_distribution<double> scale(0.0, 0.6931471805599453);
+        double product = static_cast<double>(base) * scale(engine);
+        int64_t expect = product >= 0x1p63
+                             ? std::numeric_limits<int64_t>::max()
+                             : static_cast<int64_t>(product);
+        saturated += product >= 0x1p63;
+        EXPECT_EQ(rng.lognormalScale(base), expect);
+    }
+    EXPECT_GT(saturated, 100);
+    EXPECT_GT(400 - saturated, 100);
+    EXPECT_GE(rng.lognormalScale(std::numeric_limits<int64_t>::max()), 1);
 }
 
 /** One draw of each kind Rng offers, chosen by @p kind. */

@@ -52,9 +52,9 @@ fastOptions()
 Config
 bowlSeed()
 {
-    Config seed;
-    seed.addTunable({"lws", 1, 1024, 2, false});
-    return seed;
+    ConfigSchema::Builder schema;
+    schema.addTunable({"lws", 1, 1024, 2, false});
+    return Config(schema.build());
 }
 
 std::string
@@ -196,8 +196,9 @@ TEST_F(CheckpointErrors, MismatchedSeedFingerprintIsRejected)
 {
     // Same file, but the loading session tunes a different config
     // schema — the seed fingerprint must catch it.
-    Config otherSeed;
-    otherSeed.addTunable({"blockSize", 1, 64, 2, false});
+    ConfigSchema::Builder otherSchema;
+    otherSchema.addTunable({"blockSize", 1, 64, 2, false});
+    Config otherSeed(otherSchema.build());
     BowlEvaluator eval;
     TuningSession session(eval, otherSeed, fastOptions());
     EXPECT_THROW(session.load(path_), FatalError);

@@ -13,28 +13,34 @@ namespace petabricks {
 namespace tuner {
 namespace {
 
-/** A config with the shape the benchmarks use. */
+/** A schema with the shape the benchmarks use. */
+ConfigSchema::Builder
+benchmarkShape()
+{
+    ConfigSchema::Builder schema;
+    schema.addSelector("Sort.algorithm", 7, 0);
+    schema.addSelector("Conv.backend", 3, 0);
+    schema.addTunable({"Sort.taskCutoff", 16, 1 << 22, 512, true});
+    schema.addTunable({"Conv.lws", 1, 1024, 64, false});
+    return schema;
+}
+
 Config
 schemaConfig()
 {
-    Config config;
-    config.addSelector(Selector("Sort.algorithm", 7, 0));
-    config.addSelector(Selector("Conv.backend", 3, 0));
-    config.addTunable({"Sort.taskCutoff", 16, 1 << 22, 512, true});
-    config.addTunable({"Conv.lws", 1, 1024, 64, false});
-    return config;
+    return Config(benchmarkShape().build());
 }
 
 TEST(ConfigSerialization, RoundTripPreservesEverything)
 {
     Config tuned = schemaConfig();
-    Selector &s = tuned.selector("Sort.algorithm");
+    SelectorRef s = tuned.selector("Sort.algorithm");
     s.insertLevel(341, 5);
     s.insertLevel(64294, 2);
     s.insertLevel(174762, 4);
     tuned.selector("Conv.backend").setAlgorithm(0, 2);
-    tuned.tunable("Sort.taskCutoff").value = 4096;
-    tuned.tunable("Conv.lws").value = 256;
+    tuned.setTunable("Sort.taskCutoff", 4096);
+    tuned.setTunable("Conv.lws", 256);
 
     // A fresh structurally identical config provides the schema.
     Config loaded = schemaConfig();
@@ -52,7 +58,7 @@ TEST(ConfigSerialization, RoundTripThroughTextFormat)
 {
     Config tuned = schemaConfig();
     tuned.selector("Sort.algorithm").insertLevel(1000, 3);
-    tuned.tunable("Conv.lws").value = 128;
+    tuned.setTunable("Conv.lws", 128);
 
     std::string text = tuned.toKv().toString();
     Config loaded = schemaConfig();
@@ -62,7 +68,7 @@ TEST(ConfigSerialization, RoundTripThroughTextFormat)
 
 TEST(ConfigSerialization, TunableClampRespectsBounds)
 {
-    Tunable t{"t", 16, 1024, 64, true};
+    TunableSpec t{"t", 16, 1024, 64, true};
     EXPECT_EQ(t.clamp(5), 16);
     EXPECT_EQ(t.clamp(16), 16);
     EXPECT_EQ(t.clamp(500), 500);
@@ -74,8 +80,9 @@ TEST(ConfigSerialization, MissingKeyIsASchemaError)
     Config tuned = schemaConfig();
     KvFile kv = tuned.toKv();
 
-    Config extra = schemaConfig();
-    extra.addTunable({"New.knob", 1, 8, 4, false});
+    ConfigSchema::Builder extraSchema = benchmarkShape();
+    extraSchema.addTunable({"New.knob", 1, 8, 4, false});
+    Config extra(extraSchema.build());
     EXPECT_THROW(extra.loadValues(kv), FatalError);
 }
 

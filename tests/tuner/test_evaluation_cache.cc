@@ -11,11 +11,10 @@ namespace {
 Config
 makeConfig(int64_t lws, int algorithm = 0)
 {
-    Config config;
-    config.addTunable({"lws", 1, 1024, lws, false});
-    Selector selector("algo", 3, algorithm);
-    config.addSelector(selector);
-    return config;
+    ConfigSchema::Builder schema;
+    schema.addTunable({"lws", 1, 1024, lws, false});
+    schema.addSelector("algo", 3, algorithm);
+    return Config(schema.build());
 }
 
 TEST(EvaluationCache, FingerprintIsStableAndValueSensitive)

@@ -81,10 +81,18 @@ fastOptions()
     return opts;
 }
 
+/** A seed with one tunable, "lws" in [1, 1024], at @p start. */
+Config
+lwsSeed(int64_t start)
+{
+    ConfigSchema::Builder schema;
+    schema.addTunable({"lws", 1, 1024, start, false});
+    return Config(schema.build());
+}
+
 TEST(Evolution, FindsTunableOptimum)
 {
-    Config seed;
-    seed.addTunable({"lws", 1, 1024, 2, false});
+    Config seed = lwsSeed(2);
     BowlEvaluator eval;
     TuningResult result = TuningSession(eval, seed, fastOptions()).run();
     int64_t lws = result.best.tunableValue("lws");
@@ -95,13 +103,14 @@ TEST(Evolution, FindsTunableOptimum)
 
 TEST(Evolution, BuildsPolyAlgorithmSelector)
 {
-    Config seed;
-    seed.addSelector(Selector("algo", 2, 0));
+    ConfigSchema::Builder schema;
+    schema.addSelector("algo", 2, 0);
+    Config seed(schema.build());
     CrossoverEvaluator eval;
     TunerOptions opts = fastOptions();
     opts.generationsPerSize = 10;
     TuningResult result = TuningSession(eval, seed, opts).run();
-    const Selector &s = result.best.selector("algo");
+    const SelectorView s = result.best.selector("algo");
     // Small inputs use algorithm 0, large inputs algorithm 1.
     EXPECT_EQ(s.select(64), 0);
     EXPECT_EQ(s.select(1 << 16), 1);
@@ -109,8 +118,7 @@ TEST(Evolution, BuildsPolyAlgorithmSelector)
 
 TEST(Evolution, ChildrenOnlyAcceptedWhenBetter)
 {
-    Config seed;
-    seed.addTunable({"lws", 1, 1024, 128, false});
+    Config seed = lwsSeed(128);
     BowlEvaluator eval;
     TuningResult result = TuningSession(eval, seed, fastOptions()).run();
     // Seeded at the optimum: every mutation is a regression.
@@ -121,8 +129,7 @@ TEST(Evolution, ChildrenOnlyAcceptedWhenBetter)
 
 TEST(Evolution, DeterministicForSameSeed)
 {
-    Config seed;
-    seed.addTunable({"lws", 1, 1024, 2, false});
+    Config seed = lwsSeed(2);
     BowlEvaluator e1, e2;
     TuningResult r1 = TuningSession(e1, seed, fastOptions()).run();
     TuningResult r2 = TuningSession(e2, seed, fastOptions()).run();
@@ -132,8 +139,7 @@ TEST(Evolution, DeterministicForSameSeed)
 
 TEST(Evolution, TuningTimeIncludesCompileModel)
 {
-    Config seed;
-    seed.addTunable({"lws", 1, 1024, 2, false});
+    Config seed = lwsSeed(2);
     KernelCountingEvaluator eval;
     TunerOptions opts = fastOptions();
     opts.kernelCompileSeconds = 2.0;
@@ -163,8 +169,7 @@ TEST(Evolution, InvalidConfigsNeverWin)
             return 1.0 / static_cast<double>(lws);
         }
     };
-    Config seed;
-    seed.addTunable({"lws", 1, 1024, 2, false});
+    Config seed = lwsSeed(2);
     Gated eval;
     TuningResult result = TuningSession(eval, seed, fastOptions()).run();
     EXPECT_LE(result.best.tunableValue("lws"), 256);
@@ -173,8 +178,7 @@ TEST(Evolution, InvalidConfigsNeverWin)
 
 TEST(Evolution, ReportCountsEvaluations)
 {
-    Config seed;
-    seed.addTunable({"lws", 1, 1024, 2, false});
+    Config seed = lwsSeed(2);
     BowlEvaluator eval;
     TuningResult result = TuningSession(eval, seed, fastOptions()).run();
     EXPECT_GT(result.evaluations, 10);

@@ -94,9 +94,9 @@ fastOptions(bool cached = true)
 Config
 bowlSeed()
 {
-    Config seed;
-    seed.addTunable({"lws", 1, 1024, 2, false});
-    return seed;
+    ConfigSchema::Builder schema;
+    schema.addTunable({"lws", 1, 1024, 2, false});
+    return Config(schema.build());
 }
 
 std::string
@@ -187,8 +187,9 @@ TEST(TuningSession, BatchSerialAndCachedPathsAgreeOnChampion)
 TEST(TuningSession, CacheSkipsDuplicateEvaluations)
 {
     // A 2-algorithm selector search revisits configurations often.
-    Config seed;
-    seed.addSelector(Selector("algo", 2, 0));
+    ConfigSchema::Builder schema;
+    schema.addSelector("algo", 2, 0);
+    Config seed(schema.build());
 
     CrossoverEvaluator uncachedEval;
     TuningSession uncached(uncachedEval, seed, fastOptions(false));
@@ -280,8 +281,10 @@ TEST(TuningSession, LargePopulationCheckpointRoundTripsExactly)
     // checkpoint byte for byte.
     TunerOptions options = fastOptions();
     options.populationSize = 256;
-    Config seed = bowlSeed();
-    seed.addSelector(Selector("algo", 3));
+    ConfigSchema::Builder schema;
+    schema.addTunable({"lws", 1, 1024, 2, false});
+    schema.addSelector("algo", 3);
+    Config seed(schema.build());
     BowlEvaluator eval;
     TuningSession session(eval, seed, options);
     session.run(2);
@@ -290,7 +293,7 @@ TEST(TuningSession, LargePopulationCheckpointRoundTripsExactly)
     checkpoint.setInt("session.population", 256);
     for (int i = 0; i < 256; ++i) {
         Config member = seed;
-        member.tunable("lws").value = 1 + (i * 37) % 1024;
+        member.setTunable("lws", 1 + (i * 37) % 1024);
         member.selector("algo").insertLevel(16 * (i + 1), i % 3);
         if (i % 5 == 0)
             member.selector("algo").insertLevel(8000 + i, (i + 1) % 3);
@@ -318,8 +321,9 @@ TEST(TuningSession, LoadRejectsCheckpointForDifferentSeedConfig)
     session.run(2);
     session.save(path);
 
-    Config otherSeed;
-    otherSeed.addTunable({"lws", 1, 1024, 4, false}); // different value
+    ConfigSchema::Builder otherSchema;
+    otherSchema.addTunable({"lws", 1, 1024, 4, false}); // different value
+    Config otherSeed(otherSchema.build());
     BowlEvaluator otherEval;
     TuningSession other(otherEval, otherSeed, fastOptions());
     EXPECT_THROW(other.load(path), FatalError);
