@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cctype>
+#include <cstdio>
 #include <filesystem>
 #include <limits>
 
@@ -33,10 +34,11 @@ slugify(const std::string &name)
     return slug;
 }
 
-KvFile
-recordToKv(const ChampionRecord &record)
+/** The sealed champion file. */
+std::string
+recordText(const ChampionRecord &record)
 {
-    KvFile kv;
+    KvWriter kv;
     kv.set("champion.benchmark", record.benchmark);
     kv.set("champion.machine", record.machineName);
     kv.setHex("champion.machineFingerprint", record.machineFingerprint);
@@ -47,8 +49,7 @@ recordToKv(const ChampionRecord &record)
     kv.setHex("champion.secondsBits", std::bit_cast<uint64_t>(record.seconds));
     kv.setHex("champion.configFingerprint", record.configFingerprint);
     record.config.saveValues(kv, "config.");
-    kv.seal("portfolio", 1);
-    return kv;
+    return kv.seal("portfolio", 1);
 }
 
 ChampionRecord
@@ -105,13 +106,16 @@ ChampionPortfolio::put(ChampionRecord record)
     record.configFingerprint = record.config.valueFingerprint();
     std::lock_guard<std::mutex> lock(mutex_);
     if (!dir_.empty()) {
-        const KvFile kv = recordToKv(record);
+        char fingerprint[17];
+        std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
+                      static_cast<unsigned long long>(
+                          record.machineFingerprint));
         const std::string path =
             dir_ + "/champ-" + slugify(record.benchmark) + "-" +
-            kv.get("champion.machineFingerprint") + "-" +
-            std::to_string(record.inputSize) + ".kv";
+            fingerprint + "-" + std::to_string(record.inputSize) + ".kv";
         try {
-            kv.saveAtomic(path, "portfolio.champ");
+            KvFile::saveTextAtomic(path, recordText(record),
+                                   "portfolio.champ");
         } catch (const IoError &e) {
             // Keep the in-memory champion serving dispatches; the
             // previous on-disk champion (if any) is still intact, so a

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <sstream>
 #include <thread>
+#include <utility>
 
+#include "service/http.h"
 #include "support/error.h"
 
 namespace petabricks {
@@ -52,13 +53,13 @@ Client::command(const std::string &method, const std::string &target,
     while ((headerEnd = inbox_.find("\r\n\r\n")) == std::string::npos)
         readMore();
 
-    std::string statusLine = inbox_.substr(0, inbox_.find("\r\n"));
-    std::istringstream status(statusLine);
-    std::string version;
-    int code = 0;
-    if (!(status >> version >> code) || version.rfind("HTTP/1.", 0) != 0)
+    const std::string_view statusLine =
+        std::string_view(inbox_).substr(0, inbox_.find("\r\n"));
+    const std::optional<int> status = parseStatusLine(statusLine);
+    if (!status)
         PB_FATAL("malformed response from daemon: '" << statusLine
                                                      << "'");
+    const int code = *status;
 
     size_t bodySize = 0;
     {
@@ -70,13 +71,20 @@ Client::command(const std::string &method, const std::string &target,
         bodySize = static_cast<size_t>(
             std::strtoull(inbox_.c_str() + pos + 15, nullptr, 10));
     }
-    while (inbox_.size() < headerEnd + 4 + bodySize)
+    const size_t replySize = headerEnd + 4 + bodySize;
+    while (inbox_.size() < replySize)
         readMore();
-    std::string headerBlock = inbox_.substr(0, headerEnd);
-    std::string responseBody = inbox_.substr(headerEnd + 4, bodySize);
-    inbox_.erase(0, headerEnd + 4 + bodySize);
-
+    // Out of the inbox before it is parsed: whatever happens below, the
+    // next command reads only its own reply.
+    const std::string reply = std::exchange(inbox_, inbox_.substr(replySize));
+    const std::string_view responseBody =
+        std::string_view(reply).substr(headerEnd + 4, bodySize);
     KvFile kv = KvFile::fromString(responseBody);
+    if (code < 400)
+        return kv;
+
+    const std::string message =
+        kv.has("error") ? kv.get("error") : std::string(responseBody);
     if (code == 503) {
         // Backpressure or drain: the daemon asked us to come back, so
         // callers with a retry loop must be able to tell this apart
@@ -84,20 +92,13 @@ Client::command(const std::string &method, const std::string &target,
         // daemon always spells the header exactly "Retry-After", like
         // "Content-Length" above).
         lastRetryAfterSeconds_ = -1;
-        if (size_t pos = headerBlock.find("Retry-After:");
-            pos != std::string::npos)
+        if (size_t pos = reply.find("Retry-After:"); pos < headerEnd)
             lastRetryAfterSeconds_ = static_cast<int>(
-                std::strtol(headerBlock.c_str() + pos + 12, nullptr, 10));
+                std::strtol(reply.c_str() + pos + 12, nullptr, 10));
         lastTransientWas503_ = true;
-        PB_TRANSIENT("daemon busy (503): "
-                     << (kv.has("error") ? kv.get("error")
-                                         : responseBody));
+        PB_TRANSIENT("daemon busy (503): " << message);
     }
-    if (code >= 400)
-        PB_FATAL("daemon error " << code << ": "
-                                 << (kv.has("error") ? kv.get("error")
-                                                     : responseBody));
-    return kv;
+    PB_FATAL("daemon error " << code << ": " << message);
 }
 
 KvFile

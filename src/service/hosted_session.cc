@@ -204,7 +204,7 @@ HostedSession::championKv() const
 void
 HostedSession::save(const std::string &path) const
 {
-    session_.checkpointKv().saveAtomic(path, "spool.ckpt");
+    KvFile::saveTextAtomic(path, session_.checkpointText(), "spool.ckpt");
 }
 
 void

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
-#include <sstream>
 
 #include "support/error.h"
 
@@ -29,14 +29,45 @@ toUpper(std::string text)
     return text;
 }
 
-std::string
-trim(const std::string &text)
+std::string_view
+trim(std::string_view text)
 {
     size_t begin = text.find_first_not_of(" \t\r");
-    if (begin == std::string::npos)
-        return std::string();
+    if (begin == std::string_view::npos)
+        return {};
     size_t end = text.find_last_not_of(" \t\r");
     return text.substr(begin, end - begin + 1);
+}
+
+/** Whitespace as `>>` skips it in the "C" locale. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+           c == '\r';
+}
+
+void
+skipSpace(std::string_view &rest)
+{
+    size_t at = 0;
+    while (at < rest.size() && isSpace(rest[at]))
+        ++at;
+    rest.remove_prefix(at);
+}
+
+/** Consume the next whitespace-separated token of @p rest: what `>>`
+ * extracts into a std::string (empty when none is left). */
+std::string_view
+nextToken(std::string_view &rest)
+{
+    skipSpace(rest);
+    size_t end = 0;
+    while (end < rest.size() && !isSpace(rest[end]))
+        ++end;
+    std::string_view token = rest.substr(0, end);
+    rest.remove_prefix(end);
+    return token;
 }
 
 const char *
@@ -135,6 +166,25 @@ HttpResponse::error(int status, std::string message)
     return response;
 }
 
+std::optional<int>
+parseStatusLine(std::string_view line)
+{
+    if (!nextToken(line).starts_with("HTTP/1."))
+        return std::nullopt;
+    // What `>>` reads into an int: an optional sign, then decimal digits
+    // up to the first other character; none, or too many, is a failure.
+    skipSpace(line);
+    if (line.size() > 1 && line[0] == '+' &&
+        std::isdigit(static_cast<unsigned char>(line[1])))
+        line.remove_prefix(1);
+    int code = 0;
+    auto [end, error] =
+        std::from_chars(line.data(), line.data() + line.size(), code);
+    if (error != std::errc())
+        return std::nullopt;
+    return code;
+}
+
 std::string
 urlDecode(const std::string &text)
 {
@@ -214,17 +264,20 @@ HttpParser::next()
     }
 
     HttpRequest request;
-    // ---- Request line -------------------------------------------------
-    size_t lineEnd = buffer_.find("\r\n");
-    std::string line = buffer_.substr(0, lineEnd);
-    std::istringstream requestLine(line);
-    std::string version;
-    if (!(requestLine >> request.method >> request.target >> version) ||
-        version.rfind("HTTP/1.", 0) != 0) {
-        fail("malformed request line: '" + line + "'");
+    // ---- Request line: method, target and version, split as `>>` splits
+    // them, extra tokens ignored ------------------------------------------
+    const std::string_view wire = buffer_;
+    size_t lineEnd = wire.find("\r\n");
+    const std::string_view line = wire.substr(0, lineEnd);
+    std::string_view rest = line;
+    const std::string_view method = nextToken(rest);
+    const std::string_view target = nextToken(rest);
+    if (!nextToken(rest).starts_with("HTTP/1.")) {
+        fail("malformed request line: '" + std::string(line) + "'");
         return std::nullopt;
     }
-    request.method = toUpper(request.method);
+    request.method = toUpper(std::string(method));
+    request.target = target;
 
     size_t qmark = request.target.find('?');
     if (qmark == std::string::npos) {
@@ -237,15 +290,15 @@ HttpParser::next()
     // ---- Headers ------------------------------------------------------
     size_t pos = lineEnd + 2;
     while (pos < headerEnd) {
-        size_t end = buffer_.find("\r\n", pos);
-        std::string header = buffer_.substr(pos, end - pos);
+        size_t end = wire.find("\r\n", pos);
+        std::string_view header = wire.substr(pos, end - pos);
         pos = end + 2;
         size_t colon = header.find(':');
-        if (colon == std::string::npos) {
-            fail("malformed header: '" + header + "'");
+        if (colon == std::string_view::npos) {
+            fail("malformed header: '" + std::string(header) + "'");
             return std::nullopt;
         }
-        request.headers[toLower(trim(header.substr(0, colon)))] =
+        request.headers[toLower(std::string(trim(header.substr(0, colon))))] =
             trim(header.substr(colon + 1));
     }
 

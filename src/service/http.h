@@ -24,6 +24,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace petabricks {
 namespace service {
@@ -67,6 +68,12 @@ struct HttpResponse
     static HttpResponse error(int status, std::string message);
 };
 
+/**
+ * The status code of an HTTP/1.x status line ("HTTP/1.1 200 OK"), read
+ * as `>>` reads a version token and an int; nullopt when malformed.
+ */
+std::optional<int> parseStatusLine(std::string_view line);
+
 /** @p value of request option @p key as an int: fatal error (a 400)
  * where a cast would truncate it. */
 int intOption(const std::string &key, int64_t value);
@@ -94,6 +101,10 @@ class HttpParser
 
     /** Pop the next complete request, if one is buffered. */
     std::optional<HttpRequest> next();
+
+    /** True while bytes wait that next() has not consumed (a partial
+     * request, or requests not popped yet). */
+    bool pending() const { return !buffer_.empty(); }
 
     /** True once the stream is unparseable (protocol error / too big). */
     bool failed() const { return failed_; }

@@ -27,11 +27,13 @@ microsSince(Clock::time_point start)
         .count();
 }
 
-/** Render a status snapshot as the `status` endpoint's body. */
-KvFile
-introspectionToKv(const tuner::SessionIntrospection &view)
+/** Write a status snapshot of session @p id: the body `/status` and
+ * `/resume` reply with, and the start of `/step`'s. */
+void
+writeIntrospection(KvWriter &kv, const tuner::SessionIntrospection &view,
+                   const std::string &id)
 {
-    KvFile kv;
+    kv.set("session", id);
     kv.setInt("status.done", view.done ? 1 : 0);
     kv.setInt("status.completedSteps", view.completedSteps);
     kv.setInt("status.totalSteps", view.totalSteps);
@@ -58,7 +60,6 @@ introspectionToKv(const tuner::SessionIntrospection &view)
     kv.setInt("cache.sharedHits", view.sharedHits);
     kv.setInt("cache.sharedMisses", view.sharedMisses);
     kv.setInt("cache.sharedPublishes", view.sharedPublishes);
-    return kv;
 }
 
 const std::string &
@@ -109,7 +110,7 @@ commandName(const std::string &path)
 /** Render one stored champion under @p prefix (fingerprints as hex,
  * cost both human-readable and bit-exact, config values inline). */
 void
-championToKv(KvFile &kv, const std::string &prefix,
+writeChampion(KvWriter &kv, const std::string &prefix,
              const portfolio::ChampionRecord &record)
 {
     kv.set(prefix + "benchmark", record.benchmark);
@@ -204,6 +205,7 @@ TuningServer::stop()
     if (pumpThread_.joinable())
         pumpThread_.join();
     pool_.reset();
+    workQueue_.clear(); // abandoned commands release their connections
     connections_.clear();
     listener_.reset();
 }
@@ -270,24 +272,71 @@ TuningServer::workerLoop()
         } else {
             response = timedDispatch(item.request);
         }
-        if (item.connId != 0) {
-            std::lock_guard<std::mutex> lock(doneMutex_);
-            doneQueue_.push_back({item.connId, response.serialize()});
-        }
+        // Before busyWorkers_ drops: a drain that saw this command
+        // in flight lets its reply reach the socket first.
+        if (item.connection)
+            reply(*item.connection, response.serialize());
         {
             std::lock_guard<std::mutex> lock(workMutex_);
             --busyWorkers_;
         }
         drainCv_.notify_all();
-        wakeup_.notify();
     }
 }
 
 void
-TuningServer::pumpRequests(uint64_t connId, Connection &connection)
+TuningServer::reply(Connection &connection, std::string wire)
 {
-    while (!connection.awaitingWorker) {
-        std::optional<HttpRequest> request = connection.parser.next();
+    bool handBack;
+    {
+        std::lock_guard<std::mutex> lock(connection.mutex);
+        connection.awaitingWorker = false;
+        // Straight to the socket, unless earlier replies still wait in
+        // the outbox: then this one queues behind them.
+        if (connection.outbox.empty()) {
+            try {
+                ptrdiff_t n = connection.stream.write(wire.data(), wire.size());
+                if (n > 0)
+                    wire.erase(0, static_cast<size_t>(n));
+            } catch (const FatalError &) {
+                // The peer is gone; the I/O thread drops the connection.
+                wire.clear();
+                connection.closeAfterWrite = true;
+                connection.handBack = true;
+            }
+        }
+        connection.outbox += wire;
+        handBack = connection.handBack || !connection.outbox.empty();
+        connection.handBack = false;
+    }
+    if (!handBack)
+        return;
+    {
+        std::lock_guard<std::mutex> lock(doneMutex_);
+        doneQueue_.push_back(connection.id);
+    }
+    wakeup_.notify();
+}
+
+void
+TuningServer::pumpRequests(const ConnectionPtr &connection)
+{
+    for (;;) {
+        {
+            std::lock_guard<std::mutex> lock(connection->mutex);
+            if (connection->closeAfterWrite)
+                return;
+            if (connection->awaitingWorker) {
+                // The worker's reply leaves first; what waits here is
+                // pumped when the worker hands the connection back.
+                connection->handBack = connection->handBack ||
+                                       connection->peerClosed ||
+                                       connection->parser.pending() ||
+                                       connection->parser.failed();
+                return;
+            }
+        }
+        std::optional<HttpRequest> request = connection->parser.next();
         if (!request)
             break;
         {
@@ -312,7 +361,10 @@ TuningServer::pumpRequests(uint64_t connId, Connection &connection)
                              ? "draining: not accepting new commands"
                              : "worker queue is full");
                 busy.retryAfterSeconds = draining ? 5 : 1;
-                connection.outbox += busy.serialize();
+                {
+                    std::lock_guard<std::mutex> lock(connection->mutex);
+                    connection->outbox += busy.serialize();
+                }
                 recordCommand(request->path, busy.status, 0.0);
                 continue;
             }
@@ -324,29 +376,57 @@ TuningServer::pumpRequests(uint64_t connId, Connection &connection)
                 accepted.status = 202;
                 accepted.body = "accepted = 1\nsession = " +
                                 request->param("session") + "\n";
-                connection.outbox += accepted.serialize();
+                {
+                    std::lock_guard<std::mutex> lock(connection->mutex);
+                    connection->outbox += accepted.serialize();
+                }
                 std::lock_guard<std::mutex> lock(workMutex_);
-                workQueue_.push_back({0, std::move(*request), Clock::now()});
+                workQueue_.push_back(
+                    {nullptr, std::move(*request), Clock::now()});
                 workCv_.notify_one();
             } else {
                 // Blocking session command: the connection waits for
                 // the worker's response; the I/O loop moves on.
-                connection.awaitingWorker = true;
+                {
+                    std::lock_guard<std::mutex> lock(connection->mutex);
+                    connection->awaitingWorker = true;
+                }
                 std::lock_guard<std::mutex> lock(workMutex_);
                 workQueue_.push_back(
-                    {connId, std::move(*request), Clock::now()});
+                    {connection, std::move(*request), Clock::now()});
                 workCv_.notify_one();
             }
             continue;
         }
-        connection.outbox += timedDispatch(*request).serialize();
+        std::string wire = timedDispatch(*request).serialize();
+        std::lock_guard<std::mutex> lock(connection->mutex);
+        connection->outbox += wire;
     }
-    if (connection.parser.failed()) {
-        connection.outbox +=
-            HttpResponse::error(400, connection.parser.failReason())
+    if (connection->parser.failed()) {
+        std::string wire =
+            HttpResponse::error(400, connection->parser.failReason())
                 .serialize();
-        connection.closeAfterWrite = true;
+        std::lock_guard<std::mutex> lock(connection->mutex);
+        connection->outbox += wire;
+        connection->closeAfterWrite = true;
     }
+}
+
+bool
+TuningServer::serviceConnection(const ConnectionPtr &connection)
+{
+    pumpRequests(connection);
+    std::lock_guard<std::mutex> lock(connection->mutex);
+    if (!connection->outbox.empty()) {
+        ptrdiff_t n = connection->stream.write(connection->outbox.data(),
+                                               connection->outbox.size());
+        if (n > 0)
+            connection->outbox.erase(0, static_cast<size_t>(n));
+    }
+    if (!connection->outbox.empty())
+        return true;
+    return !connection->closeAfterWrite &&
+           !(connection->peerClosed && !connection->awaitingWorker);
 }
 
 HttpResponse
@@ -447,18 +527,18 @@ TuningServer::dispatch(const HttpRequest &request)
         if (steps < 1)
             PB_FATAL("'steps' must be >= 1");
         int advanced = table_.step(id, steps);
-        KvFile kv = introspectionToKv(table_.status(id));
-        kv.set("session", id);
+        KvWriter kv;
+        writeIntrospection(kv, table_.status(id), id);
         kv.setInt("step.requested", steps);
         kv.setInt("step.advanced", advanced);
-        return HttpResponse::ok(kv.toString());
+        return HttpResponse::ok(kv.render());
     }
 
     if (path == "/status") {
         const std::string &id = requiredParam(request, "session");
-        KvFile kv = introspectionToKv(table_.status(id));
-        kv.set("session", id);
-        return HttpResponse::ok(kv.toString());
+        KvWriter kv;
+        writeIntrospection(kv, table_.status(id), id);
+        return HttpResponse::ok(kv.render());
     }
 
     if (path == "/champion") {
@@ -477,9 +557,9 @@ TuningServer::dispatch(const HttpRequest &request)
     if (path == "/resume") {
         const std::string &id = requiredParam(request, "session");
         table_.resume(id);
-        KvFile kv = introspectionToKv(table_.status(id));
-        kv.set("session", id);
-        return HttpResponse::ok(kv.toString());
+        KvWriter kv;
+        writeIntrospection(kv, table_.status(id), id);
+        return HttpResponse::ok(kv.render());
     }
 
     if (path == "/list") {
@@ -513,7 +593,7 @@ TuningServer::dispatch(const HttpRequest &request)
     if (path == "/portfolio") {
         // Stored-champion listing (metadata only, no config values);
         // snapshotting the map is cheap enough for the I/O thread.
-        KvFile kv;
+        KvWriter kv;
         std::vector<portfolio::ChampionRecord> records =
             portfolio_->all();
         portfolio::PortfolioStats stats = portfolio_->stats();
@@ -523,9 +603,9 @@ TuningServer::dispatch(const HttpRequest &request)
         kv.setInt("portfolio.quarantined", stats.quarantined);
         kv.setInt("portfolio.stored", stats.stored);
         for (size_t i = 0; i < records.size(); ++i)
-            championToKv(kv, "champion." + std::to_string(i) + ".",
+            writeChampion(kv, "champion." + std::to_string(i) + ".",
                          records[i]);
-        return HttpResponse::ok(kv.toString());
+        return HttpResponse::ok(kv.render());
     }
 
     if (path == "/portfolio/champion") {
@@ -547,15 +627,15 @@ TuningServer::dispatch(const HttpRequest &request)
         portfolio::DispatchDecision decision =
             dispatcher.dispatch(*benchmark, n, machine, options);
 
-        KvFile kv;
-        championToKv(kv, "champion.", decision.champion);
+        KvWriter kv;
+        writeChampion(kv, "champion.", decision.champion);
         kv.set("dispatch.policy", decision.policy);
         kv.setInt("dispatch.requestedSize", n);
         kv.setDouble("dispatch.pricedSeconds", decision.pricedSeconds);
         kv.setHex("dispatch.pricedSecondsBits",
                   std::bit_cast<uint64_t>(decision.pricedSeconds));
         decision.champion.config.saveValues(kv, "config.");
-        return HttpResponse::ok(kv.toString());
+        return HttpResponse::ok(kv.render());
     }
 
     if (path == "/portfolio/tune") {
@@ -723,19 +803,26 @@ TuningServer::ioLoop()
     Clock::time_point nextSweep =
         Clock::now() + std::chrono::seconds(options_.sweepIntervalSeconds);
 
+    std::vector<pollfd> fds;
+    std::vector<uint64_t> fdConn; // index-aligned; 0 = not a conn
     while (!stopping_.load()) {
         // ---- Build the poll set ---------------------------------------
-        std::vector<pollfd> fds;
-        std::vector<uint64_t> fdConn; // index-aligned; 0 = not a conn
+        fds.clear();
+        fdConn.clear();
         fds.push_back({listener_->fd(), POLLIN, 0});
         fdConn.push_back(0);
         fds.push_back({wakeup_.readFd(), POLLIN, 0});
         fdConn.push_back(0);
         for (auto &[id, connection] : connections_) {
-            short events = POLLIN;
-            if (!connection.outbox.empty())
-                events |= POLLOUT;
-            fds.push_back({connection.stream.fd(), events, 0});
+            // A closed peer stays readable: polling it for input would
+            // spin until its worker hands it back.
+            short events = connection->peerClosed ? 0 : POLLIN;
+            {
+                std::lock_guard<std::mutex> lock(connection->mutex);
+                if (!connection->outbox.empty())
+                    events |= POLLOUT;
+            }
+            fds.push_back({connection->stream.fd(), events, 0});
             fdConn.push_back(id);
         }
 
@@ -743,94 +830,86 @@ TuningServer::ioLoop()
         if (stopping_.load())
             break;
 
-        // ---- Worker completions (the sel_thread bridge) ---------------
-        wakeup_.drain();
-        {
-            std::deque<WorkDone> finished;
+        std::vector<uint64_t> dead;
+        auto service = [&](const ConnectionPtr &connection) {
+            try {
+                if (!serviceConnection(connection))
+                    dead.push_back(connection->id);
+            } catch (const FatalError &) {
+                // Hard socket error on one connection: drop it, never
+                // the daemon.
+                dead.push_back(connection->id);
+            }
+        };
+
+        // ---- Connections workers handed back (the sel_thread bridge) ---
+        if (fds[1].revents & POLLIN) {
+            // Drain before taking the queue: a hand-back posted after
+            // the swap leaves its wake-up byte for the next round.
+            wakeup_.drain();
+            std::deque<uint64_t> handedBack;
             {
                 std::lock_guard<std::mutex> lock(doneMutex_);
-                finished.swap(doneQueue_);
+                handedBack.swap(doneQueue_);
             }
-            for (WorkDone &done : finished) {
-                auto it = connections_.find(done.connId);
-                if (it == connections_.end())
-                    continue; // client vanished mid-step: drop it
-                it->second.outbox += done.wire;
-                it->second.awaitingWorker = false;
-                // Pipelined requests buffered while the step ran.
-                pumpRequests(done.connId, it->second);
+            for (uint64_t id : handedBack) {
+                auto it = connections_.find(id);
+                if (it != connections_.end()) // else: gone mid-command
+                    service(it->second);
             }
         }
 
         // ---- Socket events --------------------------------------------
-        std::vector<uint64_t> dead;
-        for (size_t i = 0; i < fds.size(); ++i) {
+        for (size_t i = 2; i < fds.size(); ++i) {
             if (fds[i].revents == 0)
                 continue;
-            if (fds[i].fd == listener_->fd()) {
-                for (;;) {
-                    net::TcpStream stream = listener_->accept();
-                    if (!stream.valid())
-                        break;
-                    uint64_t id = ++nextConnId_;
-                    Connection &connection = connections_[id];
-                    connection.stream = std::move(stream);
-                    std::lock_guard<std::mutex> lock(statsMutex_);
-                    ++connectionsAccepted_;
-                }
-                continue;
-            }
-            if (fds[i].fd == wakeup_.readFd())
-                continue; // drained above
-            uint64_t connId = fdConn[i];
-            auto it = connections_.find(connId);
+            auto it = connections_.find(fdConn[i]);
             if (it == connections_.end())
                 continue;
-            Connection &connection = it->second;
-
+            const ConnectionPtr &connection = it->second;
             if (fds[i].revents & (POLLERR | POLLNVAL)) {
-                dead.push_back(connId);
+                dead.push_back(connection->id);
                 continue;
             }
             try {
                 if (fds[i].revents & (POLLIN | POLLHUP)) {
                     char buffer[16384];
                     for (;;) {
-                        ptrdiff_t n = connection.stream.read(
+                        ptrdiff_t n = connection->stream.read(
                             buffer, sizeof(buffer));
-                        if (n > 0) {
-                            connection.parser.feed(
+                        if (n > 0)
+                            connection->parser.feed(
                                 buffer, static_cast<size_t>(n));
-                            continue;
-                        }
                         if (n == 0)
-                            connection.peerClosed = true;
-                        break;
+                            connection->peerClosed = true;
+                        // A short read emptied the socket; poll is
+                        // level-triggered, so later bytes wake it again.
+                        if (n < static_cast<ptrdiff_t>(sizeof(buffer)))
+                            break;
                     }
-                    pumpRequests(connId, connection);
-                }
-                if (!connection.outbox.empty()) {
-                    ptrdiff_t n = connection.stream.write(
-                        connection.outbox.data(),
-                        connection.outbox.size());
-                    if (n > 0)
-                        connection.outbox.erase(
-                            0, static_cast<size_t>(n));
                 }
             } catch (const FatalError &) {
-                // Hard socket error on one connection: drop it, never
-                // the daemon.
-                dead.push_back(connId);
+                dead.push_back(connection->id);
                 continue;
             }
-            if (connection.peerClosed && !connection.awaitingWorker &&
-                connection.outbox.empty())
-                dead.push_back(connId);
-            if (connection.closeAfterWrite && connection.outbox.empty())
-                dead.push_back(connId);
+            service(connection);
         }
         for (uint64_t id : dead)
             connections_.erase(id);
+
+        // ---- New connections ------------------------------------------
+        if (fds[0].revents & POLLIN) {
+            for (;;) {
+                net::TcpStream stream = listener_->accept();
+                if (!stream.valid())
+                    break;
+                uint64_t id = ++nextConnId_;
+                connections_.emplace(
+                    id, std::make_shared<Connection>(id, std::move(stream)));
+                std::lock_guard<std::mutex> lock(statsMutex_);
+                ++connectionsAccepted_;
+            }
+        }
 
         // ---- Idle-session GC ------------------------------------------
         Clock::time_point now = Clock::now();

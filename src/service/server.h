@@ -5,10 +5,11 @@
  *
  * Architecture (the pazpar2 shape, sel_thread bridge included):
  *
- *  - ONE I/O thread owns every socket. It runs a poll() loop over the
- *    listener, the live connections, and a self-pipe; all sockets are
- *    non-blocking, requests are parsed incrementally, and responses
- *    are drained through per-connection outboxes. Only commands that
+ *  - ONE I/O thread accepts and reads every socket. It runs a poll()
+ *    loop over the listener, the live connections, and a self-pipe;
+ *    all sockets are non-blocking, requests are parsed incrementally,
+ *    and responses it cannot write at once wait in per-connection
+ *    outboxes until the socket takes them. Only commands that
  *    can never wait (status/list/stats/ping/shutdown) execute inline
  *    on this thread — they hold the table mutex for microseconds.
  *
@@ -18,10 +19,15 @@
  *    to a worker pool built on support/ThreadPool: the server parks
  *    one long-running parallelFor() on a pump thread and each index
  *    runs the worker loop, draining a shared command queue. A finished
- *    worker posts the serialized response to a completion queue and
- *    pokes the self-pipe; the I/O thread wakes, matches the response
- *    to its connection (which may have vanished — then it is dropped),
- *    and writes it out. The connection waits; the daemon never does.
+ *    worker writes its response straight to the socket when nothing
+ *    is queued ahead of it in the connection's outbox. Only when the
+ *    socket takes part of it, or requests arrived behind the command,
+ *    does the worker hand the connection back through a completion
+ *    queue and the self-pipe: the I/O thread then writes the rest and
+ *    pumps the pipelined requests. The worker holds the connection by
+ *    shared ownership, so a client that hangs up mid-step never has
+ *    its socket closed under the worker. The connection waits; the
+ *    daemon never does.
  *
  *  - The idle-session sweeper runs off the poll() timeout on the I/O
  *    thread: every sweepIntervalSeconds it asks the SessionTable to
@@ -175,34 +181,57 @@ class TuningServer
     KvFile statsKv() const;
 
   private:
+    /**
+     * One client connection. The I/O thread reads the socket and owns
+     * the parser; the worker running its command holds a reference and
+     * writes the reply: to the socket when the outbox is empty, else
+     * behind what the outbox holds. The I/O thread writes only from
+     * the outbox, so replies leave in request order.
+     */
     struct Connection
     {
+        Connection(uint64_t id, net::TcpStream stream)
+            : id(id), stream(std::move(stream))
+        {}
+
+        const uint64_t id;
         net::TcpStream stream;
-        HttpParser parser;
-        std::string outbox;
+        HttpParser parser;       ///< I/O thread only
+        bool peerClosed = false; ///< I/O thread only
+
+        std::mutex mutex; ///< guards the fields below
+        std::string outbox; ///< reply bytes the socket has not taken
         bool closeAfterWrite = false;
-        bool awaitingWorker = false; ///< a step response is in flight
-        bool peerClosed = false;
+        bool awaitingWorker = false; ///< a worker owns the next reply
+        /** Input came while a worker held the connection: it must go
+         * back to the I/O thread once the reply is out. */
+        bool handBack = false;
     };
+    using ConnectionPtr = std::shared_ptr<Connection>;
 
     struct WorkItem
     {
-        uint64_t connId = 0; ///< 0: detached (fire-and-forget step)
+        ConnectionPtr connection; ///< null: detached (fire-and-forget step)
         HttpRequest request;
         std::chrono::steady_clock::time_point enqueued; ///< deadline base
-    };
-
-    struct WorkDone
-    {
-        uint64_t connId = 0;
-        std::string wire; ///< serialized HttpResponse
     };
 
     void ioLoop();
     void workerLoop();
 
     /** Parse-and-route everything buffered on @p connection. */
-    void pumpRequests(uint64_t connId, Connection &connection);
+    void pumpRequests(const ConnectionPtr &connection);
+
+    /**
+     * pumpRequests(), then write what the outbox holds (I/O thread).
+     * @return false once @p connection should close. Fatal error on a
+     * hard socket error.
+     */
+    bool serviceConnection(const ConnectionPtr &connection);
+
+    /** Deliver a worker's @p wire reply on @p connection (worker
+     * thread): see the file comment. */
+    void reply(Connection &connection, std::string wire);
 
     /** Execute one command and build its response (any thread). */
     HttpResponse dispatch(const HttpRequest &request);
@@ -231,7 +260,8 @@ class TuningServer
     std::thread ioThread_;
 
     // The sel_thread bridge: ThreadPool workers drain workQueue_ and
-    // post to doneQueue_; pumpThread_ hosts the pool's parallelFor.
+    // hand connections back through doneQueue_; pumpThread_ hosts the
+    // pool's parallelFor.
     std::unique_ptr<ThreadPool> pool_;
     std::thread pumpThread_;
     mutable std::mutex workMutex_;
@@ -240,9 +270,9 @@ class TuningServer
     int busyWorkers_ = 0;            ///< guarded by workMutex_
     std::condition_variable drainCv_; ///< queue empty + workers idle
     std::mutex doneMutex_;
-    std::deque<WorkDone> doneQueue_;
+    std::deque<uint64_t> doneQueue_; ///< ids of handed-back connections
 
-    std::map<uint64_t, Connection> connections_;
+    std::map<uint64_t, ConnectionPtr> connections_; ///< I/O thread only
     uint64_t nextConnId_ = 0;
 
     std::atomic<bool> running_{false};

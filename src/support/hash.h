@@ -20,7 +20,7 @@
 
 #include <bit>
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace petabricks {
 
@@ -50,7 +50,7 @@ class Fnv1a
     /** Mix a string's bytes plus a 0xff terminator, so ("ab","c") and
      * ("a","bc") cannot collide. */
     Fnv1a &
-    mix(const std::string &text)
+    mix(std::string_view text)
     {
         for (unsigned char c : text) {
             hash_ ^= c;

@@ -30,33 +30,116 @@ trim(std::string_view s)
     return s.substr(begin, end - begin + 1);
 }
 
+// ---- The text format, shared by KvFile and KvWriter --------------------
+
+void
+checkKey(std::string_view key)
+{
+    PB_ASSERT(key.find('=') == std::string_view::npos &&
+                  key.find('\n') == std::string_view::npos,
+              "invalid key '" << key << "'");
+}
+
+void
+checkValue(std::string_view key, std::string_view value)
+{
+    PB_ASSERT(value.find('\n') == std::string_view::npos,
+              "value for '" << key << "' contains newline");
+}
+
+void
+appendInt(std::string &out, int64_t value)
+{
+    char digits[24]; // "-9223372036854775808" is 20 characters
+    out.append(digits,
+               std::to_chars(digits, digits + sizeof(digits), value).ptr);
+}
+
+void
+appendDouble(std::string &out, double value)
+{
+    // Byte for byte "%.17g", the text an ostream prints at precision 17:
+    // it round-trips every double, and renders inf/nan the same way.
+    char text[32]; // "-2.2250738585072014e-308" is 24 characters
+    out.append(text, std::to_chars(text, text + sizeof(text), value,
+                                   std::chars_format::general, 17)
+                         .ptr);
+}
+
+void
+appendIntList(std::string &out, std::span<const int64_t> values)
+{
+    for (size_t i = 0; i < values.size(); ++i) {
+        if (i)
+            out += ',';
+        appendInt(out, values[i]);
+    }
+}
+
+void
+appendHex(std::string &out, uint64_t value)
+{
+    char text[16];
+    for (size_t i = 16; i-- > 0; value >>= 4)
+        text[i] = "0123456789abcdef"[value & 0xf];
+    out.append(text, sizeof(text));
+}
+
+/** Bytes a line adds to its key and value: " = " and '\n'. */
+constexpr size_t kLineOverhead = 4;
+
+void
+appendLine(std::string &out, std::string_view key, std::string_view value)
+{
+    out += key;
+    out += " = ";
+    out += value;
+    out += '\n';
+}
+
+std::string
+versionKey(const std::string &kind)
+{
+    return kind + ".version";
+}
+
+std::string
+checksumKey(const std::string &kind)
+{
+    return kind + ".checksum";
+}
+
+/** Add one entry to a seal's checksum; entries go in key order. */
+void
+mixEntry(Fnv1a &hash, std::string_view key, std::string_view value)
+{
+    hash.mix(key).mix(value);
+}
+
 } // namespace
 
 void
 KvFile::set(std::string key, std::string value)
 {
-    PB_ASSERT(key.find('=') == std::string::npos &&
-                  key.find('\n') == std::string::npos,
-              "invalid key '" << key << "'");
-    PB_ASSERT(value.find('\n') == std::string::npos,
-              "value for '" << key << "' contains newline");
+    checkKey(key);
+    checkValue(key, value);
     entries_.insert_or_assign(std::move(key), std::move(value));
 }
 
 void
 KvFile::setInt(const std::string &key, int64_t value)
 {
-    set(key, std::to_string(value));
+    std::string text;
+    appendInt(text, value);
+    set(key, std::move(text));
 }
 
 void
 KvFile::setDouble(const std::string &key, double value)
 {
-    // The text an ostream prints at precision 17: "%.17g" round-trips
-    // every double, and renders inf/nan the same way.
-    char text[32];
-    int length = std::snprintf(text, sizeof(text), "%.17g", value);
-    set(key, std::string(text, static_cast<size_t>(length)));
+    std::string text;
+    appendDouble(text, value);
+    set(key, std::move(text));
 }
 
 void
@@ -64,23 +147,15 @@ KvFile::setIntList(const std::string &key,
                    const std::vector<int64_t> &values)
 {
     std::string text;
-    char digits[24]; // "-9223372036854775808" is 20 characters
-    for (size_t i = 0; i < values.size(); ++i) {
-        if (i)
-            text += ',';
-        text.append(digits,
-                    std::to_chars(digits, digits + sizeof(digits), values[i])
-                        .ptr);
-    }
+    appendIntList(text, values);
     set(key, std::move(text));
 }
 
 void
 KvFile::setHex(const std::string &key, uint64_t value)
 {
-    std::string text(16, '0');
-    for (size_t i = 16; i-- > 0; value >>= 4)
-        text[i] = "0123456789abcdef"[value & 0xf];
+    std::string text;
+    appendHex(text, value);
     set(key, std::move(text));
 }
 
@@ -195,13 +270,13 @@ KvFile::section(const std::string &prefix) const
 KvFile &
 KvFile::seal(const std::string &kind, int64_t version)
 {
-    setInt(kind + ".version", version);
-    const std::string checksumKey = kind + ".checksum";
+    setInt(versionKey(kind), version);
+    const std::string checksum = checksumKey(kind);
     Fnv1a hash;
     for (const auto &[key, value] : entries_)
-        if (key != checksumKey)
-            hash.mix(key).mix(value);
-    setHex(checksumKey, hash.value());
+        if (key != checksum)
+            mixEntry(hash, key, value);
+    setHex(checksum, hash.value());
     return *this;
 }
 
@@ -222,21 +297,17 @@ std::string
 KvFile::toString() const
 {
     size_t bytes = 0;
-    for (const auto &kv : entries_)
-        bytes += kv.first.size() + kv.second.size() + 4;
+    for (const auto &[key, value] : entries_)
+        bytes += key.size() + value.size() + kLineOverhead;
     std::string text;
     text.reserve(bytes);
-    for (const auto &kv : entries_) {
-        text += kv.first;
-        text += " = ";
-        text += kv.second;
-        text += '\n';
-    }
+    for (const auto &[key, value] : entries_)
+        appendLine(text, key, value);
     return text;
 }
 
 KvFile
-KvFile::fromString(const std::string &text)
+KvFile::fromString(std::string_view text)
 {
     KvFile kv;
     std::string_view rest = text;
@@ -260,7 +331,9 @@ KvFile::fromString(const std::string &text)
         std::string_view value = trim(stripped.substr(eq + 1));
         if (key.empty())
             PB_FATAL("config line " << lineno << " has empty key");
-        kv.entries_.insert_or_assign(std::string(key), std::string(value));
+        // Files are written in key order: the end is the usual place.
+        kv.entries_.insert_or_assign(kv.entries_.end(), std::string(key),
+                                     std::string(value));
     }
     return kv;
 }
@@ -268,10 +341,16 @@ KvFile::fromString(const std::string &text)
 void
 KvFile::save(const std::string &path) const
 {
+    saveText(path, toString());
+}
+
+void
+KvFile::saveText(const std::string &path, std::string_view text)
+{
     std::ofstream out(path);
     if (!out)
         PB_FATAL("cannot open '" << path << "' for writing");
-    out << toString();
+    out << text;
     if (!out)
         PB_FATAL("write to '" << path << "' failed");
 }
@@ -280,8 +359,14 @@ void
 KvFile::saveAtomic(const std::string &path,
                    const std::string &crashPrefix) const
 {
+    saveTextAtomic(path, toString(), crashPrefix);
+}
+
+void
+KvFile::saveTextAtomic(const std::string &path, std::string_view payload,
+                       const std::string &crashPrefix)
+{
     const std::string temp = path + ".tmp";
-    const std::string payload = toString();
 
     crashpoint::fire(crashPrefix + ".pre_write");
 
@@ -347,6 +432,121 @@ KvFile::saveAtomic(const std::string &path,
                               << "' failed: " << strerror(errno));
 
     crashpoint::fire(crashPrefix + ".post_rename");
+}
+
+// ---- KvWriter -------------------------------------------------------------
+
+void
+KvWriter::begin(std::string_view key)
+{
+    checkKey(key);
+    entries_.push_back({buffer_.size(), buffer_.size() + key.size(), 0});
+    buffer_ += key;
+}
+
+void
+KvWriter::set(std::string_view key, std::string_view value)
+{
+    checkValue(key, value);
+    begin(key);
+    buffer_ += value;
+    finish();
+}
+
+void
+KvWriter::setInt(std::string_view key, int64_t value)
+{
+    begin(key);
+    appendInt(buffer_, value);
+    finish();
+}
+
+void
+KvWriter::setDouble(std::string_view key, double value)
+{
+    begin(key);
+    appendDouble(buffer_, value);
+    finish();
+}
+
+void
+KvWriter::setIntList(std::string_view key, std::span<const int64_t> values)
+{
+    begin(key);
+    appendIntList(buffer_, values);
+    finish();
+}
+
+void
+KvWriter::setHex(std::string_view key, uint64_t value)
+{
+    begin(key);
+    appendHex(buffer_, value);
+    finish();
+}
+
+std::string_view
+KvWriter::keyOf(const Entry &entry) const
+{
+    return {buffer_.data() + entry.key, entry.value - entry.key};
+}
+
+std::string_view
+KvWriter::valueOf(const Entry &entry) const
+{
+    return {buffer_.data() + entry.value, entry.end - entry.value};
+}
+
+void
+KvWriter::sortEntries()
+{
+    std::sort(entries_.begin(), entries_.end(),
+              [this](const Entry &a, const Entry &b) {
+                  return keyOf(a) < keyOf(b);
+              });
+    for (size_t i = 1; i < entries_.size(); ++i)
+        PB_ASSERT(keyOf(entries_[i - 1]) != keyOf(entries_[i]),
+                  "key '" << keyOf(entries_[i]) << "' written twice");
+}
+
+std::string
+KvWriter::renderSorted() const
+{
+    std::string text;
+    text.reserve(buffer_.size() + kLineOverhead * entries_.size());
+    for (const Entry &entry : entries_)
+        appendLine(text, keyOf(entry), valueOf(entry));
+    return text;
+}
+
+std::string
+KvWriter::render()
+{
+    sortEntries();
+    return renderSorted();
+}
+
+std::string
+KvWriter::seal(const std::string &kind, int64_t version)
+{
+    setInt(versionKey(kind), version);
+    sortEntries();
+    Fnv1a hash;
+    for (const Entry &entry : entries_)
+        mixEntry(hash, keyOf(entry), valueOf(entry));
+    const std::string checksum = checksumKey(kind);
+    setHex(checksum, hash.value());
+    // Every entry but the checksum is in order: move it into place.
+    auto last = std::prev(entries_.end());
+    auto at = std::upper_bound(
+        entries_.begin(), last, std::string_view(checksum),
+        [this](std::string_view key, const Entry &entry) {
+            return key < keyOf(entry);
+        });
+    PB_ASSERT(at == entries_.begin() || keyOf(*std::prev(at)) != checksum,
+              "key '" << checksum << "' written twice");
+    std::rotate(at, last, entries_.end());
+    return renderSorted();
 }
 
 KvFile

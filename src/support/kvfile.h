@@ -9,6 +9,10 @@
  *
  * Persisted records are sealed: seal() adds `<kind>.version` and
  * `<kind>.checksum` (FNV-1a over the other entries in key order).
+ *
+ * KvFile is the map a reader queries. Records written on every request
+ * (checkpoints, reply bodies) render through KvWriter instead, which
+ * produces the same text without building the map.
  */
 
 #ifndef PETABRICKS_SUPPORT_KVFILE_H
@@ -16,7 +20,9 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace petabricks {
@@ -69,10 +75,13 @@ class KvFile
     std::string toString() const;
 
     /** Parse from the on-disk text format; fatal error on bad syntax. */
-    static KvFile fromString(const std::string &text);
+    static KvFile fromString(std::string_view text);
 
     /** Write to @p path; fatal error on I/O failure. */
     void save(const std::string &path) const;
+
+    /** save() for already rendered @p text. */
+    static void saveText(const std::string &path, std::string_view text);
 
     /**
      * Crash-safe write: render to `path + ".tmp"`, fsync, rename over
@@ -87,6 +96,10 @@ class KvFile
     void saveAtomic(const std::string &path,
                     const std::string &crashPrefix) const;
 
+    /** saveAtomic() for already rendered @p text. */
+    static void saveTextAtomic(const std::string &path, std::string_view text,
+                               const std::string &crashPrefix);
+
     /** Read from @p path; fatal error on I/O failure or bad syntax. */
     static KvFile load(const std::string &path);
 
@@ -94,6 +107,52 @@ class KvFile
 
   private:
     std::map<std::string, std::string> entries_;
+};
+
+/**
+ * A record rendered in one pass. Each entry appends its key and value
+ * to one buffer; render() sorts the entries once and returns the text
+ * KvFile::toString() gives for the same entries, and seal() the text
+ * of KvFile::seal() then toString(), its checksum taken over the same
+ * buffered bytes. Keys must be distinct (a repeat is a PanicError).
+ */
+class KvWriter
+{
+  public:
+    void set(std::string_view key, std::string_view value);
+    void setInt(std::string_view key, int64_t value);
+    void setDouble(std::string_view key, double value);
+    void setIntList(std::string_view key, std::span<const int64_t> values);
+    void setHex(std::string_view key, uint64_t value);
+
+    /** The entries in the on-disk text format. */
+    std::string render();
+
+    /** Add `<kind>.version` and `<kind>.checksum` as KvFile::seal()
+     * does, then render(); call last. */
+    std::string seal(const std::string &kind, int64_t version);
+
+  private:
+    /** One entry: its key at buffer_[key, value), its value at
+     * buffer_[value, end). */
+    struct Entry
+    {
+        size_t key = 0;
+        size_t value = 0;
+        size_t end = 0;
+    };
+
+    /** Start an entry: check and append @p key. */
+    void begin(std::string_view key);
+    /** Close the entry begin() started at the end of the buffer. */
+    void finish() { entries_.back().end = buffer_.size(); }
+    std::string_view keyOf(const Entry &entry) const;
+    std::string_view valueOf(const Entry &entry) const;
+    void sortEntries();
+    std::string renderSorted() const;
+
+    std::string buffer_;
+    std::vector<Entry> entries_;
 };
 
 } // namespace petabricks

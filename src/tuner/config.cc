@@ -273,23 +273,31 @@ Config::setTunableAt(size_t index, int64_t value)
 KvFile
 Config::toKv() const
 {
-    KvFile kv;
+    KvWriter kv;
     saveValues(kv, "");
-    return kv;
+    return KvFile::fromString(kv.render());
 }
 
 void
-Config::saveValues(KvFile &kv, const std::string &prefix) const
+Config::saveValues(KvWriter &kv, std::string_view prefix) const
 {
+    std::string key(prefix); // one buffer for every key
     for (size_t i = 0; i < schema_->selectors().size(); ++i) {
         SelectorView s = selectorAt(i);
-        kv.setIntList(prefix + s.name() + ".cutoffs",
-                      {s.cutoffs().begin(), s.cutoffs().end()});
-        kv.setIntList(prefix + s.name() + ".algorithms",
-                      {s.algorithms().begin(), s.algorithms().end()});
+        key.resize(prefix.size());
+        key += s.name();
+        const size_t stem = key.size();
+        key += ".cutoffs";
+        kv.setIntList(key, s.cutoffs());
+        key.resize(stem);
+        key += ".algorithms";
+        kv.setIntList(key, s.algorithms());
     }
-    for (const TunableSpec &spec : schema_->tunables())
-        kv.setInt(prefix + spec.name, values_[spec.offset]);
+    for (const TunableSpec &spec : schema_->tunables()) {
+        key.resize(prefix.size());
+        key += spec.name;
+        kv.setInt(key, values_[spec.offset]);
+    }
 }
 
 void

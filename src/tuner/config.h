@@ -289,10 +289,10 @@ class Config
     KvFile toKv() const;
 
     /**
-     * Write toKv()'s entries straight into @p kv, each key prefixed by
-     * @p prefix (how a checkpoint stores its population members).
+     * Write toKv()'s entries into @p kv, each key prefixed by @p prefix
+     * (how a checkpoint stores its population members).
      */
-    void saveValues(KvFile &kv, const std::string &prefix) const;
+    void saveValues(KvWriter &kv, std::string_view prefix) const;
 
     /**
      * Replace this configuration's values with those in @p kv, read

@@ -434,10 +434,10 @@ savedRngDraws(const KvFile &kv, const std::string &path, uint64_t seed,
 
 } // namespace
 
-KvFile
-TuningSession::checkpointKv() const
+std::string
+TuningSession::checkpointText() const
 {
-    KvFile kv;
+    KvWriter kv;
     kv.set(kSchemaKey, std::to_string(seed_.valueFingerprint()));
     // The options that shape the search trajectory: load() rejects a
     // checkpoint whose schedule disagrees with the session's, since a
@@ -470,14 +470,19 @@ TuningSession::checkpointKv() const
         kv.setDouble(prefix + "seconds", population_[i].seconds);
         population_[i].config.saveValues(kv, prefix);
     }
-    kv.seal("session", kCheckpointVersion);
-    return kv;
+    return kv.seal("session", kCheckpointVersion);
+}
+
+KvFile
+TuningSession::checkpointKv() const
+{
+    return KvFile::fromString(checkpointText());
 }
 
 void
 TuningSession::save(const std::string &path) const
 {
-    checkpointKv().save(path);
+    KvFile::saveText(path, checkpointText());
 }
 
 void

@@ -185,10 +185,14 @@ class TuningSession
     void save(const std::string &path) const;
 
     /**
-     * The checkpoint as a KvFile, without touching disk — callers that
-     * need crash-safe persistence render this and use
-     * KvFile::saveAtomic (the daemon's spool does).
+     * The sealed checkpoint text save() writes, rendered in one pass
+     * (KvWriter) without touching disk: callers that need crash-safe
+     * persistence hand it to KvFile::saveTextAtomic (the daemon's
+     * spool does).
      */
+    std::string checkpointText() const;
+
+    /** checkpointText() parsed back into a KvFile. */
     KvFile checkpointKv() const;
 
     /**

@@ -1,13 +1,18 @@
 /**
  * @file
  * Units for the service's HTTP framing: incremental request parsing,
- * query decoding, body handling, limits, and response serialization.
+ * request- and status-line tokenizing, query decoding, body handling,
+ * limits, and response serialization.
  */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <sstream>
+
 #include "service/http.h"
 #include "support/error.h"
+#include "support/rng.h"
 
 using namespace petabricks;
 using namespace petabricks::service;
@@ -89,6 +94,114 @@ TEST(HttpParser, MalformedRequestLineFails)
     parser.feed(wire.data(), wire.size());
     EXPECT_FALSE(parser.next().has_value());
     EXPECT_TRUE(parser.failed());
+}
+
+TEST(HttpParser, RequestLineSplitsOnAnyWhitespace)
+{
+    // Tokens split as `>>` splits them: tabs and runs of spaces
+    // separate, tokens after the version are ignored, and a missing
+    // version or one that is not HTTP/1.x fails.
+    struct Case
+    {
+        const char *line;
+        const char *method; ///< nullptr: the request line is malformed
+        const char *target;
+    };
+    const Case cases[] = {
+        {"get\t/status?session=s1\tHTTP/1.1", "GET", "/status?session=s1"},
+        {"  POST   /step   HTTP/1.0  ", "POST", "/step"},
+        {"GET /ping HTTP/1.1 trailing tokens", "GET", "/ping"},
+        {"GET\v/ping\fHTTP/1.1\r", "GET", "/ping"},
+        {"GET /ping HTTP/1.", "GET", "/ping"},
+        {"GET /ping", nullptr, nullptr},
+        {"GET /ping ", nullptr, nullptr},
+        {"GET /ping HTTP/2.0", nullptr, nullptr},
+        {"GET /ping http/1.1", nullptr, nullptr},
+        {"", nullptr, nullptr},
+    };
+    for (const Case &c : cases) {
+        HttpParser parser;
+        const std::string wire = std::string(c.line) + "\r\n\r\n";
+        parser.feed(wire.data(), wire.size());
+        auto request = parser.next();
+        if (c.method == nullptr) {
+            EXPECT_FALSE(request.has_value()) << c.line;
+            EXPECT_TRUE(parser.failed()) << c.line;
+            continue;
+        }
+        ASSERT_TRUE(request.has_value()) << c.line;
+        EXPECT_EQ(request->method, c.method);
+        EXPECT_EQ(request->target, c.target);
+    }
+}
+
+TEST(HttpParser, RequestLineParsesAsStreamExtractionDid)
+{
+    // The parser once read the request line with `>>`; random lines over
+    // every whitespace byte must meet the same fate, token for token.
+    const std::string alphabet = "GT/ ?=\t\v\f\rHP1.0x\n";
+    Rng rng(31);
+    for (int i = 0; i < 20000; ++i) {
+        std::string line;
+        if (rng.chance(0.5))
+            line = "GET /x HTTP/1.1";
+        const int64_t length = rng.uniformInt(0, 24);
+        for (int64_t k = 0; k < length; ++k) {
+            const size_t at = static_cast<size_t>(
+                rng.uniformInt(0, static_cast<int64_t>(line.size())));
+            line.insert(line.begin() + at,
+                        alphabet[rng.uniformInt(0, alphabet.size() - 1)]);
+        }
+        if (line.find("\r\n") != std::string::npos)
+            continue; // that would end the line early
+
+        std::istringstream stream(line);
+        std::string method, target, version;
+        const bool accepted = (stream >> method >> target >> version) &&
+                              version.rfind("HTTP/1.", 0) == 0;
+        HttpParser parser;
+        const std::string wire = line + "\r\n\r\n";
+        parser.feed(wire.data(), wire.size());
+        auto request = parser.next();
+        ASSERT_EQ(request.has_value(), accepted) << "'" << line << "'";
+        if (!accepted)
+            continue;
+        for (char &c : method)
+            c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+        EXPECT_EQ(request->method, method) << "'" << line << "'";
+        EXPECT_EQ(request->target, target) << "'" << line << "'";
+    }
+}
+
+TEST(Http, StatusLineParsesAsStreamExtractionDid)
+{
+    EXPECT_EQ(parseStatusLine("HTTP/1.1 200 OK"), 200);
+    EXPECT_EQ(parseStatusLine("HTTP/1.0\t503\tService Unavailable"), 503);
+    EXPECT_EQ(parseStatusLine("HTTP/1.1 +404"), 404);
+    EXPECT_EQ(parseStatusLine("HTTP/1.1 404x"), 404);
+    EXPECT_FALSE(parseStatusLine("HTTP/1.1"));
+    EXPECT_FALSE(parseStatusLine("HTTP/1.1 OK"));
+    EXPECT_FALSE(parseStatusLine("HTTP/1.1 99999999999"));
+    EXPECT_FALSE(parseStatusLine("HTTP/2 200 OK"));
+
+    const std::string alphabet = "HTP/1. 2059+-x\t";
+    Rng rng(32);
+    for (int i = 0; i < 20000; ++i) {
+        std::string line = rng.chance(0.5) ? "HTTP/1.1 " : "";
+        const int64_t length = rng.uniformInt(0, 12);
+        for (int64_t k = 0; k < length; ++k)
+            line += alphabet[rng.uniformInt(0, alphabet.size() - 1)];
+        std::istringstream stream(line);
+        std::string version;
+        int code = 0;
+        const bool accepted = (stream >> version >> code) &&
+                              version.rfind("HTTP/1.", 0) == 0;
+        const std::optional<int> parsed = parseStatusLine(line);
+        ASSERT_EQ(parsed.has_value(), accepted) << "'" << line << "'";
+        if (accepted) {
+            EXPECT_EQ(*parsed, code) << "'" << line << "'";
+        }
+    }
 }
 
 TEST(HttpParser, BadContentLengthFails)

@@ -444,5 +444,130 @@ TEST(KvFileCompat, FilesRenderAndParseAsIostreamsDid)
     }
 }
 
+TEST(KvFileCompat, DoublesRenderAsSnprintfDid)
+{
+    // setDouble (and KvWriter, which shares its formatting) renders with
+    // std::to_chars at precision 17; "%.17g" is the reference.
+    auto expectSnprintf = [](uint64_t bits) {
+        const double value = std::bit_cast<double>(bits);
+        char expected[32];
+        std::snprintf(expected, sizeof(expected), "%.17g", value);
+        KvFile kv;
+        kv.setDouble("d", value);
+        ASSERT_EQ(kv.get("d"), expected) << std::hex << bits;
+    };
+    constexpr uint64_t kSign = uint64_t{1} << 63;
+    constexpr uint64_t kExponent = uint64_t{0x7ff} << 52;
+    constexpr uint64_t kMantissa = (uint64_t{1} << 52) - 1;
+    // Zeros, the subnormal and normal extremes, infinity, NaNs.
+    const uint64_t specials[] = {0,
+                                 1,
+                                 kMantissa,
+                                 uint64_t{1} << 52,
+                                 kExponent - 1,
+                                 kExponent,
+                                 kExponent | kMantissa,
+                                 kExponent | 1,
+                                 kExponent | (uint64_t{1} << 51)};
+    for (uint64_t sign : {uint64_t{0}, kSign}) {
+        for (uint64_t bits : specials)
+            expectSnprintf(sign | bits);
+        for (int bit = 0; bit < 52; ++bit)
+            expectSnprintf(sign | kExponent | (uint64_t{1} << bit));
+    }
+    Rng rng(2026);
+    for (int i = 0; i < 1000000; ++i)
+        expectSnprintf(rng()); // any bit pattern
+    for (int i = 0; i < 100000; ++i) {
+        expectSnprintf(rng() & (kSign | kMantissa));              // subnormal
+        expectSnprintf((rng() & (kSign | kMantissa)) | kExponent); // inf, NaN
+    }
+}
+
+// ---- KvWriter: the text KvFile renders, in one pass ----------------------
+
+TEST(KvWriter, RendersAndSealsTheTextKvFileDoes)
+{
+    // Keys sort as bytes: '1' < '2' puts member 10 before member 2, and
+    // a byte >= 0x80 after every ASCII one.
+    const std::string keyAlphabet = "ab.Z09_ \t#-\xc3";
+    const std::string valueAlphabet = keyAlphabet + "=,";
+    Rng rng(99);
+    for (int record = 0; record < 3000; ++record) {
+        KvFile kv;
+        KvWriter writer;
+        const int64_t count = rng.uniformInt(0, 40);
+        for (int64_t i = 0; i < count; ++i) {
+            std::string key = rng.chance(0.3)
+                                  ? "population." +
+                                        std::to_string(rng.uniformInt(0, 24)) +
+                                        "." + randomText(rng, "ab", 2)
+                                  : randomText(rng, keyAlphabet, 12);
+            if (key.empty() || kv.has(key))
+                continue; // a writer's keys are distinct
+            switch (rng.uniformInt(0, 4)) {
+            case 0: {
+                const double value = specialDouble(rng);
+                kv.setDouble(key, value);
+                writer.setDouble(key, value);
+                break;
+            }
+            case 1: {
+                const int64_t value = static_cast<int64_t>(rng());
+                kv.setInt(key, value);
+                writer.setInt(key, value);
+                break;
+            }
+            case 2: {
+                std::vector<int64_t> values(
+                    static_cast<size_t>(rng.uniformInt(0, 4)));
+                for (int64_t &value : values)
+                    value = static_cast<int64_t>(rng()) >>
+                            rng.uniformInt(0, 63);
+                kv.setIntList(key, values);
+                writer.setIntList(key, values);
+                break;
+            }
+            case 3: {
+                const uint64_t value = rng();
+                kv.setHex(key, value);
+                writer.setHex(key, value);
+                break;
+            }
+            default: {
+                const std::string value = randomText(rng, valueAlphabet, 16);
+                kv.set(key, value);
+                writer.set(key, value);
+            }
+            }
+        }
+        if (rng.chance(0.5)) {
+            ASSERT_EQ(writer.render(), kv.toString());
+        } else {
+            const std::string kind = rng.chance(0.5) ? "session" : "a";
+            const int64_t version = rng.uniformInt(1, 3);
+            ASSERT_EQ(writer.seal(kind, version),
+                      kv.seal(kind, version).toString());
+        }
+    }
+}
+
+TEST(KvWriter, ARepeatedKeyIsAPanic)
+{
+    KvWriter twice;
+    twice.setInt("a", 1);
+    twice.setInt("b", 2);
+    twice.setInt("a", 3);
+    EXPECT_THROW(twice.render(), PanicError);
+
+    KvWriter checksummed;
+    checksummed.setHex("demo.checksum", 0);
+    EXPECT_THROW(checksummed.seal("demo", 1), PanicError);
+
+    KvWriter bad;
+    EXPECT_THROW(bad.set("a=b", "1"), PanicError);
+    EXPECT_THROW(bad.set("a", "1\n2"), PanicError);
+}
+
 } // namespace
 } // namespace petabricks

@@ -298,7 +298,9 @@ TEST(TuningSession, LargePopulationCheckpointRoundTripsExactly)
         if (i % 5 == 0)
             member.selector("algo").insertLevel(8000 + i, (i + 1) % 3);
         const std::string prefix = "population." + std::to_string(i) + ".";
-        member.saveValues(checkpoint, prefix);
+        const KvFile values = member.toKv();
+        for (const std::string &key : values.keys())
+            checkpoint.set(prefix + key, values.get(key));
         checkpoint.setDouble(prefix + "seconds", 1.0 + i / 7.0);
     }
     checkpoint.seal("session", 2); // sealed anew after the edits
