@@ -9,6 +9,10 @@
  * "<Rule>.ratio" (GPU-CPU workload ratio in eighths), and a
  * per-benchmark "<Bench>.split" (CPU chunking) — the Section 5.3
  * choice encoding.
+ *
+ * Each simulator-backed benchmark resolves these positions once, in its
+ * constructor, and one plan builder over them (stageAt) serves
+ * planFor(), describeConfig() and the cost model alike.
  */
 
 #ifndef PETABRICKS_BENCHMARKS_BACKEND_UTIL_H
@@ -18,7 +22,6 @@
 
 #include "benchmarks/benchmark.h"
 #include "compiler/backend.h"
-#include "compiler/eval_context.h"
 #include "tuner/config.h"
 
 namespace petabricks {
@@ -47,11 +50,11 @@ addBackendChoices(tuner::ConfigSchema::Builder &schema,
 }
 
 /**
- * Resolved positions of one rule's choice structure within a schema —
- * the fast path's replacement for by-name lookups. Valid for every
- * configuration of the benchmark (mutation never adds or removes
- * selectors/tunables), so a benchmark resolves them once, in its
- * constructor.
+ * Resolved positions of one rule's choice structure within a schema.
+ * Valid for every configuration of the benchmark (mutation never adds
+ * or removes selectors/tunables), so a benchmark resolves them once, in
+ * its constructor, and its plans and kernel lists read values by
+ * position.
  */
 struct StageChoiceIds
 {
@@ -80,10 +83,10 @@ backendAt(const tuner::Config &config, const StageChoiceIds &ids,
     return static_cast<compiler::Backend>(alg);
 }
 
-/** stageFor() via pre-resolved positions (no string construction). */
+/** The stage placement the rule's choices select at size @p n. */
 inline compiler::StageConfig
-stageForIds(const tuner::Config &config, const StageChoiceIds &ids,
-            int64_t n, int cpuSplit)
+stageAt(const tuner::Config &config, const StageChoiceIds &ids, int64_t n,
+        int cpuSplit)
 {
     compiler::StageConfig stage;
     stage.backend = backendAt(config, ids, n);
@@ -91,32 +94,6 @@ stageForIds(const tuner::Config &config, const StageChoiceIds &ids,
         static_cast<int>(config.tunableValueAt(ids.lws));
     stage.gpuRatioEighths =
         static_cast<int>(config.tunableValueAt(ids.ratio));
-    stage.cpuSplit = cpuSplit;
-    return stage;
-}
-
-/** EvalContext of the simulator-backed benchmarks: a
- * compiler::EvaluationContext over the benchmark's TransformAnalysis. */
-struct SimEvalContext : EvalContext, compiler::EvaluationContext
-{
-    using compiler::EvaluationContext::EvaluationContext;
-};
-
-/** Build the stage placement the configuration selects at size @p n. */
-inline compiler::StageConfig
-stageFor(const tuner::Config &config, const std::string &rule, int64_t n,
-         int cpuSplit)
-{
-    int alg = config.selector(rule + ".backend").select(n);
-    PB_ASSERT(alg >= 0 && alg < kBackendCount,
-              "bad backend algorithm " << alg << " for rule '" << rule
-                                       << "'");
-    compiler::StageConfig stage;
-    stage.backend = static_cast<compiler::Backend>(alg);
-    stage.localWorkSize =
-        static_cast<int>(config.tunableValue(rule + ".lws"));
-    stage.gpuRatioEighths =
-        static_cast<int>(config.tunableValue(rule + ".ratio"));
     stage.cpuSplit = cpuSplit;
     return stage;
 }

@@ -15,13 +15,6 @@ Benchmark::nextInstanceId()
     return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-EvalContextPtr
-positionsOnlyContext()
-{
-    static const EvalContextPtr context = std::make_shared<EvalContext>();
-    return context;
-}
-
 // ---- Default real-mode surface (benchmarks must opt in) ----------------
 
 const lang::Transform &

@@ -4,8 +4,8 @@
  *
  * Every benchmark exposes the structure the experiments need:
  *  - a seed tuner configuration (the searchable choice space),
- *  - a model-mode evaluator pricing a configuration on a machine
- *    profile (used by the autotuner and the figure harnesses),
+ *  - a cost model pricing a configuration on a machine profile (used
+ *    by the autotuner, the dispatcher and the figure harnesses),
  *  - the kernel-source list for the tuning-time model (Figure 8),
  *  - metadata for the Figure 8 table, and
  *  - a human-readable config summary for the Figure 6 table.
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "compiler/backend.h"
+#include "compiler/eval_context.h"
 #include "lang/transform.h"
 #include "sim/machine.h"
 #include "support/error.h"
@@ -77,28 +78,16 @@ class ChoiceFile
 using ChoiceFilePtr = std::shared_ptr<ChoiceFile>;
 
 /**
- * Opaque config-invariant evaluation state a benchmark precomputes per
- * (input size, machine) — the model-mode fast path's unit of sharing.
- * Transform-style benchmarks wrap a compiler::EvaluationContext;
- * analytic benchmarks hold their model constants (Strassen, SVD) or
- * nothing at all (Sort, Tridiagonal). Config positions are resolved
- * once, in each benchmark's constructor. Contexts are immutable once
- * built, so one context may serve a whole parallel batch.
+ * Config-invariant evaluation state a simulator-backed benchmark
+ * precomputes per (input size, machine): a compiler::EvaluationContext
+ * over the TransformAnalysis its constructor built. Analytic benchmarks
+ * (Sort, Strassen, SVD, Tridiagonal) price closed-form models through
+ * the config positions their constructors resolve and build none.
+ * Contexts are immutable once built, so one context may serve a whole
+ * parallel batch.
  */
-class EvalContext
-{
-  public:
-    virtual ~EvalContext() = default;
-};
-
+using EvalContext = compiler::EvaluationContext;
 using EvalContextPtr = std::shared_ptr<const EvalContext>;
-
-/**
- * The context of an analytic benchmark whose fast path needs nothing
- * beyond the config positions its constructor resolved: one shared,
- * empty context that only selects the fast path.
- */
-EvalContextPtr positionsOnlyContext();
 
 /** See file comment. */
 class Benchmark
@@ -128,15 +117,18 @@ class Benchmark
 
     /**
      * Modeled execution seconds of @p config at input size @p n on
-     * @p machine; +inf for infeasible configurations.
-     *
-     * This overload is the *reference path*: every call rebuilds the
-     * config-invariant scaffolding from scratch. The engines evaluate
-     * through the context overload below; this one is the executable
-     * spec the golden-equality tests compare against.
+     * @p machine; +inf for infeasible configurations. Builds the
+     * evaluation context and prices through the overload below; a
+     * caller pricing many configurations at one (n, machine) builds the
+     * context once instead.
      */
-    virtual double evaluate(const tuner::Config &config, int64_t n,
-                            const sim::MachineProfile &machine) const = 0;
+    double
+    evaluate(const tuner::Config &config, int64_t n,
+             const sim::MachineProfile &machine) const
+    {
+        EvalContextPtr ctx = makeEvalContext(n, machine);
+        return evaluate(config, n, machine, ctx.get());
+    }
 
     /**
      * Precompute the config-invariant evaluation state for
@@ -146,9 +138,10 @@ class Benchmark
      * there once, and a context binds that analysis to slot extents
      * and the machine with O(rules) arithmetic. Built once per batch
      * by engine::ModelEngine (once per query by the portfolio
-     * dispatcher) and shared by every candidate. Default: nullptr (no
-     * fast path; the context overload of evaluate() then uses the
-     * reference path).
+     * dispatcher) and shared by every candidate. Default: nullptr, for
+     * the analytic benchmarks, whose models need no context; a
+     * simulator-backed benchmark returns nullptr only at sizes it
+     * prices +inf without one.
      */
     virtual EvalContextPtr
     makeEvalContext(int64_t n, const sim::MachineProfile &machine) const
@@ -159,20 +152,15 @@ class Benchmark
     }
 
     /**
-     * Fast-path evaluate(): identical result to the reference overload
-     * (bit-for-bit, including thrown FatalErrors), but sharing the
-     * config-invariant work in @p ctx. @p ctx must come from
-     * makeEvalContext(n, machine) of this benchmark, or be nullptr to
-     * fall back to the reference path.
+     * The benchmark's cost model: modeled execution seconds of
+     * @p config at input size @p n on @p machine, +inf (or a thrown
+     * FatalError) for infeasible configurations. @p ctx must come from
+     * makeEvalContext(n, machine) of this benchmark; derived classes
+     * add `using Benchmark::evaluate;` to keep the overload above.
      */
-    virtual double
-    evaluate(const tuner::Config &config, int64_t n,
-             const sim::MachineProfile &machine,
-             const EvalContext *ctx) const
-    {
-        (void)ctx;
-        return evaluate(config, n, machine);
-    }
+    virtual double evaluate(const tuner::Config &config, int64_t n,
+                            const sim::MachineProfile &machine,
+                            const EvalContext *ctx) const = 0;
 
     /** Kernel source identities @p config JIT-compiles. */
     virtual std::vector<std::string>

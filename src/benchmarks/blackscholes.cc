@@ -47,18 +47,6 @@ blackScholesRule()
         [](const ParamEnv &) { return kFlopsPerOption; });
 }
 
-compiler::SlotSizes
-sizesFor(int64_t n)
-{
-    int64_t rows = BlackScholesBenchmark::rowsFor(n);
-    int64_t cols = (n + rows - 1) / rows;
-    std::pair<int64_t, int64_t> shape{cols, rows};
-    return {{"Spot", shape},
-            {"Strike", shape},
-            {"Years", shape},
-            {"Price", shape}};
-}
-
 } // namespace
 
 double
@@ -105,34 +93,32 @@ BlackScholesBenchmark::seedConfig() const
     return tuner::Config(schema_);
 }
 
+void
+BlackScholesBenchmark::buildPlan(const tuner::Config &config, int64_t n,
+                                 compiler::TransformConfig &plan) const
+{
+    plan.choiceIndex = 0;
+    plan.stages.clear();
+    plan.stages.push_back(stageAt(
+        config, rule_, n,
+        static_cast<int>(config.tunableValueAt(splitTun_))));
+}
+
 compiler::TransformConfig
 BlackScholesBenchmark::planFor(const tuner::Config &config,
                                int64_t n) const
 {
     compiler::TransformConfig plan;
-    plan.choiceIndex = 0;
-    plan.stages = {stageFor(
-        config, "BlackScholes", n,
-        static_cast<int>(config.tunableValue("BlackScholes.split")))};
+    buildPlan(config, n, plan);
     return plan;
-}
-
-double
-BlackScholesBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                                const sim::MachineProfile &machine) const
-{
-    auto outcome = compiler::simulateTransform(
-        *transform_, planFor(config, n), sizesFor(n), {500, 2000},
-        machine);
-    return outcome.seconds;
 }
 
 apps::EvalContextPtr
 BlackScholesBenchmark::makeEvalContext(
     int64_t n, const sim::MachineProfile &machine) const
 {
-    int64_t rows = rowsFor(n); // sizesFor() by slot id: one shape
-    return std::make_shared<SimEvalContext>(
+    int64_t rows = rowsFor(n); // one shape for every slot
+    return std::make_shared<EvalContext>(
         analysis_,
         std::vector<compiler::SlotExtent>(transform_->slots().size(),
                                           {(n + rows - 1) / rows, rows}),
@@ -141,19 +127,14 @@ BlackScholesBenchmark::makeEvalContext(
 
 double
 BlackScholesBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                                const sim::MachineProfile &machine,
+                                const sim::MachineProfile &,
                                 const EvalContext *ctx) const
 {
-    if (ctx == nullptr)
-        return evaluate(config, n, machine);
-    int split = static_cast<int>(config.tunableValueAt(splitTun_));
+    PB_ASSERT(ctx != nullptr, name() << " priced without its context");
+    // A reused per-thread plan: no allocation in the batch loop.
     thread_local compiler::TransformConfig plan;
-    plan.choiceIndex = 0;
-    plan.stages.clear();
-    plan.stages.push_back(stageForIds(config, rule_, n, split));
-    return compiler::simulateTransform(
-               static_cast<const SimEvalContext &>(*ctx), plan)
-        .seconds;
+    buildPlan(config, n, plan);
+    return compiler::simulateTransform(*ctx, plan).seconds;
 }
 
 std::vector<std::string>

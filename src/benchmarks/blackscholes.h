@@ -36,8 +36,7 @@ class BlackScholesBenchmark : public Benchmark
 
     std::string name() const override { return "Black-Scholes"; }
     tuner::Config seedConfig() const override;
-    double evaluate(const tuner::Config &config, int64_t n,
-                    const sim::MachineProfile &machine) const override;
+    using Benchmark::evaluate;
     EvalContextPtr
     makeEvalContext(int64_t n,
                     const sim::MachineProfile &machine) const override;
@@ -77,6 +76,11 @@ class BlackScholesBenchmark : public Benchmark
     static tuner::Config cpuOnlyConfig();
 
   private:
+    /** The stage placement of @p config at size @p n, into @p plan
+     * (planFor() and the cost model share it). */
+    void buildPlan(const tuner::Config &config, int64_t n,
+                   compiler::TransformConfig &plan) const;
+
     std::shared_ptr<lang::Transform> transform_;
     // Model structure every evaluation context shares, built once.
     compiler::TransformAnalysisPtr analysis_;

@@ -85,16 +85,7 @@ convolveColumnsRule(int64_t kwidth)
         });
 }
 
-compiler::SlotSizes
-convSizes(int64_t n, int64_t kw)
-{
-    return {{"In", {n, n}},
-            {"Kernel", {kw, 1}},
-            {"Out", {n - kw + 1, n - kw + 1}},
-            {"buffer", {n - kw + 1, n}}};
-}
-
-/** convSizes() by slot id: In, Kernel, Out, buffer. */
+/** Slot extents by slot id: In, Kernel, Out, buffer. */
 std::vector<compiler::SlotExtent>
 convExtents(int64_t n, int64_t kw)
 {
@@ -146,35 +137,29 @@ ConvolutionBenchmark::seedConfig() const
     return tuner::Config(schema_);
 }
 
+void
+ConvolutionBenchmark::buildPlan(const tuner::Config &config, int64_t n,
+                                compiler::TransformConfig &plan) const
+{
+    int split = static_cast<int>(config.tunableValueAt(splitTun_));
+    plan.stages.clear();
+    if (config.selectorAt(choiceSel_).select(n) == 0) {
+        plan.choiceIndex = 0;
+        plan.stages.push_back(stageAt(config, rules_[0], n, split));
+    } else {
+        plan.choiceIndex = 1;
+        plan.stages.push_back(stageAt(config, rules_[1], n, split));
+        plan.stages.push_back(stageAt(config, rules_[2], n, split));
+    }
+}
+
 compiler::TransformConfig
 ConvolutionBenchmark::planFor(const tuner::Config &config,
                               int64_t n) const
 {
-    int split = static_cast<int>(
-        config.tunableValue("SeparableConvolution.split"));
     compiler::TransformConfig plan;
-    if (config.selector("SeparableConvolution.choice").select(n) == 0) {
-        plan.choiceIndex = 0;
-        plan.stages = {stageFor(config, "Convolve2D", n, split)};
-    } else {
-        plan.choiceIndex = 1;
-        plan.stages = {stageFor(config, "ConvolveRows", n, split),
-                       stageFor(config, "ConvolveColumns", n, split)};
-    }
+    buildPlan(config, n, plan);
     return plan;
-}
-
-double
-ConvolutionBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                               const sim::MachineProfile &machine) const
-{
-    if (n <= kwidth_)
-        return std::numeric_limits<double>::infinity();
-    auto outcome =
-        compiler::simulateTransform(*transform_, planFor(config, n),
-                                    convSizes(n, kwidth_), {kwidth_},
-                                    machine);
-    return outcome.seconds;
 }
 
 apps::EvalContextPtr
@@ -183,36 +168,23 @@ ConvolutionBenchmark::makeEvalContext(
 {
     if (n <= kwidth_)
         return nullptr; // degenerate size: evaluate() is +inf anyway
-    return std::make_shared<SimEvalContext>(
+    return std::make_shared<EvalContext>(
         analysis_, convExtents(n, kwidth_), lang::ParamEnv{kwidth_},
         machine);
 }
 
 double
 ConvolutionBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                               const sim::MachineProfile &machine,
+                               const sim::MachineProfile &,
                                const EvalContext *ctx) const
 {
     if (n <= kwidth_)
         return std::numeric_limits<double>::infinity();
-    if (ctx == nullptr)
-        return evaluate(config, n, machine);
-    // planFor() via the pre-resolved config positions, into a reused
-    // per-thread plan (no allocation in the batch loop).
+    PB_ASSERT(ctx != nullptr, name() << " priced without its context");
+    // A reused per-thread plan: no allocation in the batch loop.
     thread_local compiler::TransformConfig plan;
-    int split = static_cast<int>(config.tunableValueAt(splitTun_));
-    plan.stages.clear();
-    if (config.selectorAt(choiceSel_).select(n) == 0) {
-        plan.choiceIndex = 0;
-        plan.stages.push_back(stageForIds(config, rules_[0], n, split));
-    } else {
-        plan.choiceIndex = 1;
-        plan.stages.push_back(stageForIds(config, rules_[1], n, split));
-        plan.stages.push_back(stageForIds(config, rules_[2], n, split));
-    }
-    return compiler::simulateTransform(
-               static_cast<const SimEvalContext &>(*ctx), plan)
-        .seconds;
+    buildPlan(config, n, plan);
+    return compiler::simulateTransform(*ctx, plan).seconds;
 }
 
 std::vector<std::string>

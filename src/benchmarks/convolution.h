@@ -31,8 +31,7 @@ class ConvolutionBenchmark : public Benchmark
 
     std::string name() const override { return "SeparableConv."; }
     tuner::Config seedConfig() const override;
-    double evaluate(const tuner::Config &config, int64_t n,
-                    const sim::MachineProfile &machine) const override;
+    using Benchmark::evaluate;
     EvalContextPtr
     makeEvalContext(int64_t n,
                     const sim::MachineProfile &machine) const override;
@@ -70,6 +69,11 @@ class ConvolutionBenchmark : public Benchmark
     static tuner::Config fixedMapping(bool separable, bool localMem);
 
   private:
+    /** The stage placement of @p config at size @p n, into @p plan
+     * (planFor() and the cost model share it). */
+    void buildPlan(const tuner::Config &config, int64_t n,
+                   compiler::TransformConfig &plan) const;
+
     int64_t kwidth_;
     std::shared_ptr<lang::Transform> transform_;
     // Model structure every evaluation context shares, built once.

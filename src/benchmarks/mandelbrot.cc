@@ -45,15 +45,6 @@ mandelbrotRule()
         flopsPerPoint);
 }
 
-compiler::SlotSizes
-sizesFor(int64_t n)
-{
-    int64_t rows = MandelbrotBenchmark::rowsFor(n);
-    int64_t cols = (n + rows - 1) / rows;
-    std::pair<int64_t, int64_t> shape{cols, rows};
-    return {{"Cr", shape}, {"Ci", shape}, {"Iter", shape}};
-}
-
 /** The escape-loop cap: 64 keeps a probe-sized run quick while still
  * making each point strongly compute bound. */
 constexpr int64_t kMaxIter = 64;
@@ -104,34 +95,32 @@ MandelbrotBenchmark::seedConfig() const
     return tuner::Config(schema_);
 }
 
+void
+MandelbrotBenchmark::buildPlan(const tuner::Config &config, int64_t n,
+                               compiler::TransformConfig &plan) const
+{
+    plan.choiceIndex = 0;
+    plan.stages.clear();
+    plan.stages.push_back(stageAt(
+        config, rule_, n,
+        static_cast<int>(config.tunableValueAt(splitTun_))));
+}
+
 compiler::TransformConfig
 MandelbrotBenchmark::planFor(const tuner::Config &config,
                              int64_t n) const
 {
     compiler::TransformConfig plan;
-    plan.choiceIndex = 0;
-    plan.stages = {stageFor(
-        config, "Mandelbrot", n,
-        static_cast<int>(config.tunableValue("Mandelbrot.split")))};
+    buildPlan(config, n, plan);
     return plan;
-}
-
-double
-MandelbrotBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                              const sim::MachineProfile &machine) const
-{
-    auto outcome = compiler::simulateTransform(
-        *transform_, planFor(config, n), sizesFor(n), {kMaxIter},
-        machine);
-    return outcome.seconds;
 }
 
 apps::EvalContextPtr
 MandelbrotBenchmark::makeEvalContext(
     int64_t n, const sim::MachineProfile &machine) const
 {
-    int64_t rows = rowsFor(n); // sizesFor() by slot id: one shape
-    return std::make_shared<SimEvalContext>(
+    int64_t rows = rowsFor(n); // one shape for every slot
+    return std::make_shared<EvalContext>(
         analysis_,
         std::vector<compiler::SlotExtent>(transform_->slots().size(),
                                           {(n + rows - 1) / rows, rows}),
@@ -140,19 +129,14 @@ MandelbrotBenchmark::makeEvalContext(
 
 double
 MandelbrotBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                              const sim::MachineProfile &machine,
+                              const sim::MachineProfile &,
                               const EvalContext *ctx) const
 {
-    if (ctx == nullptr)
-        return evaluate(config, n, machine);
-    int split = static_cast<int>(config.tunableValueAt(splitTun_));
+    PB_ASSERT(ctx != nullptr, name() << " priced without its context");
+    // A reused per-thread plan: no allocation in the batch loop.
     thread_local compiler::TransformConfig plan;
-    plan.choiceIndex = 0;
-    plan.stages.clear();
-    plan.stages.push_back(stageForIds(config, rule_, n, split));
-    return compiler::simulateTransform(
-               static_cast<const SimEvalContext &>(*ctx), plan)
-        .seconds;
+    buildPlan(config, n, plan);
+    return compiler::simulateTransform(*ctx, plan).seconds;
 }
 
 std::vector<std::string>

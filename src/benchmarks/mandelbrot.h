@@ -40,8 +40,7 @@ class MandelbrotBenchmark : public Benchmark
 
     std::string name() const override { return "Mandelbrot"; }
     tuner::Config seedConfig() const override;
-    double evaluate(const tuner::Config &config, int64_t n,
-                    const sim::MachineProfile &machine) const override;
+    using Benchmark::evaluate;
     EvalContextPtr
     makeEvalContext(int64_t n,
                     const sim::MachineProfile &machine) const override;
@@ -78,6 +77,11 @@ class MandelbrotBenchmark : public Benchmark
     static MatrixD reference(const lang::Binding &binding);
 
   private:
+    /** The stage placement of @p config at size @p n, into @p plan
+     * (planFor() and the cost model share it). */
+    void buildPlan(const tuner::Config &config, int64_t n,
+                   compiler::TransformConfig &plan) const;
+
     std::shared_ptr<lang::Transform> transform_;
     // Model structure every evaluation context shares, built once.
     compiler::TransformAnalysisPtr analysis_;

@@ -80,18 +80,7 @@ updateRule(const std::string &name, const std::string &outSlot,
         [](const ParamEnv &) { return 8.0; });
 }
 
-compiler::SlotSizes
-poissonSizes(int64_t n, int iterations)
-{
-    compiler::SlotSizes sizes{{"In", {n, n}}};
-    for (int k = 0; k <= iterations; ++k) {
-        sizes["Red" + std::to_string(k)] = {n / 2, n};
-        sizes["Black" + std::to_string(k)] = {n / 2, n};
-    }
-    return sizes;
-}
-
-/** poissonSizes() by slot id: In, then the Red/Black pairs. */
+/** Slot extents by slot id: In, then the Red/Black pairs. */
 std::vector<compiler::SlotExtent>
 poissonExtents(int64_t n, int iterations)
 {
@@ -152,62 +141,13 @@ PoissonBenchmark::seedConfig() const
     return tuner::Config(schema_);
 }
 
-compiler::TransformConfig
-PoissonBenchmark::planFor(const tuner::Config &config, int64_t n) const
+void
+PoissonBenchmark::buildPlan(const tuner::Config &config, int64_t n,
+                            compiler::TransformConfig &plan) const
 {
-    int chunks = static_cast<int>(
-        config.tunableValue("Poisson.split.chunks"));
-    compiler::StageConfig split =
-        stageFor(config, "Poisson.split", n, chunks);
-    compiler::StageConfig iterate =
-        stageFor(config, "Poisson.iterate", n, chunks);
-    compiler::TransformConfig plan;
-    plan.choiceIndex = 0;
-    plan.stages = {split, split};
-    for (int k = 0; k < iterations_; ++k) {
-        plan.stages.push_back(iterate);
-        plan.stages.push_back(iterate);
-    }
-    return plan;
-}
-
-double
-PoissonBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                           const sim::MachineProfile &machine) const
-{
-    if (n < 8 || n % 2 != 0)
-        return std::numeric_limits<double>::infinity();
-    auto outcome = compiler::simulateTransform(
-        *transform_, planFor(config, n), poissonSizes(n, iterations_),
-        {n, n, 15000}, machine);
-    return outcome.seconds;
-}
-
-apps::EvalContextPtr
-PoissonBenchmark::makeEvalContext(int64_t n,
-                                  const sim::MachineProfile &machine) const
-{
-    if (n < 8 || n % 2 != 0)
-        return nullptr; // degenerate size: evaluate() is +inf anyway
-    return std::make_shared<SimEvalContext>(
-        analysis_, poissonExtents(n, iterations_),
-        lang::ParamEnv{n, n, 15000}, machine);
-}
-
-double
-PoissonBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                           const sim::MachineProfile &machine,
-                           const EvalContext *ctx) const
-{
-    if (n < 8 || n % 2 != 0)
-        return std::numeric_limits<double>::infinity();
-    if (ctx == nullptr)
-        return evaluate(config, n, machine);
     int chunks = static_cast<int>(config.tunableValueAt(chunksTun_));
-    compiler::StageConfig split = stageForIds(config, split_, n, chunks);
-    compiler::StageConfig iterate =
-        stageForIds(config, iterate_, n, chunks);
-    thread_local compiler::TransformConfig plan;
+    compiler::StageConfig split = stageAt(config, split_, n, chunks);
+    compiler::StageConfig iterate = stageAt(config, iterate_, n, chunks);
     plan.choiceIndex = 0;
     plan.stages.clear();
     plan.stages.push_back(split);
@@ -216,9 +156,39 @@ PoissonBenchmark::evaluate(const tuner::Config &config, int64_t n,
         plan.stages.push_back(iterate);
         plan.stages.push_back(iterate);
     }
-    return compiler::simulateTransform(
-               static_cast<const SimEvalContext &>(*ctx), plan)
-        .seconds;
+}
+
+compiler::TransformConfig
+PoissonBenchmark::planFor(const tuner::Config &config, int64_t n) const
+{
+    compiler::TransformConfig plan;
+    buildPlan(config, n, plan);
+    return plan;
+}
+
+apps::EvalContextPtr
+PoissonBenchmark::makeEvalContext(int64_t n,
+                                  const sim::MachineProfile &machine) const
+{
+    if (n < 8 || n % 2 != 0)
+        return nullptr; // degenerate size: evaluate() is +inf anyway
+    return std::make_shared<EvalContext>(
+        analysis_, poissonExtents(n, iterations_),
+        lang::ParamEnv{n, n, 15000}, machine);
+}
+
+double
+PoissonBenchmark::evaluate(const tuner::Config &config, int64_t n,
+                           const sim::MachineProfile &,
+                           const EvalContext *ctx) const
+{
+    if (n < 8 || n % 2 != 0)
+        return std::numeric_limits<double>::infinity();
+    PB_ASSERT(ctx != nullptr, name() << " priced without its context");
+    // A reused per-thread plan: no allocation in the batch loop.
+    thread_local compiler::TransformConfig plan;
+    buildPlan(config, n, plan);
+    return compiler::simulateTransform(*ctx, plan).seconds;
 }
 
 std::vector<std::string>

@@ -44,8 +44,7 @@ class PoissonBenchmark : public Benchmark
 
     std::string name() const override { return "Poisson2D SOR"; }
     tuner::Config seedConfig() const override;
-    double evaluate(const tuner::Config &config, int64_t n,
-                    const sim::MachineProfile &machine) const override;
+    using Benchmark::evaluate;
     EvalContextPtr
     makeEvalContext(int64_t n,
                     const sim::MachineProfile &machine) const override;
@@ -91,6 +90,11 @@ class PoissonBenchmark : public Benchmark
     static constexpr double kOmega = 1.5;
 
   private:
+    /** The stage placement of @p config at size @p n, into @p plan
+     * (planFor() and the cost model share it). */
+    void buildPlan(const tuner::Config &config, int64_t n,
+                   compiler::TransformConfig &plan) const;
+
     int iterations_;
     std::shared_ptr<lang::Transform> transform_;
     // Model structure every evaluation context shares, built once.

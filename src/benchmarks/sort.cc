@@ -33,17 +33,12 @@ struct WorkSpan
 
 struct ModelCtx
 {
-    const tuner::Config &config;
+    tuner::SelectorView algorithm; // "Sort.algorithm"
     const sim::MachineProfile &machine;
     double rate;  // scalar ops/sec of one core
     int workers;
     int64_t taskCutoff;
     int64_t pmCutoff;
-
-    /** Pre-resolved "Sort.algorithm" selector (the fast path); when
-     * null, modelSort() looks it up by name per recursion level — the
-     * reference path's pre-context behavior. */
-    const tuner::SelectorView *algorithm = nullptr;
 };
 
 double
@@ -72,9 +67,7 @@ modelSort(const ModelCtx &ctx, int64_t n)
 {
     if (n <= 1)
         return {0.0, 0.0};
-    int alg = ctx.algorithm
-                  ? ctx.algorithm->select(n)
-                  : ctx.config.selector("Sort.algorithm").select(n);
+    int alg = ctx.algorithm.select(n);
     double dn = static_cast<double>(n);
     bool spawn = n >= ctx.taskCutoff;
     auto seconds = [&](double ops) { return ops / ctx.rate; };
@@ -406,42 +399,16 @@ SortBenchmark::seedConfig() const
 
 double
 SortBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                        const sim::MachineProfile &machine) const
+                        const sim::MachineProfile &machine,
+                        const EvalContext *) const
 {
-    ModelCtx ctx{config, machine,
+    ModelCtx ctx{config.selectorAt(algorithmSel_), machine,
                  machine.cpu.gflopsPerCore * 1e9,
                  std::min(machine.workerThreads, machine.cpu.cores),
-                 config.tunableValue("Sort.taskCutoff"),
-                 config.tunableValue("Sort.pmCutoff")};
+                 config.tunableValueAt(taskCutoffTun_),
+                 config.tunableValueAt(pmCutoffTun_)};
     WorkSpan ws = modelSort(ctx, n);
     return std::max(ws.work / ctx.workers, ws.span);
-}
-
-apps::EvalContextPtr
-SortBenchmark::makeEvalContext(int64_t n,
-                               const sim::MachineProfile &machine) const
-{
-    (void)n;
-    (void)machine;
-    return positionsOnlyContext();
-}
-
-double
-SortBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                        const sim::MachineProfile &machine,
-                        const EvalContext *ctx) const
-{
-    if (ctx == nullptr)
-        return evaluate(config, n, machine);
-    const tuner::SelectorView algorithm = config.selectorAt(algorithmSel_);
-    ModelCtx mctx{config, machine,
-                  machine.cpu.gflopsPerCore * 1e9,
-                  std::min(machine.workerThreads, machine.cpu.cores),
-                  config.tunableValueAt(taskCutoffTun_),
-                  config.tunableValueAt(pmCutoffTun_),
-                  &algorithm};
-    WorkSpan ws = modelSort(mctx, n);
-    return std::max(ws.work / mctx.workers, ws.span);
 }
 
 std::vector<std::string>

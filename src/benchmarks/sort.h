@@ -43,11 +43,7 @@ class SortBenchmark : public Benchmark
 
     std::string name() const override { return "Sort"; }
     tuner::Config seedConfig() const override;
-    double evaluate(const tuner::Config &config, int64_t n,
-                    const sim::MachineProfile &machine) const override;
-    EvalContextPtr
-    makeEvalContext(int64_t n,
-                    const sim::MachineProfile &machine) const override;
+    using Benchmark::evaluate;
     double evaluate(const tuner::Config &config, int64_t n,
                     const sim::MachineProfile &machine,
                     const EvalContext *ctx) const override;

@@ -76,24 +76,14 @@ struct WorkSpan
     double span = 0.0;
 };
 
-// The matmul model is written once, parameterized over how the config
-// is consulted: the reference path passes lambdas that look selectors
-// and tunables up by name per recursive level (the pre-context
-// behavior the throughput bench measures against), the fast path
-// passes O(1) reads of pre-resolved positions. Both produce
-// bit-identical numbers.
-
-/** @param lwsOf nullary: the "<prefix>.mm.lws" tunable value. */
-template <typename LwsOf>
+/** The synthesized OpenCL matmul kernel at size n, with its transfers. */
 double
-opencilMatmulSecondsT(const LwsOf &lwsOf, int64_t n,
-                      const sim::MachineProfile &machine,
-                      double localityPenalty)
+openclMatmulSeconds(int lws, int64_t n, const sim::MachineProfile &machine,
+                    double localityPenalty)
 {
     if (!machine.hasOpenCL)
         return std::numeric_limits<double>::infinity();
     const lang::RuleDef &rule = *sharedMatmulRule();
-    int lws = lwsOf();
     ocl::NDRange range(n, n, lws, 1);
     compiler::SlotExtents extents;
     extents.inputs = {{n, n}, {n, n}};
@@ -113,18 +103,18 @@ opencilMatmulSecondsT(const LwsOf &lwsOf, int64_t n,
     return machine.transfer.seconds(bytes) + kernel;
 }
 
-/** @param algOf size -> "<prefix>.mm.algorithm" selection. */
-template <typename AlgOf, typename LwsOf>
+/** Work and span of an n x n matmul under @p algorithm's choice at
+ * each recursion level. */
 WorkSpan
-modelMMT(const AlgOf &algOf, const LwsOf &lwsOf, int64_t n,
-         const sim::MachineProfile &machine, double localityPenalty)
+modelMM(tuner::SelectorView algorithm, int lws, int64_t n,
+        const sim::MachineProfile &machine, double localityPenalty)
 {
     double dn = static_cast<double>(n);
     int workers = std::min(machine.workerThreads, machine.cpu.cores);
     double rate = machine.cpu.gflopsPerCore * 1e9;
     double memRate = machine.cpu.memBandwidthGBs * 1e9 / localityPenalty;
 
-    int alg = n <= kLeafSize ? kMmNaive : algOf(n);
+    int alg = n <= kLeafSize ? kMmNaive : algorithm.select(n);
     switch (alg) {
       case kMmLapack: {
         // The machine's library build decides both vector efficiency
@@ -149,7 +139,7 @@ modelMMT(const AlgOf &algOf, const LwsOf &lwsOf, int64_t n,
       }
       case kMmRecursive8: {
         WorkSpan child =
-            modelMMT(algOf, lwsOf, n / 2, machine, localityPenalty);
+            modelMM(algorithm, lws, n / 2, machine, localityPenalty);
         double combine = 2.0 * dn * dn / rate;
         double shuffle = kDecompBytesPerN2 * dn * dn / memRate;
         return {8 * child.work + combine + shuffle,
@@ -157,38 +147,20 @@ modelMMT(const AlgOf &algOf, const LwsOf &lwsOf, int64_t n,
       }
       case kMmStrassen: {
         WorkSpan child =
-            modelMMT(algOf, lwsOf, n / 2, machine, localityPenalty);
+            modelMM(algorithm, lws, n / 2, machine, localityPenalty);
         double adds = 9.0 * dn * dn / rate; // 18 (n/2)^2 add matrices
         double shuffle = 1.5 * kDecompBytesPerN2 * dn * dn / memRate;
         return {7 * child.work + adds + shuffle,
                 child.span + adds / workers + shuffle};
       }
       case kMmOpenCl: {
-        double t = opencilMatmulSecondsT(lwsOf, n, machine,
-                                         localityPenalty);
+        double t =
+            openclMatmulSeconds(lws, n, machine, localityPenalty);
         return {t, t};
       }
       default:
         PB_PANIC("bad matmul algorithm " << alg);
     }
-}
-
-/** Reference lookup policy: by-name lookups per recursive level. */
-WorkSpan
-modelMM(const tuner::Config &config, const std::string &prefix,
-        int64_t n, const sim::MachineProfile &machine,
-        double localityPenalty)
-{
-    return modelMMT(
-        [&](int64_t size) {
-            return config.selector(prefix + ".mm.algorithm")
-                .select(size);
-        },
-        [&] {
-            return static_cast<int>(
-                config.tunableValue(prefix + ".mm.lws"));
-        },
-        n, machine, localityPenalty);
 }
 
 // ---- Real-mode execution ----------------------------------------------
@@ -354,16 +326,6 @@ addMatmulChoices(tuner::ConfigSchema::Builder &schema,
     schema.addTunable({prefix + ".mm.lws", 1, 1024, 64, false});
 }
 
-double
-modelMatmulSeconds(const tuner::Config &config, const std::string &prefix,
-                   int64_t n, const sim::MachineProfile &machine,
-                   double localityPenalty)
-{
-    WorkSpan ws = modelMM(config, prefix, n, machine, localityPenalty);
-    int workers = std::min(machine.workerThreads, machine.cpu.cores);
-    return std::max(ws.work / workers, ws.span);
-}
-
 MatmulChoiceIds
 matmulChoiceIds(const tuner::ConfigSchema &schema, const std::string &prefix)
 {
@@ -371,108 +333,16 @@ matmulChoiceIds(const tuner::ConfigSchema &schema, const std::string &prefix)
             schema.tunableIndex(prefix + ".mm.lws")};
 }
 
-MatmulLevelModel::MatmulLevelModel(int64_t n,
-                                   const sim::MachineProfile &machine,
-                                   double localityPenalty)
-    : machine_(machine), localityPenalty_(localityPenalty)
-{
-    workers_ = std::min(machine.workerThreads, machine.cpu.cores);
-    double rate = machine.cpu.gflopsPerCore * 1e9;
-    double memRate = machine.cpu.memBandwidthGBs * 1e9 / localityPenalty;
-    double libRate = machine.blasSpeedup * rate *
-                     std::min(machine.blasThreads, machine.cpu.cores);
-
-    // Every constant below is the exact expression modelMMT evaluates
-    // at that level, so composing them reproduces it bit-for-bit.
-    for (int64_t s = n;; s /= 2) {
-        Level level;
-        level.size = s;
-        double dn = static_cast<double>(s);
-        {
-            double flops = 2.0 * dn * dn * dn;
-            double bytes = 3.0 * 8.0 * dn * dn;
-            double t = std::max(flops / libRate, bytes / memRate);
-            level.lapackWork = t * machine.blasThreads;
-            level.lapackSpan = t;
-        }
-        {
-            double flops = 2.0 * dn * dn * dn;
-            double t = std::max(flops / rate,
-                                3.0 * 8.0 * dn * dn / memRate);
-            level.naiveWork = t;
-            level.naiveSpan = t / workers_;
-        }
-        {
-            double flops = 2.0 * dn * dn * dn / 1.5;
-            double t = std::max(flops / rate,
-                                3.0 * 8.0 * dn * dn / memRate);
-            level.blockedWork = t;
-            level.blockedSpan = t / workers_;
-        }
-        level.r8Combine = 2.0 * dn * dn / rate;
-        level.r8CombineOverWorkers = level.r8Combine / workers_;
-        level.r8Shuffle = kDecompBytesPerN2 * dn * dn / memRate;
-        level.stAdds = 9.0 * dn * dn / rate;
-        level.stAddsOverWorkers = level.stAdds / workers_;
-        level.stShuffle = 1.5 * kDecompBytesPerN2 * dn * dn / memRate;
-        levels_.push_back(level);
-        if (s <= kLeafSize)
-            break;
-    }
-}
-
 double
-MatmulLevelModel::seconds(tuner::SelectorView algorithm, int lws) const
+modelMatmulSeconds(const tuner::Config &config, const MatmulChoiceIds &ids,
+                   int64_t n, const sim::MachineProfile &machine,
+                   double localityPenalty)
 {
-    // The recursion of modelMMT over precomputed level constants.
-    struct Eval
-    {
-        const MatmulLevelModel &model;
-        tuner::SelectorView algorithm;
-        int lws;
-
-        WorkSpan
-        at(size_t i) const
-        {
-            const Level &level = model.levels_[i];
-            int alg = level.size <= kLeafSize
-                          ? kMmNaive
-                          : algorithm.select(level.size);
-            switch (alg) {
-              case kMmLapack:
-                return {level.lapackWork, level.lapackSpan};
-              case kMmNaive:
-                return {level.naiveWork, level.naiveSpan};
-              case kMmBlocked:
-                return {level.blockedWork, level.blockedSpan};
-              case kMmRecursive8: {
-                WorkSpan child = at(i + 1);
-                return {8 * child.work + level.r8Combine +
-                            level.r8Shuffle,
-                        child.span + level.r8CombineOverWorkers +
-                            level.r8Shuffle};
-              }
-              case kMmStrassen: {
-                WorkSpan child = at(i + 1);
-                return {7 * child.work + level.stAdds +
-                            level.stShuffle,
-                        child.span + level.stAddsOverWorkers +
-                            level.stShuffle};
-              }
-              case kMmOpenCl: {
-                double t = opencilMatmulSecondsT(
-                    [this] { return lws; }, level.size, model.machine_,
-                    model.localityPenalty_);
-                return {t, t};
-              }
-              default:
-                PB_PANIC("bad matmul algorithm " << alg);
-            }
-        }
-    };
-
-    WorkSpan ws = Eval{*this, algorithm, lws}.at(0);
-    return std::max(ws.work / workers_, ws.span);
+    WorkSpan ws = modelMM(config.selectorAt(ids.algorithm),
+                          static_cast<int>(config.tunableValueAt(ids.lws)),
+                          n, machine, localityPenalty);
+    int workers = std::min(machine.workerThreads, machine.cpu.cores);
+    return std::max(ws.work / workers, ws.span);
 }
 
 bool
@@ -602,44 +472,10 @@ StrassenBenchmark::seedConfig() const
 
 double
 StrassenBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                            const sim::MachineProfile &machine) const
-{
-    return modelMatmulSeconds(config, "Strassen", n, machine);
-}
-
-namespace {
-
-/** Level constants of the matmul model (Benchmark docs). */
-struct StrassenEvalContext : apps::EvalContext
-{
-    MatmulLevelModel model;
-
-    StrassenEvalContext(int64_t n, const sim::MachineProfile &machine)
-        : model(n, machine)
-    {}
-};
-
-} // namespace
-
-apps::EvalContextPtr
-StrassenBenchmark::makeEvalContext(
-    int64_t n, const sim::MachineProfile &machine) const
-{
-    return std::make_shared<StrassenEvalContext>(n, machine);
-}
-
-double
-StrassenBenchmark::evaluate(const tuner::Config &config, int64_t n,
                             const sim::MachineProfile &machine,
-                            const EvalContext *ctx) const
+                            const EvalContext *) const
 {
-    if (ctx == nullptr)
-        return evaluate(config, n, machine);
-    const auto &strassen =
-        static_cast<const StrassenEvalContext &>(*ctx);
-    return strassen.model.seconds(
-        config.selectorAt(mm_.algorithm),
-        static_cast<int>(config.tunableValueAt(mm_.lws)));
+    return modelMatmulSeconds(config, mm_, n, machine);
 }
 
 std::vector<std::string>

@@ -44,16 +44,6 @@ void addMatmulChoices(tuner::ConfigSchema::Builder &schema,
                       const std::string &prefix);
 
 /**
- * Modeled seconds of an n x n matmul under @p config's "<prefix>.mm"
- * selector on @p machine. @p localityPenalty scales CPU/GPU memory
- * costs for calls on sub-regions of larger arrays (SVD).
- */
-double modelMatmulSeconds(const tuner::Config &config,
-                          const std::string &prefix, int64_t n,
-                          const sim::MachineProfile &machine,
-                          double localityPenalty = 1.0);
-
-/**
  * Pre-resolved positions of the "<prefix>.mm" choice structure within
  * a schema — valid for every configuration of the benchmark. The
  * benchmark resolves these once, in its constructor, so the recursive
@@ -69,45 +59,15 @@ MatmulChoiceIds matmulChoiceIds(const tuner::ConfigSchema &schema,
                                 const std::string &prefix);
 
 /**
- * Per-recursion-level precomputation of the matmul model for one
- * (n, machine, localityPenalty): every leaf and decomposition constant
- * of the recursive model at sizes n, n/2, ..., leaf is priced once at
- * evaluation-context build time, so pricing a configuration reduces to
- * selector walks plus a few adds and multiplies. Results are
- * bit-identical to modelMatmulSeconds() — each stored constant is the
- * same expression the recursive model evaluates, composed in the same
- * order (the golden-equality suite checks this).
+ * Modeled seconds of an n x n matmul under @p config's matmul choices
+ * (positions @p ids) on @p machine: the selector is consulted at every
+ * recursion level. @p localityPenalty scales CPU/GPU memory costs for
+ * calls on sub-regions of larger arrays (SVD).
  */
-class MatmulLevelModel
-{
-  public:
-    MatmulLevelModel(int64_t n, const sim::MachineProfile &machine,
-                     double localityPenalty = 1.0);
-
-    /**
-     * Modeled seconds under @p algorithm (the "<prefix>.mm.algorithm"
-     * selector) with local work size @p lws (consulted only when a
-     * level selects the OpenCL kernel).
-     */
-    double seconds(tuner::SelectorView algorithm, int lws) const;
-
-  private:
-    struct Level
-    {
-        int64_t size = 0;
-        double lapackWork = 0.0, lapackSpan = 0.0;
-        double naiveWork = 0.0, naiveSpan = 0.0;
-        double blockedWork = 0.0, blockedSpan = 0.0;
-        double r8Combine = 0.0, r8CombineOverWorkers = 0.0,
-               r8Shuffle = 0.0;
-        double stAdds = 0.0, stAddsOverWorkers = 0.0, stShuffle = 0.0;
-    };
-
-    std::vector<Level> levels_; // sizes n, n/2, ...; last is <= leaf
-    sim::MachineProfile machine_;
-    double localityPenalty_ = 1.0;
-    int workers_ = 1;
-};
+double modelMatmulSeconds(const tuner::Config &config,
+                          const MatmulChoiceIds &ids, int64_t n,
+                          const sim::MachineProfile &machine,
+                          double localityPenalty = 1.0);
 
 /** Kernel source of the synthesized matmul kernel (Section 5.4). */
 inline const std::string kMatmulKernel = "pbcl:MatMul:global";
@@ -132,11 +92,7 @@ class StrassenBenchmark : public Benchmark
 
     std::string name() const override { return "Strassen"; }
     tuner::Config seedConfig() const override;
-    double evaluate(const tuner::Config &config, int64_t n,
-                    const sim::MachineProfile &machine) const override;
-    EvalContextPtr
-    makeEvalContext(int64_t n,
-                    const sim::MachineProfile &machine) const override;
+    using Benchmark::evaluate;
     double evaluate(const tuner::Config &config, int64_t n,
                     const sim::MachineProfile &machine,
                     const EvalContext *ctx) const override;

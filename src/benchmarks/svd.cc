@@ -165,6 +165,9 @@ SvdBenchmark::SvdBenchmark(double accuracyTarget)
     mm_ = matmulChoiceIds(*schema_, "SVD");
     phase1Sel_ = schema_->selectorIndex("SVD.phase1");
     k8Tun_ = schema_->tunableIndex("SVD.k8");
+    for (int k8 = 1; k8 <= 8; ++k8)
+        rankFeasible_[static_cast<size_t>(k8)] =
+            modeledError(k8) <= accuracyTarget_;
 }
 
 lang::Binding
@@ -225,20 +228,20 @@ SvdBenchmark::modeledError(int k8)
 
 double
 SvdBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                       const sim::MachineProfile &machine) const
+                       const sim::MachineProfile &machine,
+                       const EvalContext *) const
 {
-    int k8 = static_cast<int>(config.tunableValue("SVD.k8"));
-    if (modeledError(k8) > accuracyTarget_)
+    int k8 = static_cast<int>(config.tunableValueAt(k8Tun_));
+    if (!rankFeasible_[static_cast<size_t>(k8)])
         return std::numeric_limits<double>::infinity();
     double dn = static_cast<double>(n);
     double k = dn * k8 / 8.0;
 
     // Phase 1: B = A^T A (two halves of the output).
-    double halfMm = modelMatmulSeconds(config, "SVD", n, machine,
-                                       kLocalityPenalty) / 2.0;
+    double mm = modelMatmulSeconds(config, mm_, n, machine, kLocalityPenalty);
+    double halfMm = mm / 2.0;
     double phase1;
-    if (config.selector("SVD.phase1").select(n) ==
-        kSvdPhase1TaskParallel) {
+    if (config.selectorAt(phase1Sel_).select(n) == kSvdPhase1TaskParallel) {
         if (!machine.hasOpenCL)
             return std::numeric_limits<double>::infinity();
         // One half on the GPU (with its transfers), one on the CPU,
@@ -265,99 +268,8 @@ SvdBenchmark::evaluate(const tuner::Config &config, int64_t n,
 
     // Phase 3: project A onto the leading k directions (two n*k*n
     // multiplies, through the same matmul machinery cost-wise).
-    double project = modelMatmulSeconds(config, "SVD", n, machine,
-                                        kLocalityPenalty) *
-                     (2.0 * k / dn);
+    double project = mm * (2.0 * k / dn);
     return phase1 + jacobi + project;
-}
-
-namespace {
-
-/**
- * Everything in the SVD model that does not depend on the
- * configuration: the Jacobi phase, the task-parallel GPU half, the
- * matmul level constants, and the rank projection factor per k8
- * setting. Each stored value is the exact expression the reference
- * evaluate() computes (bit-identical).
- */
-struct SvdEvalContext : apps::EvalContext
-{
-    MatmulLevelModel model;
-    double jacobiSeconds;
-    double gpuHalfSeconds;
-    double projFactor[9] = {};
-    bool k8Feasible[9] = {};
-
-    SvdEvalContext(int64_t n, const sim::MachineProfile &machine,
-                   double accuracyTarget)
-        : model(n, machine, SvdBenchmark::kLocalityPenalty)
-    {
-        double dn = static_cast<double>(n);
-
-        int workers = std::min(machine.workerThreads, machine.cpu.cores);
-        double rate = machine.cpu.gflopsPerCore * 1e9;
-        jacobiSeconds = kJacobiSweeps * kJacobiFlopsPerN3 * dn * dn *
-                        dn / (rate * std::min(workers, 8));
-
-        double bytes = 8.0 * dn * dn;
-        sim::CostReport gpuHalf;
-        gpuHalf.flops = 2.2 * dn * dn * dn;
-        gpuHalf.globalBytesRead =
-            0.1 * dn * dn * dn * 8.0 * SvdBenchmark::kLocalityPenalty;
-        gpuHalf.globalBytesWritten = 4.0 * dn * dn;
-        gpuHalfSeconds =
-            machine.transfer.seconds(2.0 * bytes) +
-            sim::CostModel::kernelSeconds(machine.ocl, gpuHalf, 64);
-
-        for (int k8 = 1; k8 <= 8; ++k8) {
-            double k = dn * k8 / 8.0;
-            projFactor[k8] = 2.0 * k / dn;
-            k8Feasible[k8] =
-                SvdBenchmark::modeledError(k8) <= accuracyTarget;
-        }
-    }
-};
-
-} // namespace
-
-apps::EvalContextPtr
-SvdBenchmark::makeEvalContext(int64_t n,
-                              const sim::MachineProfile &machine) const
-{
-    return std::make_shared<SvdEvalContext>(n, machine, accuracyTarget_);
-}
-
-double
-SvdBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                       const sim::MachineProfile &machine,
-                       const EvalContext *ctx) const
-{
-    if (ctx == nullptr)
-        return evaluate(config, n, machine);
-    const auto &svd = static_cast<const SvdEvalContext &>(*ctx);
-
-    // Same arithmetic as the reference overload over the context's
-    // precomputed constants, with the (identical) matmul model priced
-    // once instead of twice.
-    int k8 = static_cast<int>(config.tunableValueAt(k8Tun_));
-    if (!svd.k8Feasible[k8])
-        return std::numeric_limits<double>::infinity();
-
-    double mm = svd.model.seconds(
-        config.selectorAt(mm_.algorithm),
-        static_cast<int>(config.tunableValueAt(mm_.lws)));
-    double halfMm = mm / 2.0;
-    double phase1;
-    if (config.selectorAt(phase1Sel_).select(n) ==
-        kSvdPhase1TaskParallel) {
-        if (!machine.hasOpenCL)
-            return std::numeric_limits<double>::infinity();
-        phase1 = std::max(halfMm, svd.gpuHalfSeconds);
-    } else {
-        phase1 = 2.0 * halfMm;
-    }
-
-    return phase1 + svd.jacobiSeconds + mm * svd.projFactor[k8];
 }
 
 std::vector<std::string>

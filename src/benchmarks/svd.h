@@ -24,6 +24,8 @@
 #ifndef PETABRICKS_BENCHMARKS_SVD_H
 #define PETABRICKS_BENCHMARKS_SVD_H
 
+#include <array>
+
 #include "benchmarks/benchmark.h"
 #include "benchmarks/strassen.h"
 #include "support/matrix.h"
@@ -48,11 +50,7 @@ class SvdBenchmark : public Benchmark
 
     std::string name() const override { return "SVD"; }
     tuner::Config seedConfig() const override;
-    double evaluate(const tuner::Config &config, int64_t n,
-                    const sim::MachineProfile &machine) const override;
-    EvalContextPtr
-    makeEvalContext(int64_t n,
-                    const sim::MachineProfile &machine) const override;
+    using Benchmark::evaluate;
     double evaluate(const tuner::Config &config, int64_t n,
                     const sim::MachineProfile &machine,
                     const EvalContext *ctx) const override;
@@ -111,6 +109,8 @@ class SvdBenchmark : public Benchmark
     MatmulChoiceIds mm_;
     size_t phase1Sel_ = 0;
     size_t k8Tun_ = 0;
+    /** By "SVD.k8" value: does that rank meet the accuracy target? */
+    std::array<bool, 9> rankFeasible_{};
 };
 
 /**

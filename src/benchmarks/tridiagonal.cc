@@ -249,9 +249,6 @@ TridiagBenchmark::seedConfig() const
 
 namespace {
 
-// The per-algorithm pricing is shared between the reference and fast
-// evaluate() overloads; only how (alg, lws) are looked up differs.
-
 double
 modelThomasSeconds(int64_t n, const sim::MachineProfile &machine)
 {
@@ -304,40 +301,9 @@ modelCyclicGpuSeconds(int64_t n, int lws,
 
 double
 TridiagBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                           const sim::MachineProfile &machine) const
-{
-    switch (config.selector("Tridiag.algorithm").select(n)) {
-      case kTriThomas:
-        return modelThomasSeconds(n, machine);
-      case kTriCyclicCpu:
-        return modelCyclicCpuSeconds(n, machine);
-      case kTriCyclicGpu: {
-        if (!machine.hasOpenCL)
-            return std::numeric_limits<double>::infinity();
-        int lws = static_cast<int>(config.tunableValue("Tridiag.lws"));
-        return modelCyclicGpuSeconds(n, lws, machine);
-      }
-      default:
-        PB_PANIC("bad tridiag algorithm");
-    }
-}
-
-apps::EvalContextPtr
-TridiagBenchmark::makeEvalContext(int64_t n,
-                                  const sim::MachineProfile &machine) const
-{
-    (void)n;
-    (void)machine;
-    return positionsOnlyContext();
-}
-
-double
-TridiagBenchmark::evaluate(const tuner::Config &config, int64_t n,
                            const sim::MachineProfile &machine,
-                           const EvalContext *ctx) const
+                           const EvalContext *) const
 {
-    if (ctx == nullptr)
-        return evaluate(config, n, machine);
     switch (config.selectorAt(algorithmSel_).select(n)) {
       case kTriThomas:
         return modelThomasSeconds(n, machine);

@@ -50,11 +50,7 @@ class TridiagBenchmark : public Benchmark
 
     std::string name() const override { return "Tridiagonal Solver"; }
     tuner::Config seedConfig() const override;
-    double evaluate(const tuner::Config &config, int64_t n,
-                    const sim::MachineProfile &machine) const override;
-    EvalContextPtr
-    makeEvalContext(int64_t n,
-                    const sim::MachineProfile &machine) const override;
+    using Benchmark::evaluate;
     double evaluate(const tuner::Config &config, int64_t n,
                     const sim::MachineProfile &machine,
                     const EvalContext *ctx) const override;

@@ -92,7 +92,7 @@ EvaluationContext::EvaluationContext(TransformAnalysisPtr analysis,
                                      std::vector<SlotExtent> extents,
                                      const lang::ParamEnv &params,
                                      const sim::MachineProfile &machine)
-    : analysis_(std::move(analysis)), machine_(machine),
+    : analysis_(std::move(analysis)), params_(params), machine_(machine),
       extents_(std::move(extents)), sizing_(analysis_->ruleCount),
       contextId_(nextContextId())
 {

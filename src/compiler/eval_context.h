@@ -12,7 +12,9 @@
  * shared-bandwidth CPU spec — so the autotuner can build one per
  * generation and the dispatcher one per query, and the per-config inner
  * loop (simulateTransform(ctx, config)) touches nothing but dense
- * arrays.
+ * arrays. It is the apps::EvalContext of the simulator-backed
+ * benchmarks, and keeps its extents and params, so a test can replay
+ * the same invocation through the reference simulator.
  *
  * Thread safety: both tiers are immutable once built, so one context
  * may be shared by all threads of a parallel batch (engine::ModelEngine's
@@ -124,6 +126,7 @@ class EvaluationContext
                       const sim::MachineProfile &machine);
 
     const TransformAnalysis &analysis() const { return *analysis_; }
+    const lang::ParamEnv &params() const { return params_; }
     const sim::MachineProfile &machine() const { return machine_; }
 
     SlotExtent
@@ -152,6 +155,7 @@ class EvaluationContext
 
   private:
     TransformAnalysisPtr analysis_;
+    lang::ParamEnv params_;
     sim::MachineProfile machine_;
     std::vector<SlotExtent> extents_; // by slot id
     std::vector<RuleSizing> sizing_;  // by RuleEvalInfo::id

@@ -20,14 +20,12 @@ using sim::SimTaskId;
 
 /**
  * The pre-fast-path discrete-event scheduler, kept verbatim as part of
- * the reference path's executable spec: per-task record objects with
- * dependent lists and labels, std:: containers allocated per run. The
- * production sim::ScheduleSimulator computes the identical schedule
+ * the reference simulator's executable spec: per-task record objects
+ * with dependent lists and labels, std:: containers allocated per run.
+ * The production sim::ScheduleSimulator computes the identical schedule
  * (its running-task heap key is the same total order) with
- * struct-of-arrays storage and reusable buffers; the throughput bench
- * measures the fast path against *this* baseline so the reported
- * speedup reflects the full pre-PR evaluation cost, and the
- * golden-equality suite pins the two implementations together.
+ * struct-of-arrays storage and reusable buffers; the golden-equality
+ * suite pins the two implementations together.
  */
 class ReferenceScheduler
 {

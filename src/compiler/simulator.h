@@ -41,12 +41,12 @@ struct SimOutcome
  * Simulate one invocation of @p transform under placement @p config on
  * @p machine.
  *
- * This is the *reference path*: it rebuilds every piece of
+ * This is the *reference simulator*: it rebuilds every piece of
  * config-invariant scaffolding (stage planning, admissibility,
  * string-keyed residency) from scratch per call. It is kept verbatim as
- * the executable specification of the model — the golden-equality tests
- * assert the fast path below reproduces it bit-for-bit — and for
- * one-off calls where building an EvaluationContext isn't worth it.
+ * the executable specification of the model and has no production
+ * caller: the golden-equality tests replay a benchmark's invocation
+ * through it and assert the fast path below reproduces it bit-for-bit.
  *
  * @param sizes extents of every slot.
  * @param params bound transform parameters.
@@ -58,7 +58,8 @@ SimOutcome simulateTransform(const lang::Transform &transform,
                              const sim::MachineProfile &machine);
 
 /**
- * Fast path: simulate @p config against a prebuilt EvaluationContext.
+ * Fast path, the one every benchmark prices through: simulate
+ * @p config against a prebuilt EvaluationContext.
  *
  * All config-invariant work (execution order, admissibility, slot
  * extents, access geometry, flops-per-point) comes precomputed from

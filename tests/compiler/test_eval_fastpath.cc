@@ -1,11 +1,16 @@
 // Golden-equality suite for the model-mode evaluation fast path.
 //
-// The EvaluationContext path (interned slot ids, coalescing residency,
-// memoized stage costs, precomputed analytic constants, the reusable
-// scheduler) must be *bit-identical* to the reference path — the
-// per-call from-scratch implementation kept as the executable spec. No
-// tolerance comparisons here: any divergence, however small, means the
-// fast path changed the model.
+// The simulator-backed benchmarks (Poisson2D SOR, SeparableConv.,
+// Black-Scholes, Mandelbrot) price through an EvaluationContext:
+// interned slot ids, coalescing residency, memoized stage costs, the
+// reusable scheduler. Each price must be *bit-identical* to the
+// reference simulator's — the per-call from-scratch implementation kept
+// as the executable spec — replaying the same invocation: the
+// benchmark's transform() and planFor(), and the slot extents and
+// params of its context. No tolerance comparisons here: any divergence,
+// however small, means the fast path changed the model. The analytic
+// benchmarks have one implementation of their model; the golden digests
+// in tests/benchmarks/test_cost_digests.cc pin it.
 
 #include <bit>
 #include <cmath>
@@ -20,6 +25,7 @@
 #include "compiler/simulator.h"
 #include "engine/execution_engine.h"
 #include "support/rng.h"
+#include "support/slot_table.h"
 #include "tuner/mutators.h"
 #include "tuner/session.h"
 
@@ -28,14 +34,38 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/** Reference-path evaluation; +inf for infeasible placements. */
+/** The four benchmarks priced through the simulator. */
+std::vector<apps::BenchmarkPtr>
+simulatorBenchmarks()
+{
+    std::vector<apps::BenchmarkPtr> benchmarks;
+    for (const char *name :
+         {"Black-Scholes", "Poisson2D SOR", "SeparableConv.", "Mandelbrot"})
+        benchmarks.push_back(apps::findBenchmark(name));
+    return benchmarks;
+}
+
+/** The reference simulator's price of @p config: the invocation the
+ * benchmark's context describes, rebuilt from scratch; +inf for
+ * infeasible placements. */
 double
 evalReference(const apps::Benchmark &benchmark,
               const tuner::Config &config, int64_t n,
               const sim::MachineProfile &machine)
 {
+    apps::EvalContextPtr ctx = benchmark.makeEvalContext(n, machine);
+    EXPECT_NE(ctx, nullptr) << benchmark.name() << " n=" << n;
+    if (ctx == nullptr)
+        return kInf;
+    compiler::SlotSizes sizes;
+    const SlotTable &slots = ctx->analysis().slots;
+    for (int id = 0; id < static_cast<int>(slots.size()); ++id)
+        sizes[slots.nameOf(id)] = ctx->extent(id);
     try {
-        return benchmark.evaluate(config, n, machine);
+        return compiler::simulateTransform(benchmark.transform(),
+                                           benchmark.planFor(config, n),
+                                           sizes, ctx->params(), machine)
+            .seconds;
     } catch (const FatalError &) {
         return kInf;
     }
@@ -118,25 +148,34 @@ expectGoldenEquality(const apps::Benchmark &benchmark, int64_t n)
 
 TEST(EvalFastPath, BitIdenticalCostsAllBenchmarksTwoSizes)
 {
-    for (const apps::BenchmarkPtr &benchmark : apps::allBenchmarks()) {
+    for (const apps::BenchmarkPtr &benchmark : simulatorBenchmarks()) {
         expectGoldenEquality(*benchmark, benchmark->minTuningSize());
         expectGoldenEquality(*benchmark, benchmark->testingInputSize());
     }
 }
 
-TEST(EvalFastPath, NullContextFallsBackToReference)
+/** A simulator-backed benchmark at a size it builds a context for
+ * rejects a null one; an analytic benchmark never needs one. */
+TEST(EvalFastPath, NullContextIsRejectedWhereAContextExists)
 {
-    auto benchmarks = apps::allBenchmarks();
     sim::MachineProfile machine = sim::MachineProfile::desktop();
-    for (const apps::BenchmarkPtr &benchmark : benchmarks) {
+    for (const apps::BenchmarkPtr &benchmark : apps::allBenchmarks()) {
         int64_t n = benchmark->minTuningSize();
         tuner::Config config = benchmark->seedConfig();
-        EXPECT_EQ(evalReference(*benchmark, config, n, machine),
-                  evalFast(*benchmark, config, n, machine, nullptr));
+        if (benchmark->makeEvalContext(n, machine) != nullptr)
+            EXPECT_THROW(benchmark->evaluate(config, n, machine, nullptr),
+                         PanicError)
+                << benchmark->name();
+        else
+            EXPECT_EQ(std::bit_cast<uint64_t>(
+                          benchmark->evaluate(config, n, machine, nullptr)),
+                      std::bit_cast<uint64_t>(
+                          benchmark->evaluate(config, n, machine)))
+                << benchmark->name();
     }
 }
 
-/** Reference-path tuner evaluator: by-name, context-free evaluation. */
+/** Tuner evaluator pricing through the reference simulator. */
 class ReferenceEvaluator : public tuner::Evaluator
 {
   public:
@@ -164,11 +203,11 @@ class ReferenceEvaluator : public tuner::Evaluator
 };
 
 /** A whole search over the fast path lands on the identical champion
- * (and identical accounting) as the reference path. */
+ * (and identical accounting) as one over the reference simulator. */
 TEST(EvalFastPath, TuningSessionChampionsMatchReferencePath)
 {
     sim::MachineProfile machine = sim::MachineProfile::desktop();
-    for (const apps::BenchmarkPtr &benchmark : apps::allBenchmarks()) {
+    for (const apps::BenchmarkPtr &benchmark : simulatorBenchmarks()) {
         tuner::TunerOptions options;
         options.seed = 0x600D;
         options.populationSize = 6;
@@ -218,7 +257,7 @@ class RecordingEvaluator : public ReferenceEvaluator
 /** Every configuration a seeded search visits, on every machine. */
 TEST(EvalFastPath, SearchedConfigsMatchOnEveryMachine)
 {
-    for (const apps::BenchmarkPtr &benchmark : apps::allBenchmarks()) {
+    for (const apps::BenchmarkPtr &benchmark : simulatorBenchmarks()) {
         for (const sim::MachineProfile &machine :
              sim::MachineProfile::all()) {
             tuner::TunerOptions options;

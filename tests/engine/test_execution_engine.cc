@@ -140,7 +140,8 @@ TEST(EngineEvaluator, InfeasibleConfigEvaluatesToInfinity)
         tuner::Config seedConfig() const override { return {}; }
         double
         evaluate(const tuner::Config &, int64_t,
-                 const sim::MachineProfile &) const override
+                 const sim::MachineProfile &,
+                 const apps::EvalContext *) const override
         {
             return 1.0;
         }
@@ -190,7 +191,8 @@ TEST(Benchmark, TuneWithEngineRejectsUnsupportedPairing)
         tuner::Config seedConfig() const override { return {}; }
         double
         evaluate(const tuner::Config &, int64_t,
-                 const sim::MachineProfile &) const override
+                 const sim::MachineProfile &,
+                 const apps::EvalContext *) const override
         {
             return 1.0;
         }

@@ -43,7 +43,8 @@ class SyntheticBenchmark : public apps::Benchmark
 
     double
     evaluate(const tuner::Config &config, int64_t,
-             const sim::MachineProfile &) const override
+             const sim::MachineProfile &,
+             const apps::EvalContext *) const override
     {
         int64_t lws = config.tunableValue("lws");
         if (lws == 13)
