@@ -414,11 +414,23 @@ SortBenchmark::evaluate(const tuner::Config &config, int64_t n,
 std::vector<std::string>
 SortBenchmark::kernelSources(const tuner::Config &config, int64_t n) const
 {
-    // Walk the selector: does any level reachable from n use bitonic?
+    // Follow the recursion modelSort() prices: does it reach bitonic?
     const tuner::SelectorView algorithm = config.selectorAt(algorithmSel_);
-    for (int64_t s = n; s >= 1; s /= 2)
-        if (algorithm.select(s) == kSortBitonicGpu)
+    for (int64_t s = n; s > 1;) {
+        switch (algorithm.select(s)) {
+          case kSortBitonicGpu:
             return {bitonicKernel_};
+          case kSortQuick:
+          case kSortMerge2:
+            s /= 2;
+            break;
+          case kSortMerge4:
+            s /= 4;
+            break;
+          default:
+            return {}; // insertion, selection and radix do not recurse
+        }
+    }
     return {};
 }
 

@@ -348,9 +348,14 @@ modelMatmulSeconds(const tuner::Config &config, const MatmulChoiceIds &ids,
 bool
 matmulUsesOpenCl(tuner::SelectorView algorithm, int64_t n)
 {
-    for (int64_t s = n; s > kLeafSize; s /= 2)
-        if (algorithm.select(s) == kMmOpenCl)
+    // The levels modelMM prices: only the decompositions recurse.
+    for (int64_t s = n; s > kLeafSize; s /= 2) {
+        int alg = algorithm.select(s);
+        if (alg == kMmOpenCl)
             return true;
+        if (alg != kMmRecursive8 && alg != kMmStrassen)
+            return false;
+    }
     return false;
 }
 

@@ -72,8 +72,9 @@ double modelMatmulSeconds(const tuner::Config &config,
 /** Kernel source of the synthesized matmul kernel (Section 5.4). */
 inline const std::string kMatmulKernel = "pbcl:MatMul:global";
 
-/** True if @p algorithm selects the OpenCL kernel at a level an n x n
- * matmul reaches (it then JIT-compiles kMatmulKernel). */
+/** True if @p algorithm selects the OpenCL kernel at a level the
+ * recursion of an n x n matmul reaches (it then JIT-compiles
+ * kMatmulKernel): LAPACK, blocked and naive levels end the recursion. */
 bool matmulUsesOpenCl(tuner::SelectorView algorithm, int64_t n);
 
 /** Execute C = A * B honoring the selector (real mode). */

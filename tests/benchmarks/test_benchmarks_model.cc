@@ -6,7 +6,9 @@
 #include <cctype>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -207,6 +209,54 @@ TEST(ModelStrassen, CrossMachineMigrationIsExpensive)
     double slowdown = bench.evaluate(lapack, n, kDesktop) /
                       bench.evaluate(gpu, n, kDesktop);
     EXPECT_GT(slowdown, 6.0);
+}
+
+/** Kernel lists follow the recursion the model prices: a selector
+ * level below a non-recursive algorithm compiles nothing. */
+TEST(ModelKernels, ListOnlyKernelsTheModelReaches)
+{
+    using Sources = std::vector<std::string>;
+
+    // LAPACK at n >= 512, OpenCL below: LAPACK does not recurse.
+    StrassenBenchmark strassen;
+    tuner::Config mm = strassen.seedConfig();
+    tuner::SelectorRef alg = mm.selector("Strassen.mm.algorithm");
+    alg.setAlgorithm(0, kMmOpenCl);
+    alg.insertLevel(512, kMmLapack);
+    EXPECT_EQ(strassen.describeConfig(mm, 1024), "LAPACK");
+    EXPECT_EQ(strassen.kernelSources(mm, 1024), Sources{});
+    EXPECT_EQ(strassen.kernelSources(mm, 256), Sources{kMatmulKernel});
+    // A decomposition does recurse into the OpenCL level.
+    alg.setAlgorithm(1, kMmStrassen);
+    EXPECT_EQ(strassen.kernelSources(mm, 1024), Sources{kMatmulKernel});
+
+    // SVD walks its matmul selector the same way.
+    SvdBenchmark svd;
+    tuner::Config svdMm = svd.seedConfig();
+    tuner::SelectorRef svdAlg = svdMm.selector("SVD.mm.algorithm");
+    svdAlg.setAlgorithm(0, kMmOpenCl);
+    svdAlg.insertLevel(128, kMmBlocked);
+    EXPECT_EQ(svd.kernelSources(svdMm, 256), Sources{});
+    EXPECT_EQ(svd.kernelSources(svdMm, 64), Sources{kMatmulKernel});
+
+    // Radix at n >= 1024, bitonic below: radix does not recurse.
+    SortBenchmark sort;
+    const Sources bitonic{"pbcl:bitonic:step"};
+    tuner::Config radix = sort.seedConfig();
+    tuner::SelectorRef sortAlg = radix.selector("Sort.algorithm");
+    sortAlg.setAlgorithm(0, kSortBitonicGpu);
+    sortAlg.insertLevel(1024, kSortRadix);
+    EXPECT_EQ(sort.kernelSources(radix, 1 << 20), Sources{});
+    EXPECT_EQ(sort.kernelSources(radix, 512), bitonic);
+
+    // 4-way merge at n >= 4096 recurses to n/4, skipping n/2:
+    // insertion below 2048, bitonic in [2048, 4096).
+    tuner::Config merge4 = sort.seedConfig();
+    tuner::SelectorRef merge4Alg = merge4.selector("Sort.algorithm");
+    merge4Alg.insertLevel(2048, kSortBitonicGpu);
+    merge4Alg.insertLevel(4096, kSortMerge4);
+    EXPECT_EQ(sort.kernelSources(merge4, 4096), Sources{});
+    EXPECT_EQ(sort.kernelSources(merge4, 8192), bitonic);
 }
 
 TEST(ModelPoisson, DesktopIteratesOnGpuServerOnCpu)

@@ -292,7 +292,9 @@ struct Golden
  * rendered in one pass (KvWriter). Each session runs its benchmark's
  * whole size ladder at population 12, 20 generations a size; machine
  * and seed are picked so the population fills to 12, and member 10
- * sorts before member 2.
+ * sorts before member 2. Sort's and Strassen's were re-recorded when
+ * kernel lists began to follow the recursion the model prices: only
+ * their compileSeconds, tuningSeconds and checkpoint seals changed.
  */
 const Golden kGolden[] = {
     {"Black-Scholes", "Desktop", 11,
@@ -302,9 +304,9 @@ const Golden kGolden[] = {
     {"SeparableConv.", "Laptop", 13,
      {0x052107d583365847, 0x136add7b07bc30d7, 0x9614f531b913446b}},
     {"Sort", "Desktop", 14,
-     {0x6710b2e00b3e4f30, 0x1438e2525d288fd2, 0x1559105a8646aa88}},
+     {0x43a376d97024e25c, 0xc729db2ec1a0a87f, 0xe771de643f61a989}},
     {"Strassen", "Server", 15,
-     {0x656f3659056aa3d9, 0x642b6345a9da6a7e, 0xec4b5577ead8b092}},
+     {0x4527f46b2b622142, 0x420f888fff6a950b, 0x102241a865add33b}},
     {"SVD", "Laptop", 16,
      {0x04ea9d9629826aa5, 0x974796dc0e7b5c16, 0x808f0c54d73279c8}},
     {"Tridiagonal Solver", "Desktop", 12,
