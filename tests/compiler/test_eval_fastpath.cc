@@ -146,6 +146,8 @@ expectGoldenEquality(const apps::Benchmark &benchmark, int64_t n)
     }
 }
 
+/** Every simulator-backed benchmark, at both ends of its tuning range
+ * (the golden digests cover all eight benchmarks). */
 TEST(EvalFastPath, BitIdenticalCostsAllBenchmarksTwoSizes)
 {
     for (const apps::BenchmarkPtr &benchmark : simulatorBenchmarks()) {
