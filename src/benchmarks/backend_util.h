@@ -11,8 +11,8 @@
  * choice encoding.
  *
  * Each simulator-backed benchmark resolves these positions once, in its
- * constructor, and one plan builder over them (stageAt) serves
- * planFor(), describeConfig() and the cost model alike.
+ * constructor, and builds every stage placement through stageAt() —
+ * for planFor(), describeConfig() and the cost model alike.
  */
 
 #ifndef PETABRICKS_BENCHMARKS_BACKEND_UTIL_H
