@@ -102,6 +102,10 @@ stageAt(const tuner::Config &config, const StageChoiceIds &ids, int64_t n,
 inline std::string
 describeStage(const compiler::StageConfig &stage)
 {
+    // At ratio 0 an OpenCL stage runs wholly on the CPU, as the
+    // simulator and the executor run it.
+    if (stage.gpuRatioEighths == 0)
+        return compiler::backendName(compiler::Backend::Cpu);
     std::string name = compiler::backendName(stage.backend);
     if (stage.backend == compiler::Backend::Cpu ||
         stage.gpuRatioEighths >= 8)
@@ -130,14 +134,20 @@ struct KernelNames
     {}
 };
 
-/** Append the kernel source a stage on @p backend JIT-compiles. */
+/**
+ * Append the kernel source @p stage JIT-compiles: none unless the
+ * simulator gives it GPU rows of its @p outH-row output.
+ */
 inline void
 appendKernelSources(std::vector<std::string> &sources,
-                    compiler::Backend backend, const KernelNames &names)
+                    const compiler::StageConfig &stage, int64_t outH,
+                    const KernelNames &names)
 {
-    if (backend == compiler::Backend::OpenClGlobal)
+    if (stage.gpuRows(outH) <= 0)
+        return;
+    if (stage.backend == compiler::Backend::OpenClGlobal)
         sources.push_back(names.global);
-    else if (backend == compiler::Backend::OpenClLocal)
+    else if (stage.backend == compiler::Backend::OpenClLocal)
         sources.push_back(names.local);
 }
 

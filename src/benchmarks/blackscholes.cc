@@ -142,7 +142,8 @@ BlackScholesBenchmark::kernelSources(const tuner::Config &config,
                                      int64_t n) const
 {
     std::vector<std::string> sources;
-    appendKernelSources(sources, backendAt(config, rule_, n), kernels_);
+    appendKernelSources(sources, planFor(config, n).stages[0], rowsFor(n),
+                        kernels_);
     return sources;
 }
 

@@ -191,15 +191,20 @@ std::vector<std::string>
 ConvolutionBenchmark::kernelSources(const tuner::Config &config,
                                     int64_t n) const
 {
-    // The rules of the chosen algorithm, in planFor()'s stage order.
+    // The rules of the chosen algorithm, in planFor()'s stage order:
+    // Out has n - kwidth + 1 rows, the row pass's buffer n.
     std::vector<std::string> sources;
+    if (n <= kwidth_)
+        return sources; // priced +inf before any kernel runs
+    const int64_t outRows = n - kwidth_ + 1;
     if (config.selectorAt(choiceSel_).select(n) == 0) {
-        appendKernelSources(sources, backendAt(config, rules_[0], n),
-                            kernels_[0]);
+        appendKernelSources(sources, stageAt(config, rules_[0], n, 1),
+                            outRows, kernels_[0]);
     } else {
-        for (int r = 1; r < 3; ++r)
-            appendKernelSources(sources, backendAt(config, rules_[r], n),
-                                kernels_[r]);
+        appendKernelSources(sources, stageAt(config, rules_[1], n, 1), n,
+                            kernels_[1]);
+        appendKernelSources(sources, stageAt(config, rules_[2], n, 1),
+                            outRows, kernels_[2]);
     }
     return sources;
 }

@@ -195,16 +195,19 @@ std::vector<std::string>
 PoissonBenchmark::kernelSources(const tuner::Config &config,
                                 int64_t n) const
 {
-    // The pack rules run on the split stage's backend, the updates on
-    // the iterate stage's (planFor()'s stage order).
+    // The pack rules run on the split stage's placement, the updates on
+    // the iterate stage's (planFor()'s stage order); every stage writes
+    // an n-row buffer.
     std::vector<std::string> sources;
-    compiler::Backend split = backendAt(config, split_, n);
-    appendKernelSources(sources, split, packRedKernels_);
-    appendKernelSources(sources, split, packBlackKernels_);
+    if (n < 8 || n % 2 != 0)
+        return sources; // priced +inf before any kernel runs
+    compiler::StageConfig split = stageAt(config, split_, n, 1);
+    appendKernelSources(sources, split, n, packRedKernels_);
+    appendKernelSources(sources, split, n, packBlackKernels_);
     if (iterations_ >= 1) {
-        compiler::Backend iterate = backendAt(config, iterate_, n);
-        appendKernelSources(sources, iterate, updateRedKernels_);
-        appendKernelSources(sources, iterate, updateBlackKernels_);
+        compiler::StageConfig iterate = stageAt(config, iterate_, n, 1);
+        appendKernelSources(sources, iterate, n, updateRedKernels_);
+        appendKernelSources(sources, iterate, n, updateBlackKernels_);
     }
     return sources;
 }

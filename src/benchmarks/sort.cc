@@ -439,12 +439,11 @@ SortBenchmark::describeConfig(const tuner::Config &config,
                               int64_t n) const
 {
     // Render the poly-algorithm as the paper does: from large sizes
-    // down to the base case.
+    // down to the base case, over the levels modelSort() prices.
     const tuner::SelectorView s = config.selector("Sort.algorithm");
     std::string out;
-    int64_t size = n;
     int last = -1;
-    while (size >= 1) {
+    for (int64_t size = n; size > 1;) {
         int alg = s.select(size);
         if (alg != last) {
             if (!out.empty())
@@ -454,9 +453,12 @@ SortBenchmark::describeConfig(const tuner::Config &config,
                 out += " below " + std::to_string(size + 1);
             last = alg;
         }
-        if (size == 1)
-            break;
-        size /= 2;
+        if (alg == kSortQuick || alg == kSortMerge2)
+            size /= 2;
+        else if (alg == kSortMerge4)
+            size /= 4;
+        else
+            break; // insertion, selection, radix and bitonic do not recurse
     }
     return out;
 }

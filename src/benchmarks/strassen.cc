@@ -377,8 +377,9 @@ describeMatmul(const tuner::Config &config, const std::string &prefix,
         config.selector(prefix + ".mm.algorithm");
     std::string out;
     int last = -1;
-    for (int64_t size = n; size > kLeafSize; size /= 2) {
-        int alg = s.select(size);
+    for (int64_t size = n;; size /= 2) {
+        // The levels modelMM() prices, the naive leaf included.
+        int alg = size <= kLeafSize ? kMmNaive : s.select(size);
         if (alg != last) {
             if (!out.empty())
                 out += ", then ";
@@ -387,11 +388,10 @@ describeMatmul(const tuner::Config &config, const std::string &prefix,
                 out += " below " + std::to_string(size + 1);
             last = alg;
         }
-        if (alg == kMmLapack || alg == kMmOpenCl || alg == kMmNaive ||
-            alg == kMmBlocked)
+        if (alg != kMmRecursive8 && alg != kMmStrassen)
             break; // non-recursive: smaller sizes never consulted
     }
-    return out.empty() ? "naive" : out;
+    return out;
 }
 
 namespace {

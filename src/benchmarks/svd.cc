@@ -275,17 +275,23 @@ SvdBenchmark::evaluate(const tuner::Config &config, int64_t n,
 std::vector<std::string>
 SvdBenchmark::kernelSources(const tuner::Config &config, int64_t n) const
 {
-    std::vector<std::string> sources;
-    if (matmulUsesOpenCl(config.selectorAt(mm_.algorithm), n))
-        sources.push_back(kMatmulKernel);
-    if (config.selectorAt(phase1Sel_).select(n) == kSvdPhase1TaskParallel)
-        sources.push_back(kMatmulKernel);
-    return sources;
+    // A rank that misses the target prices +inf before any matmul runs;
+    // both OpenCL paths launch the same kernel.
+    int k8 = static_cast<int>(config.tunableValueAt(k8Tun_));
+    if (!rankFeasible_[static_cast<size_t>(k8)])
+        return {};
+    if (matmulUsesOpenCl(config.selectorAt(mm_.algorithm), n) ||
+        config.selectorAt(phase1Sel_).select(n) == kSvdPhase1TaskParallel)
+        return {kMatmulKernel};
+    return {};
 }
 
 std::string
 SvdBenchmark::describeConfig(const tuner::Config &config, int64_t n) const
 {
+    int k8 = static_cast<int>(config.tunableValueAt(k8Tun_));
+    if (!rankFeasible_[static_cast<size_t>(k8)])
+        return "k=" + std::to_string(k8) + "/8 misses the accuracy target";
     std::string phase1 =
         config.selector("SVD.phase1").select(n) == kSvdPhase1TaskParallel
             ? "task parallel CPU+GPU"

@@ -2,6 +2,7 @@
  * Model-mode behavior: the qualitative facts the paper reports must
  * hold in the machine model (who wins where, and why).
  */
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cmath>
@@ -257,6 +258,142 @@ TEST(ModelKernels, ListOnlyKernelsTheModelReaches)
     merge4Alg.insertLevel(4096, kSortMerge4);
     EXPECT_EQ(sort.kernelSources(merge4, 4096), Sources{});
     EXPECT_EQ(sort.kernelSources(merge4, 8192), bitonic);
+
+    // Nor does the description name the bitonic level radix never
+    // reaches.
+    EXPECT_EQ(sort.describeConfig(radix, 1 << 20), "RS");
+
+    // A rank that misses the accuracy target prices +inf before any
+    // matmul runs.
+    tuner::Config coarse = svd.seedConfig();
+    coarse.selector("SVD.mm.algorithm").setAlgorithm(0, kMmOpenCl);
+    coarse.setTunable("SVD.k8", 1);
+    ASSERT_TRUE(std::isinf(svd.evaluate(coarse, 256, kDesktop)));
+    EXPECT_EQ(svd.kernelSources(coarse, 256), Sources{});
+
+    // The OpenCL matmul and the task-parallel phase 1 launch one
+    // kernel source between them.
+    tuner::Config both = svd.seedConfig();
+    both.selector("SVD.mm.algorithm").setAlgorithm(0, kMmOpenCl);
+    both.selector("SVD.phase1").setAlgorithm(0, kSvdPhase1TaskParallel);
+    EXPECT_EQ(svd.kernelSources(both, 256), Sources{kMatmulKernel});
+
+    // An OpenCL stage at GPU ratio 0 gets no GPU rows: it runs, and is
+    // described, as CPU.
+    BlackScholesBenchmark bs;
+    tuner::Config ratio0 = bs.seedConfig();
+    ratio0.selector("BlackScholes.backend")
+        .setAlgorithm(0, backendAlg(compiler::Backend::OpenClGlobal));
+    ratio0.setTunable("BlackScholes.ratio", 0);
+    const int64_t options = bs.testingInputSize();
+    EXPECT_EQ(bs.kernelSources(ratio0, options), Sources{});
+    EXPECT_EQ(bs.describeConfig(ratio0, options), "CPU");
+    sim::MachineProfile noOpenCl = kDesktop;
+    noOpenCl.hasOpenCL = false;
+    EXPECT_EQ(bs.evaluate(ratio0, options, noOpenCl),
+              bs.evaluate(BlackScholesBenchmark::cpuOnlyConfig(), options,
+                          noOpenCl));
+}
+
+/** Names of the levels in a Figure 6 description "A, then B below n". */
+std::vector<std::string>
+describedLevels(const std::string &text)
+{
+    std::vector<std::string> names;
+    for (size_t at = 0; at <= text.size();) {
+        size_t end = std::min(text.find(", then ", at), text.size());
+        std::string level = text.substr(at, end - at);
+        names.push_back(level.substr(0, level.find(" below ")));
+        at = end + 7;
+    }
+    return names;
+}
+
+/**
+ * Reference walk: the algorithm at each level a linear recursion
+ * visits from @p n, run-length encoded. @p leafAlg is forced at sizes up
+ * to @p leaf; @p shrink gives the size an algorithm recurses to (0:
+ * none).
+ */
+template <class Shrink>
+std::vector<std::string>
+visitedLevels(tuner::SelectorView selector, int64_t n, int64_t leaf,
+              int leafAlg, Shrink shrink,
+              const std::vector<std::string> &names)
+{
+    std::vector<std::string> visited;
+    for (int64_t s = n; s > 1;) {
+        int alg = s <= leaf ? leafAlg : selector.select(s);
+        const std::string &name = names[static_cast<size_t>(alg)];
+        if (visited.empty() || visited.back() != name)
+            visited.push_back(name);
+        s = shrink(alg, s);
+    }
+    return visited;
+}
+
+/** Figure 6 descriptions name exactly the algorithms at the levels the
+ * model visits, over seeded mutated configurations. */
+TEST(ModelKernels, DescriptionsNameTheLevelsTheModelVisits)
+{
+    const std::vector<std::string> sortNames{"IS",  "SS",  "QS", "RS",
+                                             "2MS", "4MS", "BitonicGPU"};
+    const std::vector<std::string> mmNames{
+        "LAPACK",  "8-way recursive", "Strassen",
+        "blocked", "naive",           "data-parallel OpenCL"};
+    auto sortShrink = [](int alg, int64_t s) -> int64_t {
+        if (alg == kSortQuick || alg == kSortMerge2)
+            return s / 2;
+        return alg == kSortMerge4 ? s / 4 : 0;
+    };
+    auto mmShrink = [](int alg, int64_t s) -> int64_t {
+        return alg == kMmRecursive8 || alg == kMmStrassen ? s / 2 : 0;
+    };
+    SortBenchmark sort;
+    StrassenBenchmark strassen;
+    SvdBenchmark svd;
+    const std::vector<const Benchmark *> benchmarks{&sort, &strassen, &svd};
+    Rng rng(2013);
+    for (const Benchmark *bench : benchmarks) {
+        SCOPED_TRACE(bench->name());
+        const tuner::Config seed = bench->seedConfig();
+        const auto &mutators = seed.schema().mutators();
+        const std::vector<int64_t> sizes{bench->minTuningSize(),
+                                         bench->testingInputSize()};
+        for (int chain = 0; chain < 500; ++chain) {
+            tuner::Config config = seed;
+            for (int m = 0; m < 12; ++m)
+                mutators[static_cast<size_t>(rng.uniformInt(
+                             0, static_cast<int64_t>(mutators.size()) - 1))]
+                    .apply(config, rng, sizes[static_cast<size_t>(m % 2)]);
+            const int64_t n = sizes[static_cast<size_t>(chain % 2)];
+            const std::string text = bench->describeConfig(config, n);
+            if (bench == &sort) {
+                EXPECT_EQ(describedLevels(text),
+                          visitedLevels(config.selector("Sort.algorithm"), n,
+                                        1, 0, sortShrink, sortNames))
+                    << text;
+            } else if (bench == &strassen) {
+                EXPECT_EQ(describedLevels(text),
+                          visitedLevels(
+                              config.selector("Strassen.mm.algorithm"), n,
+                              16, kMmNaive, mmShrink, mmNames))
+                    << text;
+            } else if (SvdBenchmark::modeledError(static_cast<int>(
+                           config.tunableValue("SVD.k8"))) <=
+                       svd.accuracyTarget()) {
+                size_t from = text.find("; matmul ") + 9;
+                EXPECT_EQ(describedLevels(
+                              text.substr(from, text.find("; k=") - from)),
+                          visitedLevels(config.selector("SVD.mm.algorithm"),
+                                        n, 16, kMmNaive, mmShrink, mmNames))
+                    << text;
+            } else {
+                // Priced +inf before any matmul: no level is visited.
+                EXPECT_EQ(text.find("matmul"), std::string::npos) << text;
+            }
+        }
+    }
 }
 
 TEST(ModelPoisson, DesktopIteratesOnGpuServerOnCpu)

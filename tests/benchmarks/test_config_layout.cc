@@ -10,12 +10,16 @@
 //
 // Property: long random mutation chains keep every configuration inside
 // the layout, round-trip through the choice file, and price to a finite
-// cost or +inf without any error but FatalError.
+// cost or +inf without any error but FatalError. Their kernel lists name
+// each source once, and name some exactly when the model launches a
+// kernel.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -212,8 +216,20 @@ TEST(MutationProperty, ChainsStayInLayoutRoundTripAndPrice)
                     benchmark->makeEvalContext(n, machine));
         }
 
+        // The kernel-list oracle: Desktop, and a copy of it without
+        // OpenCL, on which any kernel launch prices +inf or throws.
+        sim::MachineProfile noOpenCl = machines[0];
+        noOpenCl.hasOpenCL = false;
+        std::vector<apps::EvalContextPtr> noOpenClContexts;
+        for (int64_t n : sizes)
+            noOpenClContexts.push_back(
+                benchmark->makeEvalContext(n, noOpenCl));
+
         Rng rng(rngSeed++);
         int priced = 0;
+        int64_t repeats = 0;
+        int listMismatches = 0;
+        std::string firstMismatch;
         for (int chain = 0; chain < kChains; ++chain) {
             tuner::Config config = seed;
             int64_t length = rng.uniformInt(1, 24);
@@ -236,19 +252,39 @@ TEST(MutationProperty, ChainsStayInLayoutRoundTripAndPrice)
 
             size_t m = static_cast<size_t>(chain) % std::size(machines);
             size_t s = static_cast<size_t>(chain) % sizes.size();
-            double seconds;
-            try {
-                seconds = benchmark->evaluate(config, sizes[s], machines[m],
-                                              contexts[m][s].get());
-                benchmark->kernelSources(config, sizes[s]);
-            } catch (const FatalError &) {
-                seconds = std::numeric_limits<double>::infinity();
-            }
+            auto price = [&](const sim::MachineProfile &machine,
+                             const apps::EvalContextPtr &ctx) {
+                try {
+                    return benchmark->evaluate(config, sizes[s], machine,
+                                               ctx.get());
+                } catch (const FatalError &) {
+                    return std::numeric_limits<double>::infinity();
+                }
+            };
+            double seconds = price(machines[m], contexts[m][s]);
             ASSERT_FALSE(std::isnan(seconds));
             ASSERT_GT(seconds, 0.0);
             priced += std::isfinite(seconds);
+
+            // kernelSources lists each source once, and lists some
+            // exactly when the model launches a kernel: the config
+            // prices finite on Desktop but not without OpenCL.
+            const std::vector<std::string> sources =
+                benchmark->kernelSources(config, sizes[s]);
+            for (size_t i = 0; i < sources.size(); ++i)
+                repeats += std::count(sources.begin(), sources.begin() + i,
+                                      sources[i]);
+            const bool launches =
+                std::isfinite(price(machines[0], contexts[0][s])) &&
+                std::isinf(price(noOpenCl, noOpenClContexts[s]));
+            if (!sources.empty() != launches && listMismatches++ == 0)
+                firstMismatch = "n = " + std::to_string(sizes[s]) + ", " +
+                                std::to_string(sources.size()) +
+                                " sources:\n" + config.toKv().toString();
         }
         EXPECT_GT(priced, kChains / 10);
+        EXPECT_EQ(repeats, 0) << "sources listed twice";
+        EXPECT_EQ(listMismatches, 0) << "first: " << firstMismatch;
     }
 }
 
