@@ -11,14 +11,20 @@
  * choice encoding.
  *
  * Each simulator-backed benchmark resolves these positions once, in its
- * constructor, and builds every stage placement through stageAt() —
- * for planFor(), describeConfig() and the cost model alike.
+ * constructor, and builds every stage placement through stageAt(). The
+ * resulting plan is the one walk of its model: the simulator prices it,
+ * stageKernelSources() lists the kernels it launches (a stage's, only
+ * when the stage gets GPU rows, as in the simulator and the executor),
+ * and describeStage() renders each stage for Figure 6.
  */
 
 #ifndef PETABRICKS_BENCHMARKS_BACKEND_UTIL_H
 #define PETABRICKS_BENCHMARKS_BACKEND_UTIL_H
 
+#include <algorithm>
+#include <cmath>
 #include <string>
+#include <vector>
 
 #include "benchmarks/benchmark.h"
 #include "compiler/backend.h"
@@ -72,24 +78,16 @@ stageChoiceIds(const tuner::ConfigSchema &schema, const std::string &rule)
             schema.tunableIndex(rule + ".ratio")};
 }
 
-/** The backend the rule's selector picks at size @p n. */
-inline compiler::Backend
-backendAt(const tuner::Config &config, const StageChoiceIds &ids,
-          int64_t n)
-{
-    int alg = config.selectorAt(ids.backend).select(n);
-    PB_ASSERT(alg >= 0 && alg < kBackendCount,
-              "bad backend algorithm " << alg);
-    return static_cast<compiler::Backend>(alg);
-}
-
 /** The stage placement the rule's choices select at size @p n. */
 inline compiler::StageConfig
 stageAt(const tuner::Config &config, const StageChoiceIds &ids, int64_t n,
         int cpuSplit)
 {
+    int alg = config.selectorAt(ids.backend).select(n);
+    PB_ASSERT(alg >= 0 && alg < kBackendCount,
+              "bad backend algorithm " << alg);
     compiler::StageConfig stage;
-    stage.backend = backendAt(config, ids, n);
+    stage.backend = static_cast<compiler::Backend>(alg);
     stage.localWorkSize =
         static_cast<int>(config.tunableValueAt(ids.lws));
     stage.gpuRatioEighths =
@@ -98,57 +96,82 @@ stageAt(const tuner::Config &config, const StageChoiceIds &ids, int64_t n,
     return stage;
 }
 
+/**
+ * Slot extents of a transform over n cells whose @p slots all take one
+ * near-square shape, so that a GPU ratio splits rows (Black-Scholes,
+ * Mandelbrot).
+ */
+inline std::vector<compiler::SlotExtent>
+nearSquareExtents(int64_t n, size_t slots)
+{
+    int64_t rows = static_cast<int64_t>(
+        std::sqrt(static_cast<double>(std::max<int64_t>(n, 1))));
+    rows = std::max<int64_t>(rows, 1);
+    return std::vector<compiler::SlotExtent>(slots,
+                                             {(n + rows - 1) / rows, rows});
+}
+
 /** Human-readable backend description for the Figure 6 table. */
 inline std::string
 describeStage(const compiler::StageConfig &stage)
 {
-    // At ratio 0 an OpenCL stage runs wholly on the CPU, as the
-    // simulator and the executor run it.
-    if (stage.gpuRatioEighths == 0)
+    // At ratio 0 an OpenCL stage gets no GPU rows: it runs on the CPU.
+    if (stage.backend == compiler::Backend::Cpu ||
+        stage.gpuRatioEighths == 0)
         return compiler::backendName(compiler::Backend::Cpu);
     std::string name = compiler::backendName(stage.backend);
-    if (stage.backend == compiler::Backend::Cpu ||
-        stage.gpuRatioEighths >= 8)
+    if (stage.gpuRatioEighths >= 8)
         return name;
     // A partial GPU ratio computes the rest concurrently on the CPU.
     int gpuPercent = stage.gpuRatioEighths * 100 / 8;
-    std::string split =
-        name + " " + std::to_string(gpuPercent) + "%";
+    name += " " + std::to_string(gpuPercent) + "%";
     if (stage.backend == compiler::Backend::OpenClGlobal)
-        split += " / CPU " + std::to_string(100 - gpuPercent) + "%";
-    return split;
+        name += " / CPU " + std::to_string(100 - gpuPercent) + "%";
+    return name;
 }
 
 /**
- * The kernel source names one rule's OpenCL variants JIT-compile under
- * the Section 5.4 model, built once per rule (in the benchmark's
- * constructor) so that kernelSources() only copies them.
+ * The kernel sources of @p analysis's rules (Section 5.4), at
+ * 2 * RuleEvalInfo::id: "pbcl:<Rule>:global", then ":local". A
+ * simulator-backed benchmark builds them once, in its constructor.
  */
-struct KernelNames
+inline std::vector<std::string>
+stageKernelNames(const compiler::TransformAnalysis &analysis)
 {
-    std::string global;
-    std::string local;
-
-    explicit KernelNames(const std::string &rule)
-        : global("pbcl:" + rule + ":global"), local("pbcl:" + rule + ":local")
-    {}
-};
+    std::vector<std::string> names(2 * analysis.ruleCount);
+    for (const std::vector<compiler::RuleEvalInfo> &rules : analysis.choices)
+        for (const compiler::RuleEvalInfo &rule : rules) {
+            names[2 * rule.id] = "pbcl:" + rule.rule->name() + ":global";
+            names[2 * rule.id + 1] = "pbcl:" + rule.rule->name() + ":local";
+        }
+    return names;
+}
 
 /**
- * Append the kernel source @p stage JIT-compiles: none unless the
- * simulator gives it GPU rows of its @p outH-row output.
+ * The distinct kernel sources @p plan launches at slot extents
+ * @p extents, in stage order: a stage's, from @p names, only when the
+ * simulator gives the stage GPU rows.
  */
-inline void
-appendKernelSources(std::vector<std::string> &sources,
-                    const compiler::StageConfig &stage, int64_t outH,
-                    const KernelNames &names)
+inline std::vector<std::string>
+stageKernelSources(const compiler::TransformAnalysis &analysis,
+                   const std::vector<std::string> &names,
+                   const compiler::TransformConfig &plan,
+                   const std::vector<compiler::SlotExtent> &extents)
 {
-    if (stage.gpuRows(outH) <= 0)
-        return;
-    if (stage.backend == compiler::Backend::OpenClGlobal)
-        sources.push_back(names.global);
-    else if (stage.backend == compiler::Backend::OpenClLocal)
-        sources.push_back(names.local);
+    std::vector<std::string> sources;
+    for (const compiler::RuleEvalInfo &rule :
+         analysis.choices[plan.choiceIndex]) {
+        const compiler::StageConfig &stage = plan.stage(rule.ruleIndex);
+        const size_t out = static_cast<size_t>(rule.outputSlotId);
+        if (stage.gpuRows(extents[out].second) <= 0)
+            continue; // the simulator runs it wholly on the CPU
+        const std::string &name =
+            names[2 * rule.id +
+                  (stage.backend == compiler::Backend::OpenClLocal ? 1 : 0)];
+        if (std::find(sources.begin(), sources.end(), name) == sources.end())
+            sources.push_back(name);
+    }
+    return sources;
 }
 
 } // namespace apps

@@ -162,7 +162,12 @@ class Benchmark
                             const sim::MachineProfile &machine,
                             const EvalContext *ctx) const = 0;
 
-    /** Kernel source identities @p config JIT-compiles. */
+    /**
+     * The distinct kernel sources the model launches for @p config at
+     * size @p n, in first-launch order (the JIT compiles behind Figure
+     * 8 and RunResult::kernelCount); none when the model prices +inf
+     * before any kernel runs. From the same walk as evaluate().
+     */
     virtual std::vector<std::string>
     kernelSources(const tuner::Config &config, int64_t n) const
     {
@@ -180,7 +185,7 @@ class Benchmark
     /** Figure 8: synthetic OpenCL kernels the compiler generates. */
     virtual int openclKernelCount() const = 0;
 
-    /** Figure 6: one-line summary of what @p config chose. */
+    /** Figure 6: one-line summary of what @p config runs at @p n. */
     virtual std::string describeConfig(const tuner::Config &config,
                                        int64_t n) const = 0;
 

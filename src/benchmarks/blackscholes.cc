@@ -71,6 +71,7 @@ BlackScholesBenchmark::BlackScholesBenchmark()
         .slot("Price", lang::SlotRole::Output);
     transform_->choice("formula", {blackScholesRule()});
     analysis_ = std::make_shared<compiler::TransformAnalysis>(*transform_);
+    kernelNames_ = stageKernelNames(*analysis_);
     tuner::ConfigSchema::Builder schema;
     addBackendChoices(schema, "BlackScholes", /*hasLocalVariant=*/false);
     schema.addTunable({"BlackScholes.split", 1, 256, 16, true});
@@ -79,49 +80,38 @@ BlackScholesBenchmark::BlackScholesBenchmark()
     splitTun_ = schema_->tunableIndex("BlackScholes.split");
 }
 
-int64_t
-BlackScholesBenchmark::rowsFor(int64_t n)
-{
-    int64_t rows = static_cast<int64_t>(std::sqrt(
-        static_cast<double>(std::max<int64_t>(n, 1))));
-    return std::max<int64_t>(rows, 1);
-}
-
 tuner::Config
 BlackScholesBenchmark::seedConfig() const
 {
     return tuner::Config(schema_);
 }
 
-void
-BlackScholesBenchmark::buildPlan(const tuner::Config &config, int64_t n,
-                                 compiler::TransformConfig &plan) const
+const compiler::TransformConfig &
+BlackScholesBenchmark::stagePlan(const tuner::Config &config,
+                                 int64_t n) const
 {
+    thread_local compiler::TransformConfig plan; // no allocation per call
     plan.choiceIndex = 0;
     plan.stages.clear();
     plan.stages.push_back(stageAt(
         config, rule_, n,
         static_cast<int>(config.tunableValueAt(splitTun_))));
+    return plan;
 }
 
 compiler::TransformConfig
 BlackScholesBenchmark::planFor(const tuner::Config &config,
                                int64_t n) const
 {
-    compiler::TransformConfig plan;
-    buildPlan(config, n, plan);
-    return plan;
+    return stagePlan(config, n);
 }
 
 apps::EvalContextPtr
 BlackScholesBenchmark::makeEvalContext(
     int64_t n, const sim::MachineProfile &machine) const
 {
-    int64_t rows = rowsFor(n); // one shape for every slot
     return std::make_shared<EvalContext>(
-        analysis_,
-        std::vector<compiler::SlotExtent>(transform_->slots().size(),
-                                          {(n + rows - 1) / rows, rows}),
+        analysis_, nearSquareExtents(n, transform_->slots().size()),
         lang::ParamEnv{500, 2000}, machine);
 }
 
@@ -131,34 +121,28 @@ BlackScholesBenchmark::evaluate(const tuner::Config &config, int64_t n,
                                 const EvalContext *ctx) const
 {
     PB_ASSERT(ctx != nullptr, name() << " priced without its context");
-    // A reused per-thread plan: no allocation in the batch loop.
-    thread_local compiler::TransformConfig plan;
-    buildPlan(config, n, plan);
-    return compiler::simulateTransform(*ctx, plan).seconds;
+    return compiler::simulateTransform(*ctx, stagePlan(config, n)).seconds;
 }
 
 std::vector<std::string>
 BlackScholesBenchmark::kernelSources(const tuner::Config &config,
                                      int64_t n) const
 {
-    std::vector<std::string> sources;
-    appendKernelSources(sources, planFor(config, n).stages[0], rowsFor(n),
-                        kernels_);
-    return sources;
+    return stageKernelSources(*analysis_, kernelNames_, stagePlan(config, n),
+                              nearSquareExtents(n, transform_->slots().size()));
 }
 
 std::string
 BlackScholesBenchmark::describeConfig(const tuner::Config &config,
                                       int64_t n) const
 {
-    return describeStage(planFor(config, n).stages[0]);
+    return describeStage(stagePlan(config, n).stages[0]);
 }
 
 lang::Binding
 BlackScholesBenchmark::makeBinding(int64_t n, Rng &rng) const
 {
-    int64_t rows = rowsFor(n);
-    int64_t cols = (n + rows - 1) / rows;
+    auto [cols, rows] = nearSquareExtents(n, 1)[0];
     lang::Binding binding;
     MatrixD spot(cols, rows), strike(cols, rows), years(cols, rows);
     for (int64_t i = 0; i < spot.size(); ++i) {

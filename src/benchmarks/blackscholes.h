@@ -66,8 +66,6 @@ class BlackScholesBenchmark : public Benchmark
     double checkOutput(const lang::Binding &binding) const override;
     int64_t realModeProbeSize() const override { return 2048; }
 
-    /** Row count of the matrix shape used for n options. */
-    static int64_t rowsFor(int64_t n);
 
     /** Reference pricing for correctness checks. */
     static MatrixD reference(const lang::Binding &binding);
@@ -76,10 +74,11 @@ class BlackScholesBenchmark : public Benchmark
     static tuner::Config cpuOnlyConfig();
 
   private:
-    /** The stage placement of @p config at size @p n, into @p plan
-     * (planFor() and the cost model share it). */
-    void buildPlan(const tuner::Config &config, int64_t n,
-                   compiler::TransformConfig &plan) const;
+    /** The stage placement of @p config at size @p n, in a per-thread
+     * buffer: the one walk planFor(), describeConfig(), kernelSources()
+     * and the cost model share. */
+    const compiler::TransformConfig &stagePlan(const tuner::Config &config,
+                                               int64_t n) const;
 
     std::shared_ptr<lang::Transform> transform_;
     // Model structure every evaluation context shares, built once.
@@ -87,7 +86,7 @@ class BlackScholesBenchmark : public Benchmark
     tuner::ConfigSchemaPtr schema_;
     StageChoiceIds rule_;
     size_t splitTun_ = 0;
-    KernelNames kernels_{"BlackScholes"};
+    std::vector<std::string> kernelNames_; // stageKernelNames(*analysis_)
 };
 
 } // namespace apps

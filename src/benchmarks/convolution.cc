@@ -113,7 +113,8 @@ makeConvolutionTransform(int64_t kwidth)
 
 ConvolutionBenchmark::ConvolutionBenchmark(int64_t kwidth)
     : kwidth_(kwidth), transform_(makeConvolutionTransform(kwidth)),
-      analysis_(std::make_shared<compiler::TransformAnalysis>(*transform_))
+      analysis_(std::make_shared<compiler::TransformAnalysis>(*transform_)),
+      kernelNames_(stageKernelNames(*analysis_))
 {
     PB_ASSERT(kwidth >= 3 && kwidth % 2 == 1,
               "kernel width must be odd and >= 3");
@@ -124,10 +125,8 @@ ConvolutionBenchmark::ConvolutionBenchmark(int64_t kwidth)
     schema.addTunable({"SeparableConvolution.split", 1, 256, 16, true});
     schema_ = schema.build();
     choiceSel_ = schema_->selectorIndex("SeparableConvolution.choice");
-    for (int r = 0; r < 3; ++r) {
+    for (int r = 0; r < 3; ++r)
         rules_[r] = stageChoiceIds(*schema_, kRules[r]);
-        kernels_.emplace_back(kRules[r]);
-    }
     splitTun_ = schema_->tunableIndex("SeparableConvolution.split");
 }
 
@@ -137,10 +136,11 @@ ConvolutionBenchmark::seedConfig() const
     return tuner::Config(schema_);
 }
 
-void
-ConvolutionBenchmark::buildPlan(const tuner::Config &config, int64_t n,
-                                compiler::TransformConfig &plan) const
+const compiler::TransformConfig &
+ConvolutionBenchmark::stagePlan(const tuner::Config &config,
+                                int64_t n) const
 {
+    thread_local compiler::TransformConfig plan; // no allocation per call
     int split = static_cast<int>(config.tunableValueAt(splitTun_));
     plan.stages.clear();
     if (config.selectorAt(choiceSel_).select(n) == 0) {
@@ -151,15 +151,14 @@ ConvolutionBenchmark::buildPlan(const tuner::Config &config, int64_t n,
         plan.stages.push_back(stageAt(config, rules_[1], n, split));
         plan.stages.push_back(stageAt(config, rules_[2], n, split));
     }
+    return plan;
 }
 
 compiler::TransformConfig
 ConvolutionBenchmark::planFor(const tuner::Config &config,
                               int64_t n) const
 {
-    compiler::TransformConfig plan;
-    buildPlan(config, n, plan);
-    return plan;
+    return stagePlan(config, n);
 }
 
 apps::EvalContextPtr
@@ -181,32 +180,17 @@ ConvolutionBenchmark::evaluate(const tuner::Config &config, int64_t n,
     if (n <= kwidth_)
         return std::numeric_limits<double>::infinity();
     PB_ASSERT(ctx != nullptr, name() << " priced without its context");
-    // A reused per-thread plan: no allocation in the batch loop.
-    thread_local compiler::TransformConfig plan;
-    buildPlan(config, n, plan);
-    return compiler::simulateTransform(*ctx, plan).seconds;
+    return compiler::simulateTransform(*ctx, stagePlan(config, n)).seconds;
 }
 
 std::vector<std::string>
 ConvolutionBenchmark::kernelSources(const tuner::Config &config,
                                     int64_t n) const
 {
-    // The rules of the chosen algorithm, in planFor()'s stage order:
-    // Out has n - kwidth + 1 rows, the row pass's buffer n.
-    std::vector<std::string> sources;
     if (n <= kwidth_)
-        return sources; // priced +inf before any kernel runs
-    const int64_t outRows = n - kwidth_ + 1;
-    if (config.selectorAt(choiceSel_).select(n) == 0) {
-        appendKernelSources(sources, stageAt(config, rules_[0], n, 1),
-                            outRows, kernels_[0]);
-    } else {
-        appendKernelSources(sources, stageAt(config, rules_[1], n, 1), n,
-                            kernels_[1]);
-        appendKernelSources(sources, stageAt(config, rules_[2], n, 1),
-                            outRows, kernels_[2]);
-    }
-    return sources;
+        return {}; // priced +inf before any kernel runs
+    return stageKernelSources(*analysis_, kernelNames_, stagePlan(config, n),
+                              convExtents(n, kwidth_));
 }
 
 int
@@ -219,16 +203,11 @@ std::string
 ConvolutionBenchmark::describeConfig(const tuner::Config &config,
                                      int64_t n) const
 {
-    compiler::TransformConfig plan = planFor(config, n);
-    std::string algo = plan.choiceIndex == 0 ? "2D kernel" : "1D kernel";
-    const lang::Choice &choice = transform_->choiceAt(plan.choiceIndex);
-    std::string backends;
-    for (size_t i = 0; i < choice.rules.size(); ++i) {
-        if (i)
-            backends += " then ";
-        backends += describeStage(plan.stages[i]);
-    }
-    return algo + " on " + backends;
+    const compiler::TransformConfig &plan = stagePlan(config, n);
+    std::string out = plan.choiceIndex == 0 ? "2D kernel on " : "1D kernel on ";
+    for (size_t i = 0; i < plan.stages.size(); ++i)
+        out += (i ? " then " : "") + describeStage(plan.stages[i]);
+    return out;
 }
 
 lang::Binding

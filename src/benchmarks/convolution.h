@@ -69,10 +69,11 @@ class ConvolutionBenchmark : public Benchmark
     static tuner::Config fixedMapping(bool separable, bool localMem);
 
   private:
-    /** The stage placement of @p config at size @p n, into @p plan
-     * (planFor() and the cost model share it). */
-    void buildPlan(const tuner::Config &config, int64_t n,
-                   compiler::TransformConfig &plan) const;
+    /** The stage placement of @p config at size @p n, in a per-thread
+     * buffer: the one walk planFor(), describeConfig(), kernelSources()
+     * and the cost model share. */
+    const compiler::TransformConfig &stagePlan(const tuner::Config &config,
+                                               int64_t n) const;
 
     int64_t kwidth_;
     std::shared_ptr<lang::Transform> transform_;
@@ -81,7 +82,7 @@ class ConvolutionBenchmark : public Benchmark
     tuner::ConfigSchemaPtr schema_;
     size_t choiceSel_ = 0;
     StageChoiceIds rules_[3]; // Convolve2D, ConvolveRows, ConvolveColumns
-    std::vector<KernelNames> kernels_; // by rule, as rules_
+    std::vector<std::string> kernelNames_; // stageKernelNames(*analysis_)
     size_t splitTun_ = 0;
 };
 

@@ -73,6 +73,7 @@ MandelbrotBenchmark::MandelbrotBenchmark()
         .slot("Iter", lang::SlotRole::Output);
     transform_->choice("escape", {mandelbrotRule()});
     analysis_ = std::make_shared<compiler::TransformAnalysis>(*transform_);
+    kernelNames_ = stageKernelNames(*analysis_);
     tuner::ConfigSchema::Builder schema;
     addBackendChoices(schema, "Mandelbrot", /*hasLocalVariant=*/false);
     schema.addTunable({"Mandelbrot.split", 1, 256, 16, true});
@@ -81,49 +82,38 @@ MandelbrotBenchmark::MandelbrotBenchmark()
     splitTun_ = schema_->tunableIndex("Mandelbrot.split");
 }
 
-int64_t
-MandelbrotBenchmark::rowsFor(int64_t n)
-{
-    int64_t rows = static_cast<int64_t>(std::sqrt(
-        static_cast<double>(std::max<int64_t>(n, 1))));
-    return std::max<int64_t>(rows, 1);
-}
-
 tuner::Config
 MandelbrotBenchmark::seedConfig() const
 {
     return tuner::Config(schema_);
 }
 
-void
-MandelbrotBenchmark::buildPlan(const tuner::Config &config, int64_t n,
-                               compiler::TransformConfig &plan) const
+const compiler::TransformConfig &
+MandelbrotBenchmark::stagePlan(const tuner::Config &config,
+                               int64_t n) const
 {
+    thread_local compiler::TransformConfig plan; // no allocation per call
     plan.choiceIndex = 0;
     plan.stages.clear();
     plan.stages.push_back(stageAt(
         config, rule_, n,
         static_cast<int>(config.tunableValueAt(splitTun_))));
+    return plan;
 }
 
 compiler::TransformConfig
 MandelbrotBenchmark::planFor(const tuner::Config &config,
                              int64_t n) const
 {
-    compiler::TransformConfig plan;
-    buildPlan(config, n, plan);
-    return plan;
+    return stagePlan(config, n);
 }
 
 apps::EvalContextPtr
 MandelbrotBenchmark::makeEvalContext(
     int64_t n, const sim::MachineProfile &machine) const
 {
-    int64_t rows = rowsFor(n); // one shape for every slot
     return std::make_shared<EvalContext>(
-        analysis_,
-        std::vector<compiler::SlotExtent>(transform_->slots().size(),
-                                          {(n + rows - 1) / rows, rows}),
+        analysis_, nearSquareExtents(n, transform_->slots().size()),
         lang::ParamEnv{kMaxIter}, machine);
 }
 
@@ -133,34 +123,28 @@ MandelbrotBenchmark::evaluate(const tuner::Config &config, int64_t n,
                               const EvalContext *ctx) const
 {
     PB_ASSERT(ctx != nullptr, name() << " priced without its context");
-    // A reused per-thread plan: no allocation in the batch loop.
-    thread_local compiler::TransformConfig plan;
-    buildPlan(config, n, plan);
-    return compiler::simulateTransform(*ctx, plan).seconds;
+    return compiler::simulateTransform(*ctx, stagePlan(config, n)).seconds;
 }
 
 std::vector<std::string>
 MandelbrotBenchmark::kernelSources(const tuner::Config &config,
                                    int64_t n) const
 {
-    std::vector<std::string> sources;
-    appendKernelSources(sources, planFor(config, n).stages[0], rowsFor(n),
-                        kernels_);
-    return sources;
+    return stageKernelSources(*analysis_, kernelNames_, stagePlan(config, n),
+                              nearSquareExtents(n, transform_->slots().size()));
 }
 
 std::string
 MandelbrotBenchmark::describeConfig(const tuner::Config &config,
                                     int64_t n) const
 {
-    return describeStage(planFor(config, n).stages[0]);
+    return describeStage(stagePlan(config, n).stages[0]);
 }
 
 lang::Binding
 MandelbrotBenchmark::makeBinding(int64_t n, Rng &rng) const
 {
-    int64_t rows = rowsFor(n);
-    int64_t cols = (n + rows - 1) / rows;
+    auto [cols, rows] = nearSquareExtents(n, 1)[0];
     lang::Binding binding;
     MatrixD cr(cols, rows), ci(cols, rows);
     for (int64_t i = 0; i < cr.size(); ++i) {

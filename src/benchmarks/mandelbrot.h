@@ -70,17 +70,16 @@ class MandelbrotBenchmark : public Benchmark
     double checkOutput(const lang::Binding &binding) const override;
     int64_t realModeProbeSize() const override { return 2048; }
 
-    /** Row count of the matrix shape used for n points. */
-    static int64_t rowsFor(int64_t n);
 
     /** Reference escape counts for correctness checks. */
     static MatrixD reference(const lang::Binding &binding);
 
   private:
-    /** The stage placement of @p config at size @p n, into @p plan
-     * (planFor() and the cost model share it). */
-    void buildPlan(const tuner::Config &config, int64_t n,
-                   compiler::TransformConfig &plan) const;
+    /** The stage placement of @p config at size @p n, in a per-thread
+     * buffer: the one walk planFor(), describeConfig(), kernelSources()
+     * and the cost model share. */
+    const compiler::TransformConfig &stagePlan(const tuner::Config &config,
+                                               int64_t n) const;
 
     std::shared_ptr<lang::Transform> transform_;
     // Model structure every evaluation context shares, built once.
@@ -88,7 +87,7 @@ class MandelbrotBenchmark : public Benchmark
     tuner::ConfigSchemaPtr schema_;
     StageChoiceIds rule_;
     size_t splitTun_ = 0;
-    KernelNames kernels_{"Mandelbrot"};
+    std::vector<std::string> kernelNames_; // stageKernelNames(*analysis_)
 };
 
 } // namespace apps

@@ -123,7 +123,8 @@ makePoissonTransform(int iterations)
 PoissonBenchmark::PoissonBenchmark(int iterations)
     : iterations_(iterations),
       transform_(makePoissonTransform(iterations)),
-      analysis_(std::make_shared<compiler::TransformAnalysis>(*transform_))
+      analysis_(std::make_shared<compiler::TransformAnalysis>(*transform_)),
+      kernelNames_(stageKernelNames(*analysis_))
 {
     tuner::ConfigSchema::Builder schema;
     addBackendChoices(schema, "Poisson.split", /*hasLocalVariant=*/true);
@@ -141,10 +142,10 @@ PoissonBenchmark::seedConfig() const
     return tuner::Config(schema_);
 }
 
-void
-PoissonBenchmark::buildPlan(const tuner::Config &config, int64_t n,
-                            compiler::TransformConfig &plan) const
+const compiler::TransformConfig &
+PoissonBenchmark::stagePlan(const tuner::Config &config, int64_t n) const
 {
+    thread_local compiler::TransformConfig plan; // no allocation per call
     int chunks = static_cast<int>(config.tunableValueAt(chunksTun_));
     compiler::StageConfig split = stageAt(config, split_, n, chunks);
     compiler::StageConfig iterate = stageAt(config, iterate_, n, chunks);
@@ -156,14 +157,13 @@ PoissonBenchmark::buildPlan(const tuner::Config &config, int64_t n,
         plan.stages.push_back(iterate);
         plan.stages.push_back(iterate);
     }
+    return plan;
 }
 
 compiler::TransformConfig
 PoissonBenchmark::planFor(const tuner::Config &config, int64_t n) const
 {
-    compiler::TransformConfig plan;
-    buildPlan(config, n, plan);
-    return plan;
+    return stagePlan(config, n);
 }
 
 apps::EvalContextPtr
@@ -185,31 +185,17 @@ PoissonBenchmark::evaluate(const tuner::Config &config, int64_t n,
     if (n < 8 || n % 2 != 0)
         return std::numeric_limits<double>::infinity();
     PB_ASSERT(ctx != nullptr, name() << " priced without its context");
-    // A reused per-thread plan: no allocation in the batch loop.
-    thread_local compiler::TransformConfig plan;
-    buildPlan(config, n, plan);
-    return compiler::simulateTransform(*ctx, plan).seconds;
+    return compiler::simulateTransform(*ctx, stagePlan(config, n)).seconds;
 }
 
 std::vector<std::string>
 PoissonBenchmark::kernelSources(const tuner::Config &config,
                                 int64_t n) const
 {
-    // The pack rules run on the split stage's placement, the updates on
-    // the iterate stage's (planFor()'s stage order); every stage writes
-    // an n-row buffer.
-    std::vector<std::string> sources;
     if (n < 8 || n % 2 != 0)
-        return sources; // priced +inf before any kernel runs
-    compiler::StageConfig split = stageAt(config, split_, n, 1);
-    appendKernelSources(sources, split, n, packRedKernels_);
-    appendKernelSources(sources, split, n, packBlackKernels_);
-    if (iterations_ >= 1) {
-        compiler::StageConfig iterate = stageAt(config, iterate_, n, 1);
-        appendKernelSources(sources, iterate, n, updateRedKernels_);
-        appendKernelSources(sources, iterate, n, updateBlackKernels_);
-    }
-    return sources;
+        return {}; // priced +inf before any kernel runs
+    return stageKernelSources(*analysis_, kernelNames_, stagePlan(config, n),
+                              poissonExtents(n, iterations_));
 }
 
 int
@@ -224,7 +210,7 @@ std::string
 PoissonBenchmark::describeConfig(const tuner::Config &config,
                                  int64_t n) const
 {
-    compiler::TransformConfig plan = planFor(config, n);
+    const compiler::TransformConfig &plan = stagePlan(config, n);
     return "split on " + describeStage(plan.stages[0]) +
            " followed by compute on " + describeStage(plan.stages[2]);
 }

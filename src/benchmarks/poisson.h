@@ -90,10 +90,11 @@ class PoissonBenchmark : public Benchmark
     static constexpr double kOmega = 1.5;
 
   private:
-    /** The stage placement of @p config at size @p n, into @p plan
-     * (planFor() and the cost model share it). */
-    void buildPlan(const tuner::Config &config, int64_t n,
-                   compiler::TransformConfig &plan) const;
+    /** The stage placement of @p config at size @p n, in a per-thread
+     * buffer: the one walk planFor(), describeConfig(), kernelSources()
+     * and the cost model share. */
+    const compiler::TransformConfig &stagePlan(const tuner::Config &config,
+                                               int64_t n) const;
 
     int iterations_;
     std::shared_ptr<lang::Transform> transform_;
@@ -103,10 +104,7 @@ class PoissonBenchmark : public Benchmark
     StageChoiceIds split_;
     StageChoiceIds iterate_;
     size_t chunksTun_ = 0;
-    KernelNames packRedKernels_{"PackRed"};
-    KernelNames packBlackKernels_{"PackBlack"};
-    KernelNames updateRedKernels_{"UpdateRed"};
-    KernelNames updateBlackKernels_{"UpdateBlack"};
+    std::vector<std::string> kernelNames_; // stageKernelNames(*analysis_)
 };
 
 } // namespace apps

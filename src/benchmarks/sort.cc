@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "benchmarks/level_chain.h"
 #include "ocl/device.h"
 #include "sim/cost_model.h"
 
@@ -23,23 +24,6 @@ constexpr double kParMergeExtra = 1.0; // * n extra work when parallel
 constexpr double kRadixOps = 50.0;     // * n, scatter-traffic dominated
 constexpr double kTaskOverheadOps = 600.0; // per spawned task
 constexpr double kCallOverheadOps = 100.0;   // per recursive call
-
-/** Work/span pair in seconds. */
-struct WorkSpan
-{
-    double work = 0.0;
-    double span = 0.0;
-};
-
-struct ModelCtx
-{
-    tuner::SelectorView algorithm; // "Sort.algorithm"
-    const sim::MachineProfile &machine;
-    double rate;  // scalar ops/sec of one core
-    int workers;
-    int64_t taskCutoff;
-    int64_t pmCutoff;
-};
 
 double
 bitonicGpuSeconds(int64_t n, const sim::MachineProfile &machine)
@@ -62,68 +46,26 @@ bitonicGpuSeconds(int64_t n, const sim::MachineProfile &machine)
     return seconds;
 }
 
-WorkSpan
-modelSort(const ModelCtx &ctx, int64_t n)
+/**
+ * The walk of the Sort model: the levels it prices for n elements.
+ * Quick sort and 2-way merge recurse at n/2, 4-way merge at n/4; the
+ * other algorithms do not recurse, and n <= 1 costs nothing.
+ */
+LevelChain
+sortLevels(tuner::SelectorView algorithm, int64_t n)
 {
-    if (n <= 1)
-        return {0.0, 0.0};
-    int alg = ctx.algorithm.select(n);
-    double dn = static_cast<double>(n);
-    bool spawn = n >= ctx.taskCutoff;
-    auto seconds = [&](double ops) { return ops / ctx.rate; };
-
-    switch (alg) {
-      case kSortInsertion: {
-        double t = seconds(kInsertionOps * dn * dn);
-        return {t, t};
-      }
-      case kSortSelection: {
-        double t = seconds(kSelectionOps * dn * dn);
-        return {t, t};
-      }
-      case kSortQuick: {
-        WorkSpan child = modelSort(ctx, n / 2);
-        double part =
-            seconds(kPartitionOps * dn + kCallOverheadOps);
-        double overhead =
-            spawn ? seconds(kTaskOverheadOps) : 0.0;
-        double work = part + 2 * child.work + overhead;
-        double span = spawn ? part + child.span + overhead
-                            : part + 2 * child.work;
-        return {work, span};
-      }
-      case kSortRadix: {
-        double t = seconds(kRadixOps * dn);
-        return {t, t};
-      }
-      case kSortMerge2:
-      case kSortMerge4: {
-        int ways = alg == kSortMerge2 ? 2 : 4;
-        double mergeOps =
-            (ways == 2 ? kMerge2Ops : kMerge4Ops) * dn;
-        WorkSpan child = modelSort(ctx, n / ways);
-        bool parallelMerge = n >= ctx.pmCutoff;
-        double mergeWork =
-            seconds(mergeOps + kCallOverheadOps +
-                    (parallelMerge ? kParMergeExtra * dn : 0.0));
-        double mergeSpan =
-            parallelMerge
-                ? mergeWork / ctx.workers + seconds(kTaskOverheadOps)
-                : mergeWork;
-        double overhead = spawn ? seconds(kTaskOverheadOps * ways) : 0.0;
-        double work = ways * child.work + mergeWork + overhead;
-        double span = spawn ? child.span + mergeSpan + overhead
-                            : ways * child.work + mergeWork;
-        return {work, span};
-      }
-      case kSortBitonicGpu: {
-        double t = bitonicGpuSeconds(n, ctx.machine);
-        // The GPU path is serial from the caller's perspective.
-        return {t, t};
-      }
-      default:
-        PB_PANIC("bad sort algorithm " << alg);
+    LevelChain levels;
+    for (int64_t s = n; s > 1;) {
+        int alg = algorithm.select(s);
+        levels.push(s, alg);
+        if (alg == kSortQuick || alg == kSortMerge2)
+            s /= 2;
+        else if (alg == kSortMerge4)
+            s /= 4;
+        else
+            break;
     }
+    return levels;
 }
 
 // ---- Real-mode implementations ----------------------------------------
@@ -300,20 +242,10 @@ dispatchSort(const tuner::Config &config, double *a, int64_t n)
     }
 }
 
-const char *
-sortAlgName(int alg)
-{
-    switch (alg) {
-      case kSortInsertion: return "IS";
-      case kSortSelection: return "SS";
-      case kSortQuick: return "QS";
-      case kSortRadix: return "RS";
-      case kSortMerge2: return "2MS";
-      case kSortMerge4: return "4MS";
-      case kSortBitonicGpu: return "BitonicGPU";
-    }
-    return "?";
-}
+/** Figure 6 names, by SortAlg. */
+constexpr const char *kSortAlgNames[] = {"IS",  "SS",  "QS",        "RS",
+                                         "2MS", "4MS", "BitonicGPU"};
+static_assert(std::size(kSortAlgNames) == kSortAlgCount);
 
 /** The Sort transform: one region rule running the poly-algorithm. */
 std::shared_ptr<lang::Transform>
@@ -402,35 +334,72 @@ SortBenchmark::evaluate(const tuner::Config &config, int64_t n,
                         const sim::MachineProfile &machine,
                         const EvalContext *) const
 {
-    ModelCtx ctx{config.selectorAt(algorithmSel_), machine,
-                 machine.cpu.gflopsPerCore * 1e9,
-                 std::min(machine.workerThreads, machine.cpu.cores),
-                 config.tunableValueAt(taskCutoffTun_),
-                 config.tunableValueAt(pmCutoffTun_)};
-    WorkSpan ws = modelSort(ctx, n);
-    return std::max(ws.work / ctx.workers, ws.span);
+    const double rate = machine.cpu.gflopsPerCore * 1e9; // ops/s, one core
+    const int workers = std::min(machine.workerThreads, machine.cpu.cores);
+    const int64_t taskCutoff = config.tunableValueAt(taskCutoffTun_);
+    const int64_t pmCutoff = config.tunableValueAt(pmCutoffTun_);
+    auto seconds = [&](double ops) { return ops / rate; };
+
+    // Work and span of each level over those of its recursive child,
+    // from the deepest level up; below it there is nothing to sort.
+    const LevelChain levels = sortLevels(config.selectorAt(algorithmSel_), n);
+    WorkSpan ws;
+    for (size_t i = levels.size(); i-- > 0;) {
+        const int64_t s = levels[i].n;
+        const double dn = static_cast<double>(s);
+        const bool spawn = s >= taskCutoff;
+        switch (levels[i].alg) {
+          case kSortInsertion:
+            ws.work = ws.span = seconds(kInsertionOps * dn * dn);
+            break;
+          case kSortSelection:
+            ws.work = ws.span = seconds(kSelectionOps * dn * dn);
+            break;
+          case kSortQuick: {
+            double part = seconds(kPartitionOps * dn + kCallOverheadOps);
+            double overhead = spawn ? seconds(kTaskOverheadOps) : 0.0;
+            ws = {part + 2 * ws.work + overhead,
+                  spawn ? part + ws.span + overhead : part + 2 * ws.work};
+            break;
+          }
+          case kSortRadix:
+            ws.work = ws.span = seconds(kRadixOps * dn);
+            break;
+          case kSortMerge2:
+          case kSortMerge4: {
+            int ways = levels[i].alg == kSortMerge2 ? 2 : 4;
+            double mergeOps = (ways == 2 ? kMerge2Ops : kMerge4Ops) * dn;
+            bool parallelMerge = s >= pmCutoff;
+            double mergeWork =
+                seconds(mergeOps + kCallOverheadOps +
+                        (parallelMerge ? kParMergeExtra * dn : 0.0));
+            double mergeSpan =
+                parallelMerge ? mergeWork / workers + seconds(kTaskOverheadOps)
+                              : mergeWork;
+            double overhead = spawn ? seconds(kTaskOverheadOps * ways) : 0.0;
+            ws = {ways * ws.work + mergeWork + overhead,
+                  spawn ? ws.span + mergeSpan + overhead
+                        : ways * ws.work + mergeWork};
+            break;
+          }
+          case kSortBitonicGpu:
+            // The GPU path is serial from the caller's perspective.
+            ws.work = ws.span = bitonicGpuSeconds(s, machine);
+            break;
+          default:
+            PB_PANIC("bad sort algorithm " << levels[i].alg);
+        }
+    }
+    return std::max(ws.work / workers, ws.span);
 }
 
 std::vector<std::string>
 SortBenchmark::kernelSources(const tuner::Config &config, int64_t n) const
 {
-    // Follow the recursion modelSort() prices: does it reach bitonic?
-    const tuner::SelectorView algorithm = config.selectorAt(algorithmSel_);
-    for (int64_t s = n; s > 1;) {
-        switch (algorithm.select(s)) {
-          case kSortBitonicGpu:
-            return {bitonicKernel_};
-          case kSortQuick:
-          case kSortMerge2:
-            s /= 2;
-            break;
-          case kSortMerge4:
-            s /= 4;
-            break;
-          default:
-            return {}; // insertion, selection and radix do not recurse
-        }
-    }
+    // Bitonic does not recurse, so only the deepest level can run it.
+    const LevelChain levels = sortLevels(config.selectorAt(algorithmSel_), n);
+    if (levels.size() && levels.back().alg == kSortBitonicGpu)
+        return {bitonicKernel_};
     return {};
 }
 
@@ -438,29 +407,8 @@ std::string
 SortBenchmark::describeConfig(const tuner::Config &config,
                               int64_t n) const
 {
-    // Render the poly-algorithm as the paper does: from large sizes
-    // down to the base case, over the levels modelSort() prices.
-    const tuner::SelectorView s = config.selector("Sort.algorithm");
-    std::string out;
-    int last = -1;
-    for (int64_t size = n; size > 1;) {
-        int alg = s.select(size);
-        if (alg != last) {
-            if (!out.empty())
-                out += ", then ";
-            out += sortAlgName(alg);
-            if (size != n)
-                out += " below " + std::to_string(size + 1);
-            last = alg;
-        }
-        if (alg == kSortQuick || alg == kSortMerge2)
-            size /= 2;
-        else if (alg == kSortMerge4)
-            size /= 4;
-        else
-            break; // insertion, selection, radix and bitonic do not recurse
-    }
-    return out;
+    return describeLevels(sortLevels(config.selectorAt(algorithmSel_), n),
+                          kSortAlgNames);
 }
 
 void

@@ -70,12 +70,6 @@ sharedMatmulRule()
     return rule;
 }
 
-struct WorkSpan
-{
-    double work = 0.0;
-    double span = 0.0;
-};
-
 /** The synthesized OpenCL matmul kernel at size n, with its transfers. */
 double
 openclMatmulSeconds(int lws, int64_t n, const sim::MachineProfile &machine,
@@ -101,66 +95,6 @@ openclMatmulSeconds(int lws, int64_t n, const sim::MachineProfile &machine,
         sim::CostModel::kernelSeconds(machine.ocl, cost, lws);
     double bytes = 3.0 * 8.0 * static_cast<double>(n) * n;
     return machine.transfer.seconds(bytes) + kernel;
-}
-
-/** Work and span of an n x n matmul under @p algorithm's choice at
- * each recursion level. */
-WorkSpan
-modelMM(tuner::SelectorView algorithm, int lws, int64_t n,
-        const sim::MachineProfile &machine, double localityPenalty)
-{
-    double dn = static_cast<double>(n);
-    int workers = std::min(machine.workerThreads, machine.cpu.cores);
-    double rate = machine.cpu.gflopsPerCore * 1e9;
-    double memRate = machine.cpu.memBandwidthGBs * 1e9 / localityPenalty;
-
-    int alg = n <= kLeafSize ? kMmNaive : algorithm.select(n);
-    switch (alg) {
-      case kMmLapack: {
-        // The machine's library build decides both vector efficiency
-        // and whether the call itself is threaded.
-        double libRate = machine.blasSpeedup * rate *
-                         std::min(machine.blasThreads, machine.cpu.cores);
-        double flops = 2.0 * dn * dn * dn;
-        double bytes = 3.0 * 8.0 * dn * dn;
-        double t = std::max(flops / libRate, bytes / memRate);
-        // Occupies blasThreads workers; treat as span for scheduling.
-        return {t * machine.blasThreads, t};
-      }
-      case kMmNaive:
-      case kMmBlocked: {
-        double flops = 2.0 * dn * dn * dn;
-        if (alg == kMmBlocked)
-            flops /= 1.5; // register blocking / better ILP
-        double t = std::max(flops / rate,
-                            3.0 * 8.0 * dn * dn / memRate);
-        // Data-parallel loop nest: scales across the worker pool.
-        return {t, t / workers};
-      }
-      case kMmRecursive8: {
-        WorkSpan child =
-            modelMM(algorithm, lws, n / 2, machine, localityPenalty);
-        double combine = 2.0 * dn * dn / rate;
-        double shuffle = kDecompBytesPerN2 * dn * dn / memRate;
-        return {8 * child.work + combine + shuffle,
-                child.span + combine / workers + shuffle};
-      }
-      case kMmStrassen: {
-        WorkSpan child =
-            modelMM(algorithm, lws, n / 2, machine, localityPenalty);
-        double adds = 9.0 * dn * dn / rate; // 18 (n/2)^2 add matrices
-        double shuffle = 1.5 * kDecompBytesPerN2 * dn * dn / memRate;
-        return {7 * child.work + adds + shuffle,
-                child.span + adds / workers + shuffle};
-      }
-      case kMmOpenCl: {
-        double t =
-            openclMatmulSeconds(lws, n, machine, localityPenalty);
-        return {t, t};
-      }
-      default:
-        PB_PANIC("bad matmul algorithm " << alg);
-    }
 }
 
 // ---- Real-mode execution ----------------------------------------------
@@ -302,19 +236,11 @@ dispatchMM(const tuner::Config &config, const std::string &prefix,
     }
 }
 
-const char *
-mmAlgName(int alg)
-{
-    switch (alg) {
-      case kMmLapack: return "LAPACK";
-      case kMmRecursive8: return "8-way recursive";
-      case kMmStrassen: return "Strassen";
-      case kMmBlocked: return "blocked";
-      case kMmNaive: return "naive";
-      case kMmOpenCl: return "data-parallel OpenCL";
-    }
-    return "?";
-}
+/** Figure 6 names, by MatmulAlg. */
+constexpr const char *kMmAlgNames[] = {
+    "LAPACK",  "8-way recursive", "Strassen",
+    "blocked", "naive",           "data-parallel OpenCL"};
+static_assert(std::size(kMmAlgNames) == kMmAlgCount);
 
 } // namespace
 
@@ -333,30 +259,88 @@ matmulChoiceIds(const tuner::ConfigSchema &schema, const std::string &prefix)
             schema.tunableIndex(prefix + ".mm.lws")};
 }
 
-double
-modelMatmulSeconds(const tuner::Config &config, const MatmulChoiceIds &ids,
-                   int64_t n, const sim::MachineProfile &machine,
-                   double localityPenalty)
+LevelChain
+matmulLevels(const tuner::Config &config, const MatmulChoiceIds &ids,
+             int64_t n)
 {
-    WorkSpan ws = modelMM(config.selectorAt(ids.algorithm),
-                          static_cast<int>(config.tunableValueAt(ids.lws)),
-                          n, machine, localityPenalty);
-    int workers = std::min(machine.workerThreads, machine.cpu.cores);
-    return std::max(ws.work / workers, ws.span);
+    const tuner::SelectorView algorithm = config.selectorAt(ids.algorithm);
+    LevelChain levels;
+    for (int64_t s = n;; s /= 2) {
+        int alg = s <= kLeafSize ? kMmNaive : algorithm.select(s);
+        levels.push(s, alg);
+        if (alg != kMmRecursive8 && alg != kMmStrassen)
+            return levels;
+    }
 }
 
-bool
-matmulUsesOpenCl(tuner::SelectorView algorithm, int64_t n)
+double
+matmulSeconds(const tuner::Config &config, const MatmulChoiceIds &ids,
+              const LevelChain &levels, const sim::MachineProfile &machine,
+              double localityPenalty)
 {
-    // The levels modelMM prices: only the decompositions recurse.
-    for (int64_t s = n; s > kLeafSize; s /= 2) {
-        int alg = algorithm.select(s);
-        if (alg == kMmOpenCl)
-            return true;
-        if (alg != kMmRecursive8 && alg != kMmStrassen)
-            return false;
+    const int lws = static_cast<int>(config.tunableValueAt(ids.lws));
+    const int workers = std::min(machine.workerThreads, machine.cpu.cores);
+    const double rate = machine.cpu.gflopsPerCore * 1e9;
+    const double memRate =
+        machine.cpu.memBandwidthGBs * 1e9 / localityPenalty;
+
+    // Work and span of each level over those of its recursive child,
+    // from the deepest level up.
+    WorkSpan ws;
+    for (size_t i = levels.size(); i-- > 0;) {
+        const Level &level = levels[i];
+        const double dn = static_cast<double>(level.n);
+        switch (level.alg) {
+          case kMmLapack: {
+            // The machine's library build decides both vector
+            // efficiency and whether the call itself is threaded.
+            double libRate =
+                machine.blasSpeedup * rate *
+                std::min(machine.blasThreads, machine.cpu.cores);
+            double flops = 2.0 * dn * dn * dn;
+            double bytes = 3.0 * 8.0 * dn * dn;
+            double t = std::max(flops / libRate, bytes / memRate);
+            // Occupies blasThreads workers; treat as span for
+            // scheduling.
+            ws = {t * machine.blasThreads, t};
+            break;
+          }
+          case kMmNaive:
+          case kMmBlocked: {
+            double flops = 2.0 * dn * dn * dn;
+            if (level.alg == kMmBlocked)
+                flops /= 1.5; // register blocking / better ILP
+            double t = std::max(flops / rate,
+                                3.0 * 8.0 * dn * dn / memRate);
+            // Data-parallel loop nest: scales across the worker pool.
+            ws = {t, t / workers};
+            break;
+          }
+          case kMmRecursive8: {
+            double combine = 2.0 * dn * dn / rate;
+            double shuffle = kDecompBytesPerN2 * dn * dn / memRate;
+            ws = {8 * ws.work + combine + shuffle,
+                  ws.span + combine / workers + shuffle};
+            break;
+          }
+          case kMmStrassen: {
+            double adds = 9.0 * dn * dn / rate; // 18 (n/2)^2 add matrices
+            double shuffle = 1.5 * kDecompBytesPerN2 * dn * dn / memRate;
+            ws = {7 * ws.work + adds + shuffle,
+                  ws.span + adds / workers + shuffle};
+            break;
+          }
+          case kMmOpenCl: {
+            double t = openclMatmulSeconds(lws, level.n, machine,
+                                           localityPenalty);
+            ws = {t, t};
+            break;
+          }
+          default:
+            PB_PANIC("bad matmul algorithm " << level.alg);
+        }
     }
-    return false;
+    return std::max(ws.work / workers, ws.span);
 }
 
 void
@@ -370,28 +354,9 @@ runMatmul(const tuner::Config &config, const std::string &prefix,
 }
 
 std::string
-describeMatmul(const tuner::Config &config, const std::string &prefix,
-               int64_t n)
+describeMatmul(const LevelChain &levels)
 {
-    const tuner::SelectorView s =
-        config.selector(prefix + ".mm.algorithm");
-    std::string out;
-    int last = -1;
-    for (int64_t size = n;; size /= 2) {
-        // The levels modelMM() prices, the naive leaf included.
-        int alg = size <= kLeafSize ? kMmNaive : s.select(size);
-        if (alg != last) {
-            if (!out.empty())
-                out += ", then ";
-            out += mmAlgName(alg);
-            if (size != n)
-                out += " below " + std::to_string(size + 1);
-            last = alg;
-        }
-        if (alg != kMmRecursive8 && alg != kMmStrassen)
-            break; // non-recursive: smaller sizes never consulted
-    }
-    return out;
+    return describeLevels(levels, kMmAlgNames);
 }
 
 namespace {
@@ -480,14 +445,14 @@ StrassenBenchmark::evaluate(const tuner::Config &config, int64_t n,
                             const sim::MachineProfile &machine,
                             const EvalContext *) const
 {
-    return modelMatmulSeconds(config, mm_, n, machine);
+    return matmulSeconds(config, mm_, matmulLevels(config, mm_, n), machine);
 }
 
 std::vector<std::string>
 StrassenBenchmark::kernelSources(const tuner::Config &config,
                                  int64_t n) const
 {
-    if (matmulUsesOpenCl(config.selectorAt(mm_.algorithm), n))
+    if (matmulLevels(config, mm_, n).back().alg == kMmOpenCl)
         return {kMatmulKernel};
     return {};
 }
@@ -496,7 +461,7 @@ std::string
 StrassenBenchmark::describeConfig(const tuner::Config &config,
                                   int64_t n) const
 {
-    return describeMatmul(config, "Strassen", n);
+    return describeMatmul(matmulLevels(config, mm_, n));
 }
 
 double

@@ -21,6 +21,7 @@
 #define PETABRICKS_BENCHMARKS_STRASSEN_H
 
 #include "benchmarks/benchmark.h"
+#include "benchmarks/level_chain.h"
 #include "support/matrix.h"
 #include "support/rng.h"
 
@@ -59,31 +60,32 @@ MatmulChoiceIds matmulChoiceIds(const tuner::ConfigSchema &schema,
                                 const std::string &prefix);
 
 /**
- * Modeled seconds of an n x n matmul under @p config's matmul choices
- * (positions @p ids) on @p machine: the selector is consulted at every
- * recursion level. @p localityPenalty scales CPU/GPU memory costs for
- * calls on sub-regions of larger arrays (SVD).
+ * The walk of the matmul model: the levels it prices for an n x n
+ * multiply under @p config's choices (positions @p ids). Decompositions
+ * recurse at n/2, down to another algorithm or the naive 16 x 16 leaf.
  */
-double modelMatmulSeconds(const tuner::Config &config,
-                          const MatmulChoiceIds &ids, int64_t n,
-                          const sim::MachineProfile &machine,
-                          double localityPenalty = 1.0);
+LevelChain matmulLevels(const tuner::Config &config,
+                        const MatmulChoiceIds &ids, int64_t n);
+
+/**
+ * Modeled seconds on @p machine of the multiply whose walk is
+ * @p levels. @p localityPenalty scales CPU/GPU memory costs for calls
+ * on sub-regions of larger arrays (SVD).
+ */
+double matmulSeconds(const tuner::Config &config, const MatmulChoiceIds &ids,
+                     const LevelChain &levels,
+                     const sim::MachineProfile &machine,
+                     double localityPenalty = 1.0);
 
 /** Kernel source of the synthesized matmul kernel (Section 5.4). */
 inline const std::string kMatmulKernel = "pbcl:MatMul:global";
-
-/** True if @p algorithm selects the OpenCL kernel at a level the
- * recursion of an n x n matmul reaches (it then JIT-compiles
- * kMatmulKernel): LAPACK, blocked and naive levels end the recursion. */
-bool matmulUsesOpenCl(tuner::SelectorView algorithm, int64_t n);
 
 /** Execute C = A * B honoring the selector (real mode). */
 void runMatmul(const tuner::Config &config, const std::string &prefix,
                const MatrixD &a, const MatrixD &b, MatrixD &c);
 
-/** One-line description of the matmul poly-algorithm at size @p n. */
-std::string describeMatmul(const tuner::Config &config,
-                           const std::string &prefix, int64_t n);
+/** Figure 6 description of the multiply whose walk is @p levels. */
+std::string describeMatmul(const LevelChain &levels);
 
 /** See file comment. */
 class StrassenBenchmark : public Benchmark

@@ -226,22 +226,34 @@ SvdBenchmark::modeledError(int k8)
     return std::sqrt(std::exp(-8.0 * frac));
 }
 
+inline SvdBenchmark::Walk
+SvdBenchmark::walk(const tuner::Config &config, int64_t n) const
+{
+    const int k8 = static_cast<int>(config.tunableValueAt(k8Tun_));
+    if (!rankFeasible_[static_cast<size_t>(k8)])
+        return {k8, false, false, {}};
+    return {k8, true,
+            config.selectorAt(phase1Sel_).select(n) == kSvdPhase1TaskParallel,
+            matmulLevels(config, mm_, n)};
+}
+
 double
 SvdBenchmark::evaluate(const tuner::Config &config, int64_t n,
                        const sim::MachineProfile &machine,
                        const EvalContext *) const
 {
-    int k8 = static_cast<int>(config.tunableValueAt(k8Tun_));
-    if (!rankFeasible_[static_cast<size_t>(k8)])
+    const Walk w = walk(config, n);
+    if (!w.feasible)
         return std::numeric_limits<double>::infinity();
     double dn = static_cast<double>(n);
-    double k = dn * k8 / 8.0;
+    double k = dn * w.k8 / 8.0;
 
     // Phase 1: B = A^T A (two halves of the output).
-    double mm = modelMatmulSeconds(config, mm_, n, machine, kLocalityPenalty);
+    double mm =
+        matmulSeconds(config, mm_, w.matmul, machine, kLocalityPenalty);
     double halfMm = mm / 2.0;
     double phase1;
-    if (config.selectorAt(phase1Sel_).select(n) == kSvdPhase1TaskParallel) {
+    if (w.taskParallel) {
         if (!machine.hasOpenCL)
             return std::numeric_limits<double>::infinity();
         // One half on the GPU (with its transfers), one on the CPU,
@@ -275,13 +287,10 @@ SvdBenchmark::evaluate(const tuner::Config &config, int64_t n,
 std::vector<std::string>
 SvdBenchmark::kernelSources(const tuner::Config &config, int64_t n) const
 {
-    // A rank that misses the target prices +inf before any matmul runs;
-    // both OpenCL paths launch the same kernel.
-    int k8 = static_cast<int>(config.tunableValueAt(k8Tun_));
-    if (!rankFeasible_[static_cast<size_t>(k8)])
-        return {};
-    if (matmulUsesOpenCl(config.selectorAt(mm_.algorithm), n) ||
-        config.selectorAt(phase1Sel_).select(n) == kSvdPhase1TaskParallel)
+    // Both OpenCL paths launch the one matmul kernel.
+    const Walk w = walk(config, n);
+    if (w.feasible &&
+        (w.taskParallel || w.matmul.back().alg == kMmOpenCl))
         return {kMatmulKernel};
     return {};
 }
@@ -289,16 +298,13 @@ SvdBenchmark::kernelSources(const tuner::Config &config, int64_t n) const
 std::string
 SvdBenchmark::describeConfig(const tuner::Config &config, int64_t n) const
 {
-    int k8 = static_cast<int>(config.tunableValueAt(k8Tun_));
-    if (!rankFeasible_[static_cast<size_t>(k8)])
-        return "k=" + std::to_string(k8) + "/8 misses the accuracy target";
-    std::string phase1 =
-        config.selector("SVD.phase1").select(n) == kSvdPhase1TaskParallel
-            ? "task parallel CPU+GPU"
-            : "all on CPU";
-    return "first phase " + phase1 + "; matmul " +
-           describeMatmul(config, "SVD", n) + "; k=" +
-           std::to_string(config.tunableValue("SVD.k8")) + "/8";
+    const Walk w = walk(config, n);
+    const std::string k = "k=" + std::to_string(w.k8) + "/8";
+    if (!w.feasible)
+        return k + " misses the accuracy target";
+    return std::string("first phase ") +
+           (w.taskParallel ? "task parallel CPU+GPU" : "all on CPU") +
+           "; matmul " + describeMatmul(w.matmul) + "; " + k;
 }
 
 MatrixD

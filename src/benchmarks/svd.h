@@ -102,6 +102,18 @@ class SvdBenchmark : public Benchmark
     static constexpr double kLocalityPenalty = 1.35;
 
   private:
+    /** The walk of the SVD model, which evaluate(), kernelSources()
+     * and describeConfig() read. A rank that misses the accuracy
+     * target prices +inf and runs nothing else. */
+    struct Walk
+    {
+        int k8;
+        bool feasible;
+        bool taskParallel; // phase 1 computes half of B on the GPU
+        LevelChain matmul; // phases 1 and 3
+    };
+    Walk walk(const tuner::Config &config, int64_t n) const;
+
     double accuracyTarget_;
     ChoiceFilePtr choices_;
     std::shared_ptr<lang::Transform> transform_;

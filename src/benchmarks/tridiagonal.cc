@@ -333,12 +333,10 @@ std::string
 TridiagBenchmark::describeConfig(const tuner::Config &config,
                                  int64_t n) const
 {
-    switch (config.selector("Tridiag.algorithm").select(n)) {
-      case kTriThomas: return "direct solve on CPU";
-      case kTriCyclicCpu: return "cyclic reduction on CPU";
-      case kTriCyclicGpu: return "cyclic reduction on GPU";
-    }
-    return "?";
+    static constexpr const char *kDescriptions[kTriAlgCount] = {
+        "direct solve on CPU", "cyclic reduction on CPU",
+        "cyclic reduction on GPU"};
+    return kDescriptions[config.selectorAt(algorithmSel_).select(n)];
 }
 
 TridiagProblem

@@ -234,7 +234,7 @@ class Config
 
     const ConfigSchema &schema() const { return *schema_; }
 
-    // ---- By-name access (plans, descriptions, tests) ------------------
+    // ---- By-name access (real-mode poly-algorithms, tests) -----------
 
     SelectorView selector(const std::string &name) const;
     SelectorRef selector(const std::string &name);
