@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -97,18 +98,24 @@ stageAt(const tuner::Config &config, const StageChoiceIds &ids, int64_t n,
 }
 
 /**
- * Slot extents of a transform over n cells whose @p slots all take one
- * near-square shape, so that a GPU ratio splits rows (Black-Scholes,
+ * The one near-square shape of a transform over n cells whose slots
+ * all take it, so that a GPU ratio splits rows (Black-Scholes,
  * Mandelbrot).
  */
-inline std::vector<compiler::SlotExtent>
-nearSquareExtents(int64_t n, size_t slots)
+inline compiler::SlotExtent
+nearSquareExtent(int64_t n)
 {
     int64_t rows = static_cast<int64_t>(
         std::sqrt(static_cast<double>(std::max<int64_t>(n, 1))));
     rows = std::max<int64_t>(rows, 1);
-    return std::vector<compiler::SlotExtent>(slots,
-                                             {(n + rows - 1) / rows, rows});
+    return {(n + rows - 1) / rows, rows};
+}
+
+/** Slot extents of @p slots slots that all take nearSquareExtent(n). */
+inline std::vector<compiler::SlotExtent>
+nearSquareExtents(int64_t n, size_t slots)
+{
+    return std::vector<compiler::SlotExtent>(slots, nearSquareExtent(n));
 }
 
 /** Human-readable backend description for the Figure 6 table. */
@@ -131,46 +138,75 @@ describeStage(const compiler::StageConfig &stage)
 }
 
 /**
- * The kernel sources of @p analysis's rules (Section 5.4), at
- * 2 * RuleEvalInfo::id: "pbcl:<Rule>:global", then ":local". A
- * simulator-backed benchmark builds them once, in its constructor.
+ * The kernel sources of a transform's rules (Section 5.4): each
+ * distinct "pbcl:<Rule>:global" and ":local" name once, and for each
+ * rule variant, at 2 * RuleEvalInfo::id (+1 for local), the position
+ * of its name. Rules that share a name (Poisson's per-iteration
+ * updates) share a position, so a list dedups by a bitmask. A
+ * simulator-backed benchmark builds it once, in its constructor.
  */
-inline std::vector<std::string>
+struct StageKernelNames
+{
+    std::vector<std::string> names;
+    std::vector<uint8_t> position;
+};
+
+inline StageKernelNames
 stageKernelNames(const compiler::TransformAnalysis &analysis)
 {
-    std::vector<std::string> names(2 * analysis.ruleCount);
+    StageKernelNames kernels;
+    kernels.position.resize(2 * analysis.ruleCount);
     for (const std::vector<compiler::RuleEvalInfo> &rules : analysis.choices)
-        for (const compiler::RuleEvalInfo &rule : rules) {
-            names[2 * rule.id] = "pbcl:" + rule.rule->name() + ":global";
-            names[2 * rule.id + 1] = "pbcl:" + rule.rule->name() + ":local";
-        }
-    return names;
+        for (const compiler::RuleEvalInfo &rule : rules)
+            for (size_t local = 0; local < 2; ++local) {
+                const std::string name = "pbcl:" + rule.rule->name() +
+                                         (local ? ":local" : ":global");
+                auto it = std::find(kernels.names.begin(),
+                                    kernels.names.end(), name);
+                if (it == kernels.names.end())
+                    it = kernels.names.insert(it, name);
+                kernels.position[2 * rule.id + local] =
+                    static_cast<uint8_t>(it - kernels.names.begin());
+            }
+    PB_ASSERT(kernels.names.size() <= 64,
+              "a kernel list dedups by a 64-bit mask");
+    return kernels;
 }
 
 /**
- * The distinct kernel sources @p plan launches at slot extents
- * @p extents, in stage order: a stage's, from @p names, only when the
- * simulator gives the stage GPU rows.
+ * The distinct kernel sources @p plan launches, in stage order: a
+ * stage's, from @p kernels, only when the simulator gives the stage
+ * GPU rows. @p extentOf(slot id) is the slot's (w, h). Allocates only
+ * the returned list.
  */
-inline std::vector<std::string>
+template <typename ExtentOf>
+std::vector<std::string>
 stageKernelSources(const compiler::TransformAnalysis &analysis,
-                   const std::vector<std::string> &names,
-                   const compiler::TransformConfig &plan,
-                   const std::vector<compiler::SlotExtent> &extents)
+                   const StageKernelNames &kernels,
+                   const compiler::TransformConfig &plan, ExtentOf extentOf)
 {
-    std::vector<std::string> sources;
+    uint8_t listed[64];
+    size_t count = 0;
+    uint64_t seen = 0;
     for (const compiler::RuleEvalInfo &rule :
          analysis.choices[plan.choiceIndex]) {
         const compiler::StageConfig &stage = plan.stage(rule.ruleIndex);
-        const size_t out = static_cast<size_t>(rule.outputSlotId);
-        if (stage.gpuRows(extents[out].second) <= 0)
+        if (stage.gpuRows(extentOf(rule.outputSlotId).second) <= 0)
             continue; // the simulator runs it wholly on the CPU
-        const std::string &name =
-            names[2 * rule.id +
-                  (stage.backend == compiler::Backend::OpenClLocal ? 1 : 0)];
-        if (std::find(sources.begin(), sources.end(), name) == sources.end())
-            sources.push_back(name);
+        const uint8_t at =
+            kernels.position[2 * rule.id +
+                             (stage.backend == compiler::Backend::OpenClLocal
+                                  ? 1
+                                  : 0)];
+        if (seen >> at & 1)
+            continue;
+        seen |= uint64_t{1} << at;
+        listed[count++] = at;
     }
+    std::vector<std::string> sources;
+    sources.reserve(count);
+    for (size_t i = 0; i < count; ++i)
+        sources.push_back(kernels.names[listed[i]]);
     return sources;
 }
 

@@ -128,8 +128,9 @@ std::vector<std::string>
 BlackScholesBenchmark::kernelSources(const tuner::Config &config,
                                      int64_t n) const
 {
+    const compiler::SlotExtent extent = nearSquareExtent(n);
     return stageKernelSources(*analysis_, kernelNames_, stagePlan(config, n),
-                              nearSquareExtents(n, transform_->slots().size()));
+                              [extent](int) { return extent; });
 }
 
 std::string
@@ -142,7 +143,7 @@ BlackScholesBenchmark::describeConfig(const tuner::Config &config,
 lang::Binding
 BlackScholesBenchmark::makeBinding(int64_t n, Rng &rng) const
 {
-    auto [cols, rows] = nearSquareExtents(n, 1)[0];
+    auto [cols, rows] = nearSquareExtent(n);
     lang::Binding binding;
     MatrixD spot(cols, rows), strike(cols, rows), years(cols, rows);
     for (int64_t i = 0; i < spot.size(); ++i) {

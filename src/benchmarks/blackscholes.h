@@ -86,7 +86,7 @@ class BlackScholesBenchmark : public Benchmark
     tuner::ConfigSchemaPtr schema_;
     StageChoiceIds rule_;
     size_t splitTun_ = 0;
-    std::vector<std::string> kernelNames_; // stageKernelNames(*analysis_)
+    StageKernelNames kernelNames_; // stageKernelNames(*analysis_)
 };
 
 } // namespace apps

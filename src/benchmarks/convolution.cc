@@ -1,5 +1,7 @@
 #include "benchmarks/convolution.h"
 
+#include <array>
+
 #include "benchmarks/backend_util.h"
 #include "compiler/admissibility.h"
 #include "compiler/simulator.h"
@@ -86,10 +88,10 @@ convolveColumnsRule(int64_t kwidth)
 }
 
 /** Slot extents by slot id: In, Kernel, Out, buffer. */
-std::vector<compiler::SlotExtent>
+std::array<compiler::SlotExtent, 4>
 convExtents(int64_t n, int64_t kw)
 {
-    return {{n, n}, {kw, 1}, {n - kw + 1, n - kw + 1}, {n - kw + 1, n}};
+    return {{{n, n}, {kw, 1}, {n - kw + 1, n - kw + 1}, {n - kw + 1, n}}};
 }
 
 constexpr const char *kRules[] = {"Convolve2D", "ConvolveRows",
@@ -167,9 +169,12 @@ ConvolutionBenchmark::makeEvalContext(
 {
     if (n <= kwidth_)
         return nullptr; // degenerate size: evaluate() is +inf anyway
+    const std::array<compiler::SlotExtent, 4> extents =
+        convExtents(n, kwidth_);
     return std::make_shared<EvalContext>(
-        analysis_, convExtents(n, kwidth_), lang::ParamEnv{kwidth_},
-        machine);
+        analysis_,
+        std::vector<compiler::SlotExtent>(extents.begin(), extents.end()),
+        lang::ParamEnv{kwidth_}, machine);
 }
 
 double
@@ -189,8 +194,10 @@ ConvolutionBenchmark::kernelSources(const tuner::Config &config,
 {
     if (n <= kwidth_)
         return {}; // priced +inf before any kernel runs
+    const std::array<compiler::SlotExtent, 4> extents =
+        convExtents(n, kwidth_);
     return stageKernelSources(*analysis_, kernelNames_, stagePlan(config, n),
-                              convExtents(n, kwidth_));
+                              [&extents](int slot) { return extents[slot]; });
 }
 
 int

@@ -82,7 +82,7 @@ class ConvolutionBenchmark : public Benchmark
     tuner::ConfigSchemaPtr schema_;
     size_t choiceSel_ = 0;
     StageChoiceIds rules_[3]; // Convolve2D, ConvolveRows, ConvolveColumns
-    std::vector<std::string> kernelNames_; // stageKernelNames(*analysis_)
+    StageKernelNames kernelNames_; // stageKernelNames(*analysis_)
     size_t splitTun_ = 0;
 };
 

@@ -130,8 +130,9 @@ std::vector<std::string>
 MandelbrotBenchmark::kernelSources(const tuner::Config &config,
                                    int64_t n) const
 {
+    const compiler::SlotExtent extent = nearSquareExtent(n);
     return stageKernelSources(*analysis_, kernelNames_, stagePlan(config, n),
-                              nearSquareExtents(n, transform_->slots().size()));
+                              [extent](int) { return extent; });
 }
 
 std::string
@@ -144,7 +145,7 @@ MandelbrotBenchmark::describeConfig(const tuner::Config &config,
 lang::Binding
 MandelbrotBenchmark::makeBinding(int64_t n, Rng &rng) const
 {
-    auto [cols, rows] = nearSquareExtents(n, 1)[0];
+    auto [cols, rows] = nearSquareExtent(n);
     lang::Binding binding;
     MatrixD cr(cols, rows), ci(cols, rows);
     for (int64_t i = 0; i < cr.size(); ++i) {

@@ -87,7 +87,7 @@ class MandelbrotBenchmark : public Benchmark
     tuner::ConfigSchemaPtr schema_;
     StageChoiceIds rule_;
     size_t splitTun_ = 0;
-    std::vector<std::string> kernelNames_; // stageKernelNames(*analysis_)
+    StageKernelNames kernelNames_; // stageKernelNames(*analysis_)
 };
 
 } // namespace apps

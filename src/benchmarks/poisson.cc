@@ -80,13 +80,21 @@ updateRule(const std::string &name, const std::string &outSlot,
         [](const ParamEnv &) { return 8.0; });
 }
 
-/** Slot extents by slot id: In, then the Red/Black pairs. */
+/** Extent of slot @p slot: In, then the packed Red/Black pairs. */
+compiler::SlotExtent
+poissonExtent(int64_t n, int slot)
+{
+    return slot == 0 ? compiler::SlotExtent{n, n}
+                     : compiler::SlotExtent{n / 2, n};
+}
+
+/** Slot extents by slot id. */
 std::vector<compiler::SlotExtent>
 poissonExtents(int64_t n, int iterations)
 {
-    std::vector<compiler::SlotExtent> extents(
-        2 * static_cast<size_t>(iterations) + 3, {n / 2, n});
-    extents[0] = {n, n};
+    std::vector<compiler::SlotExtent> extents;
+    for (int slot = 0; slot < 2 * iterations + 3; ++slot)
+        extents.push_back(poissonExtent(n, slot));
     return extents;
 }
 
@@ -195,7 +203,7 @@ PoissonBenchmark::kernelSources(const tuner::Config &config,
     if (n < 8 || n % 2 != 0)
         return {}; // priced +inf before any kernel runs
     return stageKernelSources(*analysis_, kernelNames_, stagePlan(config, n),
-                              poissonExtents(n, iterations_));
+                              [n](int slot) { return poissonExtent(n, slot); });
 }
 
 int

@@ -104,7 +104,7 @@ class PoissonBenchmark : public Benchmark
     StageChoiceIds split_;
     StageChoiceIds iterate_;
     size_t chunksTun_ = 0;
-    std::vector<std::string> kernelNames_; // stageKernelNames(*analysis_)
+    StageKernelNames kernelNames_; // stageKernelNames(*analysis_)
 };
 
 } // namespace apps

@@ -99,24 +99,38 @@ openclMatmulSeconds(int lws, int64_t n, const sim::MachineProfile &machine,
 
 // ---- Real-mode execution ----------------------------------------------
 
+// Quadrants halve each dimension separately: SVD's projection
+// multiplies an n x k matrix by a k x n one.
+
 MatrixD
 quadrant(const MatrixD &m, int qx, int qy)
 {
-    int64_t h = m.width() / 2;
-    MatrixD out(h, h);
+    int64_t w = m.width() / 2, h = m.height() / 2;
+    MatrixD out(w, h);
     for (int64_t y = 0; y < h; ++y)
-        for (int64_t x = 0; x < h; ++x)
-            out.at(x, y) = m.at(qx * h + x, qy * h + y);
+        for (int64_t x = 0; x < w; ++x)
+            out.at(x, y) = m.at(qx * w + x, qy * h + y);
     return out;
 }
 
 void
 placeQuadrant(MatrixD &m, const MatrixD &q, int qx, int qy)
 {
-    int64_t h = m.width() / 2;
+    int64_t w = m.width() / 2, h = m.height() / 2;
     for (int64_t y = 0; y < h; ++y)
-        for (int64_t x = 0; x < h; ++x)
-            m.at(qx * h + x, qy * h + y) = q.at(x, y);
+        for (int64_t x = 0; x < w; ++x)
+            m.at(qx * w + x, qy * h + y) = q.at(x, y);
+}
+
+/** True when every dimension of c = a * b halves evenly above the
+ * leaf size, so the recursive algorithms can split it. */
+bool
+halvable(const MatrixD &a, const MatrixD &c)
+{
+    for (int64_t extent : {c.height(), a.width(), c.width()})
+        if (extent <= kLeafSize || extent % 2 != 0)
+            return false;
+    return true;
 }
 
 MatrixD
@@ -179,10 +193,10 @@ dispatchMM(const tuner::Config &config, const std::string &prefix,
            const MatrixD &a, const MatrixD &b, MatrixD &c)
 {
     int64_t n = c.width();
-    int alg =
-        (n <= kLeafSize || n % 2 != 0)
-            ? kMmNaive
-            : config.selector(prefix + ".mm.algorithm").select(n);
+    int alg = halvable(a, c)
+                  ? config.selector(prefix + ".mm.algorithm").select(n)
+                  : kMmNaive;
+    int64_t w = n / 2, h = c.height() / 2; // the quadrants of c
     switch (alg) {
       case kMmLapack:
         blas::gemm(a, b, c);
@@ -201,7 +215,7 @@ dispatchMM(const tuner::Config &config, const std::string &prefix,
       case kMmRecursive8: {
         for (int qy = 0; qy < 2; ++qy)
             for (int qx = 0; qx < 2; ++qx) {
-                MatrixD p1(n / 2, n / 2), p2(n / 2, n / 2);
+                MatrixD p1(w, h), p2(w, h);
                 dispatchMM(config, prefix, quadrant(a, 0, qy),
                            quadrant(b, qx, 0), p1);
                 dispatchMM(config, prefix, quadrant(a, 1, qy),
@@ -215,9 +229,8 @@ dispatchMM(const tuner::Config &config, const std::string &prefix,
         MatrixD a21 = quadrant(a, 0, 1), a22 = quadrant(a, 1, 1);
         MatrixD b11 = quadrant(b, 0, 0), b12 = quadrant(b, 1, 0);
         MatrixD b21 = quadrant(b, 0, 1), b22 = quadrant(b, 1, 1);
-        int64_t h = n / 2;
-        MatrixD m1(h, h), m2(h, h), m3(h, h), m4(h, h), m5(h, h),
-            m6(h, h), m7(h, h);
+        MatrixD m1(w, h), m2(w, h), m3(w, h), m4(w, h), m5(w, h),
+            m6(w, h), m7(w, h);
         dispatchMM(config, prefix, addM(a11, a22), addM(b11, b22), m1);
         dispatchMM(config, prefix, addM(a21, a22), b11, m2);
         dispatchMM(config, prefix, a11, subM(b12, b22), m3);

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "support/error.h"
-#include "support/hash.h"
 #include "support/logging.h"
 
 namespace petabricks {
@@ -28,14 +27,17 @@ roundUpPow2(size_t value)
 
 } // namespace
 
-size_t
-SharedEvaluationCache::KeyHash::operator()(const Key &key) const
+SharedEvaluationCache::Key::Key(uint64_t keyScope, int64_t keyInputSize,
+                                uint64_t keyFingerprint)
+    : scope(keyScope), inputSize(keyInputSize), fingerprint(keyFingerprint)
 {
-    return static_cast<size_t>(Fnv1a()
-                                   .mix(key.scope)
-                                   .mix(static_cast<uint64_t>(key.inputSize))
-                                   .mix(key.fingerprint)
-                                   .value());
+    // Scope and fingerprint are already FNV-1a hashes, so one
+    // multiply-xorshift over the three words' fold spreads them enough.
+    const uint64_t folded =
+        (scope ^ std::rotl(static_cast<uint64_t>(inputSize), 32) ^
+         fingerprint) *
+        0x9e3779b97f4a7c15ull;
+    hash = folded ^ (folded >> 32);
 }
 
 SharedEvaluationCache::SharedEvaluationCache(SharedCacheOptions options)
@@ -102,7 +104,7 @@ SharedEvaluationCache::registerOwner()
 SharedEvaluationCache::Shard &
 SharedEvaluationCache::shardFor(const Key &key)
 {
-    return *shards_[KeyHash{}(key)&shardMask_];
+    return *shards_[(key.hash >> 32) & shardMask_];
 }
 
 std::optional<double>

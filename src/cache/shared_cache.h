@@ -21,10 +21,12 @@
  * machines always share.
  *
  * Concurrency: the table is striped into power-of-two shards, each
- * with its own std::shared_mutex. Lookups take the shard's *shared*
- * lock (readers never serialize behind each other); publishes take the
- * exclusive lock on one shard only. LRU ticks and every statistic are
- * atomics, so the read path never upgrades its lock.
+ * with its own std::shared_mutex. A key's hash is taken once per call
+ * and picks both its shard (high bits) and its bucket in the shard.
+ * Lookups take the shard's *shared* lock (readers never serialize
+ * behind each other); publishes take the exclusive lock on one shard
+ * only. LRU ticks and every statistic are atomics, so the read path
+ * never upgrades its lock.
  *
  * Memory bound: each shard evicts in segments — when its byte estimate
  * exceeds its slice of maxBytes, the oldest quarter of its entries (by
@@ -181,18 +183,29 @@ class SharedEvaluationCache
     bool persistent() const { return store_ != nullptr; }
 
   private:
+    /** (scope, input size, config fingerprint) with their hash, taken
+     * once per call: it picks both the shard and the map bucket. */
     struct Key
     {
+        Key(uint64_t keyScope, int64_t keyInputSize, uint64_t keyFingerprint);
+
         uint64_t scope = 0;
         int64_t inputSize = 0;
         uint64_t fingerprint = 0;
+        uint64_t hash = 0;
 
         bool operator==(const Key &other) const = default;
     };
 
+    /** The hash the key carries. noexcept, so the map keeps no second
+     * copy of it in each node. */
     struct KeyHash
     {
-        size_t operator()(const Key &key) const;
+        size_t
+        operator()(const Key &key) const noexcept
+        {
+            return static_cast<size_t>(key.hash);
+        }
     };
 
     struct Entry

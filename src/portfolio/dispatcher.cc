@@ -30,45 +30,39 @@ Dispatcher::dispatch(const apps::Benchmark &benchmark, int64_t n,
 {
     const std::string name = benchmark.name();
     const uint64_t machineFp = machine.fingerprint();
-
-    if (!options.crossMachine) {
-        if (std::optional<ChampionRecord> hit =
-                portfolio_.exact(name, machineFp, n))
-            return {*hit, "exact", hit->seconds};
-    }
-
-    std::vector<ChampionRecord> candidates =
-        options.crossMachine ? portfolio_.allFor(name)
-                             : portfolio_.championsFor(name, machineFp);
-    bool foreignFallback = false;
-    if (candidates.empty()) {
-        candidates = portfolio_.allFor(name);
-        foreignFallback = true;
-    }
-    if (candidates.empty())
+    // One shared_ptr copy under the portfolio's lock; puts from here
+    // on swap in a new vector and leave this one intact.
+    const std::shared_ptr<const ChampionIndex> index = portfolio_.index(name);
+    if (index == nullptr)
         PB_FATAL("portfolio holds no champion for benchmark '" << name
                                                                << "'");
+
+    ChampionRange candidates = machineRange(*index, machineFp);
+    if (!options.crossMachine) {
+        if (const ChampionRecord *hit = atSize(candidates, n))
+            return {*hit, "exact", hit->seconds};
+    }
+    const bool foreignFallback = !options.crossMachine && candidates.empty();
+    if (options.crossMachine || foreignFallback)
+        candidates = *index;
 
     // Preselect the topK nearest tuned sizes. stable_sort over the
     // portfolio's stable key order keeps the whole pipeline
     // deterministic; clamping to >= 2 guarantees both ladder
     // neighbors of an in-between n stay in contention. Each distance
-    // is computed once and the sort runs on (distance, position).
+    // is computed once and the sort runs on (distance, record).
     const size_t topK =
         static_cast<size_t>(std::max(options.topK, 2));
-    std::vector<std::pair<double, size_t>> order;
-    order.reserve(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i)
-        order.emplace_back(logDistance(candidates[i].inputSize, n), i);
-    std::stable_sort(order.begin(), order.end(),
+    std::vector<std::pair<double, const ChampionRecord *>> nearest;
+    nearest.reserve(candidates.size());
+    for (const std::shared_ptr<const ChampionRecord> &candidate : candidates)
+        nearest.emplace_back(logDistance(candidate->inputSize, n),
+                             candidate.get());
+    std::stable_sort(nearest.begin(), nearest.end(),
                      [](const auto &a, const auto &b) {
                          return a.first < b.first;
                      });
-    std::vector<ChampionRecord> nearest;
-    nearest.reserve(std::min(topK, order.size()));
-    for (size_t k = 0; k < order.size() && k < topK; ++k)
-        nearest.push_back(std::move(candidates[order[k].second]));
-    candidates = std::move(nearest);
+    nearest.resize(std::min(topK, nearest.size()));
 
     // Price every surviving candidate at the queried n under the pure
     // model; infeasible placements (e.g. GPU-placed champions dispatched
@@ -76,10 +70,10 @@ Dispatcher::dispatch(const apps::Benchmark &benchmark, int64_t n,
     apps::EvalContextPtr ctx = benchmark.makeEvalContext(n, machine);
     const ChampionRecord *best = nullptr;
     double bestSeconds = std::numeric_limits<double>::infinity();
-    for (const ChampionRecord &candidate : candidates) {
+    for (const auto &[distance, candidate] : nearest) {
         double seconds;
         try {
-            seconds = benchmark.evaluate(candidate.config, n, machine,
+            seconds = benchmark.evaluate(candidate->config, n, machine,
                                          ctx.get());
         } catch (const FatalError &) {
             seconds = std::numeric_limits<double>::infinity();
@@ -88,11 +82,12 @@ Dispatcher::dispatch(const apps::Benchmark &benchmark, int64_t n,
         // ties go to the nearer tuned size, then the portfolio's key
         // order — fully deterministic.
         if (best == nullptr || seconds < bestSeconds) {
-            best = &candidate;
+            best = candidate;
             bestSeconds = seconds;
         }
     }
 
+    // The only record copied: the winner.
     DispatchDecision decision;
     decision.champion = *best;
     decision.pricedSeconds = bestSeconds;

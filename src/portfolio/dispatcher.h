@@ -23,6 +23,13 @@
  * (modeled seconds, |log-distance|, input size, machine name). Same
  * portfolio + same query => same config fingerprint, across runs and
  * across daemon restarts.
+ *
+ * A dispatch reads the benchmark's ChampionIndex: one shared_ptr copy
+ * under the portfolio's lock, which it then drops, so pricing never
+ * holds the lock. The exact hit and the machine's run are binary
+ * searches, and candidates are ranked by pointer; the winner is the
+ * one record copied. A put() during a dispatch swaps in a new index,
+ * so the dispatch decides on the portfolio as it was when it began.
  */
 
 #ifndef PETABRICKS_PORTFOLIO_DISPATCHER_H

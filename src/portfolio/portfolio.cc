@@ -1,10 +1,10 @@
 #include "portfolio/portfolio.h"
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 
 #include "benchmarks/registry.h"
 #include "support/crashpoint.h"
@@ -79,7 +79,52 @@ recordFromFile(const std::string &path)
     return record;
 }
 
+/** A record's place in its benchmark's index. */
+std::pair<uint64_t, int64_t>
+keyOf(const ChampionRecord &record)
+{
+    return {record.machineFingerprint, record.inputSize};
+}
+
+/** Put @p record in its key's place in @p index, replacing the
+ * champion stored at that key. */
+void
+place(ChampionIndex &index, std::shared_ptr<const ChampionRecord> record)
+{
+    const std::pair<uint64_t, int64_t> key = keyOf(*record);
+    auto it = std::partition_point(
+        index.begin(), index.end(),
+        [&key](const auto &entry) { return keyOf(*entry) < key; });
+    if (it != index.end() && keyOf(**it) == key)
+        *it = std::move(record);
+    else
+        index.insert(it, std::move(record));
+}
+
 } // namespace
+
+ChampionRange
+machineRange(const ChampionIndex &index, uint64_t machineFingerprint)
+{
+    auto first = std::partition_point(
+        index.begin(), index.end(), [machineFingerprint](const auto &entry) {
+            return entry->machineFingerprint < machineFingerprint;
+        });
+    auto last = std::partition_point(
+        first, index.end(), [machineFingerprint](const auto &entry) {
+            return entry->machineFingerprint == machineFingerprint;
+        });
+    return {first, last};
+}
+
+const ChampionRecord *
+atSize(ChampionRange range, int64_t n)
+{
+    auto it = std::partition_point(
+        range.begin(), range.end(),
+        [n](const auto &entry) { return entry->inputSize < n; });
+    return it != range.end() && (*it)->inputSize == n ? it->get() : nullptr;
+}
 
 ChampionPortfolio::ChampionPortfolio(std::string dir) : dir_(std::move(dir))
 {
@@ -90,31 +135,38 @@ ChampionPortfolio::ChampionPortfolio(std::string dir) : dir_(std::move(dir))
     if (ec)
         PB_FATAL("cannot create portfolio directory '"
                  << dir_ << "': " << ec.message());
+    std::map<std::string, ChampionIndex, std::less<>> loaded;
     stats_.quarantined = fsck::loadEach(
-        dir_, fsck::FileKind::Champion, [this](const std::string &path) {
-            ChampionRecord record = recordFromFile(path);
-            Key key{record.benchmark, record.machineFingerprint,
-                    record.inputSize};
-            records_[key] = std::move(record);
+        dir_, fsck::FileKind::Champion, [&](const std::string &path) {
+            auto record =
+                std::make_shared<const ChampionRecord>(recordFromFile(path));
+            ChampionIndex &index = loaded[record->benchmark];
+            place(index, std::move(record));
             ++stats_.loaded;
         });
+    for (auto &[benchmark, index] : loaded) {
+        size_ += index.size();
+        byBenchmark_.emplace(
+            benchmark, std::make_shared<const ChampionIndex>(std::move(index)));
+    }
 }
 
 void
 ChampionPortfolio::put(ChampionRecord record)
 {
     record.configFingerprint = record.config.valueFingerprint();
+    auto shared = std::make_shared<const ChampionRecord>(std::move(record));
     std::lock_guard<std::mutex> lock(mutex_);
     if (!dir_.empty()) {
         char fingerprint[17];
         std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
                       static_cast<unsigned long long>(
-                          record.machineFingerprint));
+                          shared->machineFingerprint));
         const std::string path =
-            dir_ + "/champ-" + slugify(record.benchmark) + "-" +
-            fingerprint + "-" + std::to_string(record.inputSize) + ".kv";
+            dir_ + "/champ-" + slugify(shared->benchmark) + "-" +
+            fingerprint + "-" + std::to_string(shared->inputSize) + ".kv";
         try {
-            KvFile::saveTextAtomic(path, recordText(record),
+            KvFile::saveTextAtomic(path, recordText(*shared),
                                    "portfolio.champ");
         } catch (const IoError &e) {
             // Keep the in-memory champion serving dispatches; the
@@ -126,50 +178,62 @@ ChampionPortfolio::put(ChampionRecord record)
                     << e.what() << ")");
         }
     }
-    Key key{record.benchmark, record.machineFingerprint,
-            record.inputSize};
-    records_[key] = std::move(record);
+    // Readers may hold the current vector: build the next one beside it.
+    std::shared_ptr<const ChampionIndex> &current =
+        byBenchmark_[shared->benchmark];
+    auto next = current ? std::make_shared<ChampionIndex>(*current)
+                        : std::make_shared<ChampionIndex>();
+    const size_t before = next->size();
+    place(*next, std::move(shared));
+    size_ += next->size() - before;
+    current = std::move(next);
     ++stats_.stored;
+}
+
+std::shared_ptr<const ChampionIndex>
+ChampionPortfolio::index(std::string_view benchmark) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = byBenchmark_.find(benchmark);
+    return it == byBenchmark_.end() ? nullptr : it->second;
 }
 
 std::optional<ChampionRecord>
 ChampionPortfolio::exact(const std::string &benchmark,
                          uint64_t machineFingerprint, int64_t n) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = records_.find(Key{benchmark, machineFingerprint, n});
-    if (it == records_.end())
+    std::shared_ptr<const ChampionIndex> champions = index(benchmark);
+    const ChampionRecord *hit =
+        champions ? atSize(machineRange(*champions, machineFingerprint), n)
+                  : nullptr;
+    if (hit == nullptr)
         return std::nullopt;
-    return it->second;
+    return *hit;
 }
 
 std::vector<ChampionRecord>
 ChampionPortfolio::championsFor(const std::string &benchmark,
                                 uint64_t machineFingerprint) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<ChampionRecord> out;
-    auto it = records_.lower_bound(
-        Key{benchmark, machineFingerprint,
-            std::numeric_limits<int64_t>::min()});
-    for (; it != records_.end(); ++it) {
-        const auto &[key, record] = *it;
-        if (std::get<0>(key) != benchmark ||
-            std::get<1>(key) != machineFingerprint)
-            break;
-        out.push_back(record);
-    }
+    std::shared_ptr<const ChampionIndex> champions = index(benchmark);
+    if (champions == nullptr)
+        return out;
+    for (const auto &record : machineRange(*champions, machineFingerprint))
+        out.push_back(*record);
     return out;
 }
 
 std::vector<ChampionRecord>
 ChampionPortfolio::allFor(const std::string &benchmark) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<ChampionRecord> out;
-    for (const auto &[key, record] : records_)
-        if (std::get<0>(key) == benchmark)
-            out.push_back(record);
+    std::shared_ptr<const ChampionIndex> champions = index(benchmark);
+    if (champions == nullptr)
+        return out;
+    out.reserve(champions->size());
+    for (const auto &record : *champions)
+        out.push_back(*record);
     return out;
 }
 
@@ -178,9 +242,10 @@ ChampionPortfolio::all() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::vector<ChampionRecord> out;
-    out.reserve(records_.size());
-    for (const auto &[key, record] : records_)
-        out.push_back(record);
+    out.reserve(size_);
+    for (const auto &[benchmark, champions] : byBenchmark_)
+        for (const auto &record : *champions)
+            out.push_back(*record);
     return out;
 }
 
@@ -188,7 +253,7 @@ size_t
 ChampionPortfolio::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return records_.size();
+    return size_;
 }
 
 PortfolioStats

@@ -26,11 +26,14 @@
 #define PETABRICKS_PORTFOLIO_PORTFOLIO_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
-#include <tuple>
+#include <string_view>
 #include <vector>
 
 #include "tuner/config.h"
@@ -56,6 +59,22 @@ struct ChampionRecord
      * dispatch determinism guarantee is stated in. */
     uint64_t configFingerprint = 0;
 };
+
+/** One benchmark's champions, sorted by (machine fingerprint, input
+ * size); never modified once published. */
+using ChampionIndex = std::vector<std::shared_ptr<const ChampionRecord>>;
+
+/** A contiguous run of a ChampionIndex. */
+using ChampionRange = std::span<const std::shared_ptr<const ChampionRecord>>;
+
+/** The run of @p index tuned on @p machineFingerprint, ascending by
+ * input size; empty when that machine has no champion. */
+ChampionRange machineRange(const ChampionIndex &index,
+                           uint64_t machineFingerprint);
+
+/** The champion of @p range (one machine's run) tuned at exactly
+ * @p n, or null. */
+const ChampionRecord *atSize(ChampionRange range, int64_t n);
 
 /** Load/store accounting, for /stats and tests. */
 struct PortfolioStats
@@ -109,6 +128,12 @@ class ChampionPortfolio
     /** Every champion, in stable key order. */
     std::vector<ChampionRecord> all() const;
 
+    /** @p benchmark's index as it stands now, or null when the
+     * benchmark has no champion. Later puts swap in a new vector and
+     * leave this one untouched, so it is read without the lock. */
+    std::shared_ptr<const ChampionIndex>
+    index(std::string_view benchmark) const;
+
     size_t size() const;
 
     PortfolioStats stats() const;
@@ -117,14 +142,12 @@ class ChampionPortfolio
     const std::string &dir() const { return dir_; }
 
   private:
-    using Key = std::tuple<std::string, uint64_t, int64_t>;
-
-    std::string championPath(const ChampionRecord &record) const;
-
     std::string dir_;
 
     mutable std::mutex mutex_;
-    std::map<Key, ChampionRecord> records_;
+    std::map<std::string, std::shared_ptr<const ChampionIndex>, std::less<>>
+        byBenchmark_;
+    size_t size_ = 0;
     PortfolioStats stats_;
 };
 

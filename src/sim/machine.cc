@@ -1,5 +1,7 @@
 #include "sim/machine.h"
 
+#include <string_view>
+
 #include "support/error.h"
 #include "support/hash.h"
 
@@ -8,32 +10,40 @@ namespace sim {
 
 namespace {
 
-/** Hash one named field; the name tag keeps equal values in different
- * fields from canceling when the tagged hashes are XOR-combined. */
+/** FNV-1a state after a field's name tag. consteval, so every tag is
+ * folded at compile time and a fingerprint hashes only value bytes. */
+consteval uint64_t
+tag(std::string_view name)
+{
+    return Fnv1a().mix(name).value();
+}
+
+/** Hash one field from its folded name tag; the tag keeps equal values
+ * in different fields from canceling when the tagged hashes are
+ * XOR-combined. */
 template <typename T>
 uint64_t
-taggedField(const char *tag, const T &value)
+taggedField(uint64_t tagState, const T &value)
 {
-    return Fnv1a().mix(std::string(tag)).mix(value).value();
+    return Fnv1a(tagState).mix(value).value();
 }
 
 uint64_t
-deviceFingerprint(const char *tag, const DeviceSpec &device)
+deviceFingerprint(uint64_t tagState, const DeviceSpec &device)
 {
     uint64_t hash = 0;
-    hash ^= taggedField("name", device.name);
-    hash ^= taggedField("type",
-                        static_cast<uint64_t>(device.type));
-    hash ^= taggedField("cores", static_cast<uint64_t>(device.cores));
-    hash ^= taggedField("gflopsPerCore", device.gflopsPerCore);
-    hash ^= taggedField("memBandwidthGBs", device.memBandwidthGBs);
-    hash ^= taggedField("localMemBandwidthGBs",
+    hash ^= taggedField(tag("name"), device.name);
+    hash ^= taggedField(tag("type"), static_cast<uint64_t>(device.type));
+    hash ^= taggedField(tag("cores"), static_cast<uint64_t>(device.cores));
+    hash ^= taggedField(tag("gflopsPerCore"), device.gflopsPerCore);
+    hash ^= taggedField(tag("memBandwidthGBs"), device.memBandwidthGBs);
+    hash ^= taggedField(tag("localMemBandwidthGBs"),
                         device.localMemBandwidthGBs);
-    hash ^= taggedField("dedicatedLocalMem", device.dedicatedLocalMem);
-    hash ^= taggedField("launchLatencyUs", device.launchLatencyUs);
-    hash ^= taggedField("simdWidth",
+    hash ^= taggedField(tag("dedicatedLocalMem"), device.dedicatedLocalMem);
+    hash ^= taggedField(tag("launchLatencyUs"), device.launchLatencyUs);
+    hash ^= taggedField(tag("simdWidth"),
                         static_cast<uint64_t>(device.simdWidth));
-    return taggedField(tag, hash);
+    return taggedField(tagState, hash);
 }
 
 } // namespace
@@ -42,25 +52,25 @@ uint64_t
 MachineProfile::fingerprint() const
 {
     uint64_t hash = 0;
-    hash ^= taggedField("name", name);
-    hash ^= taggedField("os", os);
-    hash ^= taggedField("openclRuntime", openclRuntime);
-    hash ^= deviceFingerprint("cpu", cpu);
-    hash ^= taggedField("hasOpenCL", hasOpenCL);
+    hash ^= taggedField(tag("name"), name);
+    hash ^= taggedField(tag("os"), os);
+    hash ^= taggedField(tag("openclRuntime"), openclRuntime);
+    hash ^= deviceFingerprint(tag("cpu"), cpu);
+    hash ^= taggedField(tag("hasOpenCL"), hasOpenCL);
     if (hasOpenCL) {
-        hash ^= deviceFingerprint("ocl", ocl);
-        hash ^= taggedField("transfer.latencyUs", transfer.latencyUs);
-        hash ^= taggedField("transfer.bandwidthGBs",
+        hash ^= deviceFingerprint(tag("ocl"), ocl);
+        hash ^= taggedField(tag("transfer.latencyUs"), transfer.latencyUs);
+        hash ^= taggedField(tag("transfer.bandwidthGBs"),
                             transfer.bandwidthGBs);
-        hash ^= taggedField("oclSharesCpu", oclSharesCpu);
+        hash ^= taggedField(tag("oclSharesCpu"), oclSharesCpu);
     }
-    hash ^= taggedField("workerThreads",
+    hash ^= taggedField(tag("workerThreads"),
                         static_cast<uint64_t>(workerThreads));
-    hash ^= taggedField("blasSpeedup", blasSpeedup);
-    hash ^= taggedField("blasThreads",
+    hash ^= taggedField(tag("blasSpeedup"), blasSpeedup);
+    hash ^= taggedField(tag("blasThreads"),
                         static_cast<uint64_t>(blasThreads));
-    hash ^= taggedField("kernelCompileSeconds", kernelCompileSeconds);
-    hash ^= taggedField("irCacheSavings", irCacheSavings);
+    hash ^= taggedField(tag("kernelCompileSeconds"), kernelCompileSeconds);
+    hash ^= taggedField(tag("irCacheSavings"), irCacheSavings);
     // Re-seed through FNV so the combined value is well-mixed even
     // though the combination above is a plain XOR.
     return Fnv1a().mix(hash).value();

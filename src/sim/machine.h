@@ -91,6 +91,12 @@ struct MachineProfile
      * commutatively). This is the machine component of the shared
      * evaluation cache's scope key, so it must be stable across
      * processes and platforms.
+     *
+     * Each name tag's hash state is folded at compile time, so a call
+     * hashes only the values' bytes. It is computed per call, not
+     * stored: the fields are public and callers price edited copies,
+     * and a stored value could go stale and key another machine's
+     * costs.
      */
     uint64_t fingerprint() const;
 

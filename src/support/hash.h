@@ -13,6 +13,10 @@
  * The hash is stable across processes and platforms (it depends only
  * on the mixed byte sequence), which is what lets fingerprints key
  * on-disk cache segments and checkpoint schema checks.
+ *
+ * Every step is constexpr and a hasher resumes from any state value()
+ * returned, so a constant prefix (a field's name tag) can be folded at
+ * compile time and only the bytes that vary hashed at run time.
  */
 
 #ifndef PETABRICKS_SUPPORT_HASH_H
@@ -28,8 +32,14 @@ namespace petabricks {
 class Fnv1a
 {
   public:
+    constexpr Fnv1a() = default;
+
+    /** Resume from @p state, a value() of an earlier hasher: the
+     * result is as if that hasher had gone on mixing. */
+    explicit constexpr Fnv1a(uint64_t state) : hash_(state) {}
+
     /** Mix one 64-bit word, byte by byte (little-endian order). */
-    Fnv1a &
+    constexpr Fnv1a &
     mix(uint64_t value)
     {
         for (int byte = 0; byte < 8; ++byte) {
@@ -41,7 +51,7 @@ class Fnv1a
 
     /** Mix a double by its exact bit pattern (no rounding, so equal
      * doubles hash equal and nothing else does). */
-    Fnv1a &
+    constexpr Fnv1a &
     mix(double value)
     {
         return mix(std::bit_cast<uint64_t>(value));
@@ -49,7 +59,7 @@ class Fnv1a
 
     /** Mix a string's bytes plus a 0xff terminator, so ("ab","c") and
      * ("a","bc") cannot collide. */
-    Fnv1a &
+    constexpr Fnv1a &
     mix(std::string_view text)
     {
         for (unsigned char c : text) {
@@ -61,13 +71,13 @@ class Fnv1a
         return *this;
     }
 
-    Fnv1a &
+    constexpr Fnv1a &
     mix(bool value)
     {
         return mix(static_cast<uint64_t>(value ? 1 : 0));
     }
 
-    uint64_t value() const { return hash_; }
+    constexpr uint64_t value() const { return hash_; }
 
   private:
     static constexpr uint64_t kOffset = 1469598103934665603ull;

@@ -302,6 +302,36 @@ TEST(SvdReal, ErrorDecreasesWithRank)
     EXPECT_LT(prev, 1e-6); // full rank at the end
 }
 
+TEST(SvdReal, RecursiveMatmulsMatchNaiveAtEveryRank)
+{
+    // The projection multiplies an n x k matrix by a k x n one, so the
+    // recursive algorithms must split non-square operands.
+    SvdBenchmark bench;
+    for (int64_t n : {64, 128}) {
+        Rng rng(static_cast<uint64_t>(n));
+        MatrixD a(n, n);
+        for (int64_t i = 0; i < a.size(); ++i)
+            a[i] = rng.uniformReal(-1.0, 1.0);
+        for (int k8 = 1; k8 <= 8; ++k8) {
+            tuner::Config naive = bench.seedConfig();
+            naive.setTunable("SVD.k8", k8);
+            naive.selector("SVD.mm.algorithm").setAlgorithm(0, kMmNaive);
+            MatrixD ref = bench.approximate(naive, a, nullptr);
+            for (int alg : {kMmRecursive8, kMmStrassen}) {
+                tuner::Config config = naive;
+                config.selector("SVD.mm.algorithm").setAlgorithm(0, alg);
+                MatrixD ak = bench.approximate(config, a, nullptr);
+                double base = 0.0;
+                for (int64_t i = 0; i < ref.size(); ++i)
+                    base += ref[i] * ref[i];
+                EXPECT_LT(blas::frobeniusDiff(ak, ref) / std::sqrt(base),
+                          1e-9)
+                    << "n=" << n << " k8=" << k8 << " algorithm " << alg;
+            }
+        }
+    }
+}
+
 TEST(SvdReal, JacobiEigenDecomposesSymmetricMatrix)
 {
     Rng rng(37);
