@@ -10,12 +10,11 @@
  * per-benchmark "<Bench>.split" (CPU chunking) — the Section 5.3
  * choice encoding.
  *
- * Each simulator-backed benchmark resolves these positions once, in its
- * constructor, and builds every stage placement through stageAt(). The
- * resulting plan is the one walk of its model: the simulator prices it,
- * stageKernelSources() lists the kernels it launches (a stage's, only
- * when the stage gets GPU rows, as in the simulator and the executor),
- * and describeStage() renders each stage for Figure 6.
+ * Each transform-style benchmark resolves these positions once, in its
+ * constructor, and builds every stage placement through stageAt();
+ * describeStage() renders a stage for Figure 6. The model, the kernel
+ * list and the real-mode plan over those placements live in
+ * TransformStyleBenchmark (benchmarks/transform_style.h).
  */
 
 #ifndef PETABRICKS_BENCHMARKS_BACKEND_UTIL_H
@@ -25,7 +24,6 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "benchmarks/benchmark.h"
 #include "compiler/backend.h"
@@ -111,13 +109,6 @@ nearSquareExtent(int64_t n)
     return {(n + rows - 1) / rows, rows};
 }
 
-/** Slot extents of @p slots slots that all take nearSquareExtent(n). */
-inline std::vector<compiler::SlotExtent>
-nearSquareExtents(int64_t n, size_t slots)
-{
-    return std::vector<compiler::SlotExtent>(slots, nearSquareExtent(n));
-}
-
 /** Human-readable backend description for the Figure 6 table. */
 inline std::string
 describeStage(const compiler::StageConfig &stage)
@@ -135,79 +126,6 @@ describeStage(const compiler::StageConfig &stage)
     if (stage.backend == compiler::Backend::OpenClGlobal)
         name += " / CPU " + std::to_string(100 - gpuPercent) + "%";
     return name;
-}
-
-/**
- * The kernel sources of a transform's rules (Section 5.4): each
- * distinct "pbcl:<Rule>:global" and ":local" name once, and for each
- * rule variant, at 2 * RuleEvalInfo::id (+1 for local), the position
- * of its name. Rules that share a name (Poisson's per-iteration
- * updates) share a position, so a list dedups by a bitmask. A
- * simulator-backed benchmark builds it once, in its constructor.
- */
-struct StageKernelNames
-{
-    std::vector<std::string> names;
-    std::vector<uint8_t> position;
-};
-
-inline StageKernelNames
-stageKernelNames(const compiler::TransformAnalysis &analysis)
-{
-    StageKernelNames kernels;
-    kernels.position.resize(2 * analysis.ruleCount);
-    for (const std::vector<compiler::RuleEvalInfo> &rules : analysis.choices)
-        for (const compiler::RuleEvalInfo &rule : rules)
-            for (size_t local = 0; local < 2; ++local) {
-                const std::string name = "pbcl:" + rule.rule->name() +
-                                         (local ? ":local" : ":global");
-                auto it = std::find(kernels.names.begin(),
-                                    kernels.names.end(), name);
-                if (it == kernels.names.end())
-                    it = kernels.names.insert(it, name);
-                kernels.position[2 * rule.id + local] =
-                    static_cast<uint8_t>(it - kernels.names.begin());
-            }
-    PB_ASSERT(kernels.names.size() <= 64,
-              "a kernel list dedups by a 64-bit mask");
-    return kernels;
-}
-
-/**
- * The distinct kernel sources @p plan launches, in stage order: a
- * stage's, from @p kernels, only when the simulator gives the stage
- * GPU rows. @p extentOf(slot id) is the slot's (w, h). Allocates only
- * the returned list.
- */
-template <typename ExtentOf>
-std::vector<std::string>
-stageKernelSources(const compiler::TransformAnalysis &analysis,
-                   const StageKernelNames &kernels,
-                   const compiler::TransformConfig &plan, ExtentOf extentOf)
-{
-    uint8_t listed[64];
-    size_t count = 0;
-    uint64_t seen = 0;
-    for (const compiler::RuleEvalInfo &rule :
-         analysis.choices[plan.choiceIndex]) {
-        const compiler::StageConfig &stage = plan.stage(rule.ruleIndex);
-        if (stage.gpuRows(extentOf(rule.outputSlotId).second) <= 0)
-            continue; // the simulator runs it wholly on the CPU
-        const uint8_t at =
-            kernels.position[2 * rule.id +
-                             (stage.backend == compiler::Backend::OpenClLocal
-                                  ? 1
-                                  : 0)];
-        if (seen >> at & 1)
-            continue;
-        seen |= uint64_t{1} << at;
-        listed[count++] = at;
-    }
-    std::vector<std::string> sources;
-    sources.reserve(count);
-    for (size_t i = 0; i < count; ++i)
-        sources.push_back(kernels.names[listed[i]]);
-    return sources;
 }
 
 } // namespace apps

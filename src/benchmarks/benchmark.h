@@ -1,6 +1,7 @@
 /**
  * @file
- * Common interface of the seven paper benchmarks (Section 6).
+ * Common interface of the eight benchmarks: the paper's seven (Section
+ * 6) and Mandelbrot.
  *
  * Every benchmark exposes the structure the experiments need:
  *  - a seed tuner configuration (the searchable choice space),
@@ -16,6 +17,12 @@
  * heterogeneous runtime exactly the way engine::ModelEngine prices it
  * on a machine profile (the paper's Section 6 methodology: autotuning
  * against real execution).
+ *
+ * Each family of benchmarks implements its shared part of this
+ * interface once: TransformStyleBenchmark (benchmarks/transform_style.h)
+ * for the simulator-backed ones, whose point rules map onto CPU/OpenCL
+ * stages, and FunctionStyleBenchmark (benchmarks/function_style.h) for
+ * the poly-algorithms whose region rules read a choice file.
  */
 
 #ifndef PETABRICKS_BENCHMARKS_BENCHMARK_H
@@ -44,43 +51,9 @@ class ExecutionEngine;
 namespace apps {
 
 /**
- * Runtime choice state shared between planFor() and the region-rule
- * bodies of function-style transforms (Sort, Strassen, SVD,
- * Tridiagonal), whose poly-algorithms consult selectors at every
- * recursive call site. This mirrors the paper's *choice configuration
- * file* (Figure 3): the compiled program reads the autotuner's
- * selectors at startup and dispatches on them while running.
- * planFor() arms the file; the transform's rules read it during
- * execution.
- */
-class ChoiceFile
-{
-  public:
-    void
-    arm(const tuner::Config &config)
-    {
-        config_ = std::make_shared<tuner::Config>(config);
-    }
-
-    const tuner::Config &
-    get() const
-    {
-        PB_ASSERT(config_ != nullptr,
-                  "choice file not armed: call planFor() before "
-                  "executing the transform");
-        return *config_;
-    }
-
-  private:
-    std::shared_ptr<const tuner::Config> config_;
-};
-
-using ChoiceFilePtr = std::shared_ptr<ChoiceFile>;
-
-/**
  * Config-invariant evaluation state a simulator-backed benchmark
  * precomputes per (input size, machine): a compiler::EvaluationContext
- * over the TransformAnalysis its constructor built. Analytic benchmarks
+ * over the TransformAnalysis its base built. Analytic benchmarks
  * (Sort, Strassen, SVD, Tridiagonal) price closed-form models through
  * the config positions their constructors resolve and build none.
  * Contexts are immutable once built, so one context may serve a whole
@@ -133,11 +106,11 @@ class Benchmark
     /**
      * Precompute the config-invariant evaluation state for
      * (@p n, @p machine). State that depends on neither belongs in the
-     * benchmark's constructor: the simulator-backed benchmarks build
-     * their compiler::TransformAnalysis and selector/tunable positions
-     * there once, and a context binds that analysis to slot extents
-     * and the machine with O(rules) arithmetic. Built once per batch
-     * by engine::ModelEngine (once per query by the portfolio
+     * benchmark's constructor: TransformStyleBenchmark builds the
+     * compiler::TransformAnalysis there once, each benchmark its
+     * selector/tunable positions, and a context binds that analysis to
+     * slot extents and the machine with O(rules) arithmetic. Built once
+     * per batch by engine::ModelEngine (once per query by the portfolio
      * dispatcher) and shared by every candidate. Default: nullptr, for
      * the analytic benchmarks, whose models need no context; a
      * simulator-backed benchmark returns nullptr only at sizes it
@@ -202,7 +175,7 @@ class Benchmark
 
     /**
      * Stage placement @p config selects at size @p n. Function-style
-     * benchmarks also arm their ChoiceFile here, so call planFor()
+     * benchmarks also arm their choice file here, so call planFor()
      * before executing the transform. Requires supportsRealMode().
      */
     virtual compiler::TransformConfig
@@ -222,7 +195,7 @@ class Benchmark
     /**
      * True if independent engine instances may execute this
      * benchmark's real-mode surface concurrently (engine::EnginePool's
-     * fan-out). Function-style benchmarks share one ChoiceFile between
+     * fan-out). Function-style benchmarks share one choice file between
      * planFor() and their region-rule bodies, so a concurrent plan
      * would re-arm the file mid-run; they return false and pooled
      * batches degrade to serial. Model-mode evaluation (evaluate(),

@@ -2,9 +2,6 @@
 
 #include <cmath>
 
-#include "benchmarks/backend_util.h"
-#include "compiler/simulator.h"
-
 namespace petabricks {
 namespace apps {
 
@@ -47,6 +44,27 @@ blackScholesRule()
         [](const ParamEnv &) { return kFlopsPerOption; });
 }
 
+std::shared_ptr<lang::Transform>
+makeBlackScholesTransform()
+{
+    auto t = std::make_shared<lang::Transform>("BlackScholes");
+    t->slot("Spot", lang::SlotRole::Input)
+        .slot("Strike", lang::SlotRole::Input)
+        .slot("Years", lang::SlotRole::Input)
+        .slot("Price", lang::SlotRole::Output);
+    t->choice("formula", {blackScholesRule()});
+    return t;
+}
+
+tuner::ConfigSchemaPtr
+blackScholesSchema()
+{
+    tuner::ConfigSchema::Builder schema;
+    addBackendChoices(schema, "BlackScholes", /*hasLocalVariant=*/false);
+    schema.addTunable({"BlackScholes.split", 1, 256, 16, true});
+    return schema.build();
+}
+
 } // namespace
 
 double
@@ -63,74 +81,19 @@ blackScholesCall(double spot, double strike, double years,
 }
 
 BlackScholesBenchmark::BlackScholesBenchmark()
-{
-    transform_ = std::make_shared<lang::Transform>("BlackScholes");
-    transform_->slot("Spot", lang::SlotRole::Input)
-        .slot("Strike", lang::SlotRole::Input)
-        .slot("Years", lang::SlotRole::Input)
-        .slot("Price", lang::SlotRole::Output);
-    transform_->choice("formula", {blackScholesRule()});
-    analysis_ = std::make_shared<compiler::TransformAnalysis>(*transform_);
-    kernelNames_ = stageKernelNames(*analysis_);
-    tuner::ConfigSchema::Builder schema;
-    addBackendChoices(schema, "BlackScholes", /*hasLocalVariant=*/false);
-    schema.addTunable({"BlackScholes.split", 1, 256, 16, true});
-    schema_ = schema.build();
-    rule_ = stageChoiceIds(*schema_, "BlackScholes");
-    splitTun_ = schema_->tunableIndex("BlackScholes.split");
-}
+    : TransformStyleBenchmark(makeBlackScholesTransform(),
+                              blackScholesSchema()),
+      rule_(stageChoiceIds(schema(), "BlackScholes")),
+      splitTun_(schema().tunableIndex("BlackScholes.split"))
+{}
 
-tuner::Config
-BlackScholesBenchmark::seedConfig() const
+void
+BlackScholesBenchmark::placeStages(const tuner::Config &config, int64_t n,
+                                   compiler::TransformConfig &plan) const
 {
-    return tuner::Config(schema_);
-}
-
-const compiler::TransformConfig &
-BlackScholesBenchmark::stagePlan(const tuner::Config &config,
-                                 int64_t n) const
-{
-    thread_local compiler::TransformConfig plan; // no allocation per call
-    plan.choiceIndex = 0;
-    plan.stages.clear();
     plan.stages.push_back(stageAt(
         config, rule_, n,
         static_cast<int>(config.tunableValueAt(splitTun_))));
-    return plan;
-}
-
-compiler::TransformConfig
-BlackScholesBenchmark::planFor(const tuner::Config &config,
-                               int64_t n) const
-{
-    return stagePlan(config, n);
-}
-
-apps::EvalContextPtr
-BlackScholesBenchmark::makeEvalContext(
-    int64_t n, const sim::MachineProfile &machine) const
-{
-    return std::make_shared<EvalContext>(
-        analysis_, nearSquareExtents(n, transform_->slots().size()),
-        lang::ParamEnv{500, 2000}, machine);
-}
-
-double
-BlackScholesBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                                const sim::MachineProfile &,
-                                const EvalContext *ctx) const
-{
-    PB_ASSERT(ctx != nullptr, name() << " priced without its context");
-    return compiler::simulateTransform(*ctx, stagePlan(config, n)).seconds;
-}
-
-std::vector<std::string>
-BlackScholesBenchmark::kernelSources(const tuner::Config &config,
-                                     int64_t n) const
-{
-    const compiler::SlotExtent extent = nearSquareExtent(n);
-    return stageKernelSources(*analysis_, kernelNames_, stagePlan(config, n),
-                              [extent](int) { return extent; });
 }
 
 std::string
@@ -155,7 +118,7 @@ BlackScholesBenchmark::makeBinding(int64_t n, Rng &rng) const
     binding.matrices.emplace("Strike", strike);
     binding.matrices.emplace("Years", years);
     binding.matrices.emplace("Price", MatrixD(cols, rows));
-    binding.params = {500, 2000}; // rate 5%, volatility 20%
+    binding.params = params(n);
     return binding;
 }
 

@@ -14,10 +14,8 @@
 #ifndef PETABRICKS_BENCHMARKS_BLACKSCHOLES_H
 #define PETABRICKS_BENCHMARKS_BLACKSCHOLES_H
 
-#include <memory>
-
 #include "benchmarks/backend_util.h"
-#include "benchmarks/benchmark.h"
+#include "benchmarks/transform_style.h"
 #include "lang/transform.h"
 #include "support/rng.h"
 
@@ -29,25 +27,15 @@ double blackScholesCall(double spot, double strike, double years,
                         double riskFree, double volatility);
 
 /** See file comment. */
-class BlackScholesBenchmark : public Benchmark
+class BlackScholesBenchmark
+    : public TransformStyleBenchmark<BlackScholesBenchmark>
 {
   public:
     BlackScholesBenchmark();
 
     std::string name() const override { return "Black-Scholes"; }
-    tuner::Config seedConfig() const override;
-    using Benchmark::evaluate;
-    EvalContextPtr
-    makeEvalContext(int64_t n,
-                    const sim::MachineProfile &machine) const override;
-    double evaluate(const tuner::Config &config, int64_t n,
-                    const sim::MachineProfile &machine,
-                    const EvalContext *ctx) const override;
-    std::vector<std::string>
-    kernelSources(const tuner::Config &config, int64_t n) const override;
     int64_t testingInputSize() const override { return 500000; }
     int64_t minTuningSize() const override { return 4096; }
-    int openclKernelCount() const override { return 1; }
     std::string describeConfig(const tuner::Config &config,
                                int64_t n) const override;
 
@@ -55,17 +43,9 @@ class BlackScholesBenchmark : public Benchmark
     // near-square matrix so the GPU-CPU ratio can split rows; inputs
     // Spot, Strike, Years are drawn from realistic ranges, and rate and
     // volatility are transform params scaled by 1e4.
-    bool supportsRealMode() const override { return true; }
-    const lang::Transform &transform() const override
-    {
-        return *transform_;
-    }
     lang::Binding makeBinding(int64_t n, Rng &rng) const override;
-    compiler::TransformConfig planFor(const tuner::Config &config,
-                                      int64_t n) const override;
     double checkOutput(const lang::Binding &binding) const override;
     int64_t realModeProbeSize() const override { return 2048; }
-
 
     /** Reference pricing for correctness checks. */
     static MatrixD reference(const lang::Binding &binding);
@@ -74,19 +54,19 @@ class BlackScholesBenchmark : public Benchmark
     static tuner::Config cpuOnlyConfig();
 
   private:
-    /** The stage placement of @p config at size @p n, in a per-thread
-     * buffer: the one walk planFor(), describeConfig(), kernelSources()
-     * and the cost model share. */
-    const compiler::TransformConfig &stagePlan(const tuner::Config &config,
-                                               int64_t n) const;
+    friend TransformStyleBenchmark; // the model hooks below
 
-    std::shared_ptr<lang::Transform> transform_;
-    // Model structure every evaluation context shares, built once.
-    compiler::TransformAnalysisPtr analysis_;
-    tuner::ConfigSchemaPtr schema_;
+    void placeStages(const tuner::Config &config, int64_t n,
+                     compiler::TransformConfig &plan) const;
+    compiler::SlotExtent slotExtent(int64_t n, int) const
+    {
+        return nearSquareExtent(n);
+    }
+    /** Rate 5% and volatility 20%, scaled by 1e4. */
+    lang::ParamEnv params(int64_t) const { return {500, 2000}; }
+
     StageChoiceIds rule_;
     size_t splitTun_ = 0;
-    StageKernelNames kernelNames_; // stageKernelNames(*analysis_)
 };
 
 } // namespace apps

@@ -1,11 +1,5 @@
 #include "benchmarks/convolution.h"
 
-#include <array>
-
-#include "benchmarks/backend_util.h"
-#include "compiler/admissibility.h"
-#include "compiler/simulator.h"
-
 namespace petabricks {
 namespace apps {
 
@@ -87,15 +81,19 @@ convolveColumnsRule(int64_t kwidth)
         });
 }
 
-/** Slot extents by slot id: In, Kernel, Out, buffer. */
-std::array<compiler::SlotExtent, 4>
-convExtents(int64_t n, int64_t kw)
-{
-    return {{{n, n}, {kw, 1}, {n - kw + 1, n - kw + 1}, {n - kw + 1, n}}};
-}
-
 constexpr const char *kRules[] = {"Convolve2D", "ConvolveRows",
                                   "ConvolveColumns"};
+
+tuner::ConfigSchemaPtr
+convolutionSchema()
+{
+    tuner::ConfigSchema::Builder schema;
+    schema.addSelector("SeparableConvolution.choice", 2, 0);
+    for (const char *rule : kRules)
+        addBackendChoices(schema, rule, /*hasLocalVariant=*/true);
+    schema.addTunable({"SeparableConvolution.split", 1, 256, 16, true});
+    return schema.build();
+}
 
 } // namespace
 
@@ -114,96 +112,40 @@ makeConvolutionTransform(int64_t kwidth)
 }
 
 ConvolutionBenchmark::ConvolutionBenchmark(int64_t kwidth)
-    : kwidth_(kwidth), transform_(makeConvolutionTransform(kwidth)),
-      analysis_(std::make_shared<compiler::TransformAnalysis>(*transform_)),
-      kernelNames_(stageKernelNames(*analysis_))
+    : TransformStyleBenchmark(makeConvolutionTransform(kwidth),
+                              convolutionSchema(), {kwidth + 1}),
+      kwidth_(kwidth),
+      choiceSel_(schema().selectorIndex("SeparableConvolution.choice")),
+      splitTun_(schema().tunableIndex("SeparableConvolution.split"))
 {
     PB_ASSERT(kwidth >= 3 && kwidth % 2 == 1,
               "kernel width must be odd and >= 3");
-    tuner::ConfigSchema::Builder schema;
-    schema.addSelector("SeparableConvolution.choice", 2, 0);
-    for (const char *rule : kRules)
-        addBackendChoices(schema, rule, /*hasLocalVariant=*/true);
-    schema.addTunable({"SeparableConvolution.split", 1, 256, 16, true});
-    schema_ = schema.build();
-    choiceSel_ = schema_->selectorIndex("SeparableConvolution.choice");
     for (int r = 0; r < 3; ++r)
-        rules_[r] = stageChoiceIds(*schema_, kRules[r]);
-    splitTun_ = schema_->tunableIndex("SeparableConvolution.split");
+        rules_[r] = stageChoiceIds(schema(), kRules[r]);
 }
 
-tuner::Config
-ConvolutionBenchmark::seedConfig() const
+void
+ConvolutionBenchmark::placeStages(const tuner::Config &config, int64_t n,
+                                  compiler::TransformConfig &plan) const
 {
-    return tuner::Config(schema_);
-}
-
-const compiler::TransformConfig &
-ConvolutionBenchmark::stagePlan(const tuner::Config &config,
-                                int64_t n) const
-{
-    thread_local compiler::TransformConfig plan; // no allocation per call
     int split = static_cast<int>(config.tunableValueAt(splitTun_));
-    plan.stages.clear();
     if (config.selectorAt(choiceSel_).select(n) == 0) {
-        plan.choiceIndex = 0;
         plan.stages.push_back(stageAt(config, rules_[0], n, split));
     } else {
         plan.choiceIndex = 1;
         plan.stages.push_back(stageAt(config, rules_[1], n, split));
         plan.stages.push_back(stageAt(config, rules_[2], n, split));
     }
-    return plan;
 }
 
-compiler::TransformConfig
-ConvolutionBenchmark::planFor(const tuner::Config &config,
-                              int64_t n) const
+compiler::SlotExtent
+ConvolutionBenchmark::slotExtent(int64_t n, int slot) const
 {
-    return stagePlan(config, n);
-}
-
-apps::EvalContextPtr
-ConvolutionBenchmark::makeEvalContext(
-    int64_t n, const sim::MachineProfile &machine) const
-{
-    if (n <= kwidth_)
-        return nullptr; // degenerate size: evaluate() is +inf anyway
-    const std::array<compiler::SlotExtent, 4> extents =
-        convExtents(n, kwidth_);
-    return std::make_shared<EvalContext>(
-        analysis_,
-        std::vector<compiler::SlotExtent>(extents.begin(), extents.end()),
-        lang::ParamEnv{kwidth_}, machine);
-}
-
-double
-ConvolutionBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                               const sim::MachineProfile &,
-                               const EvalContext *ctx) const
-{
-    if (n <= kwidth_)
-        return std::numeric_limits<double>::infinity();
-    PB_ASSERT(ctx != nullptr, name() << " priced without its context");
-    return compiler::simulateTransform(*ctx, stagePlan(config, n)).seconds;
-}
-
-std::vector<std::string>
-ConvolutionBenchmark::kernelSources(const tuner::Config &config,
-                                    int64_t n) const
-{
-    if (n <= kwidth_)
-        return {}; // priced +inf before any kernel runs
-    const std::array<compiler::SlotExtent, 4> extents =
-        convExtents(n, kwidth_);
-    return stageKernelSources(*analysis_, kernelNames_, stagePlan(config, n),
-                              [&extents](int slot) { return extents[slot]; });
-}
-
-int
-ConvolutionBenchmark::openclKernelCount() const
-{
-    return compiler::countSynthesizedKernels(*transform_);
+    const int64_t out = n - kwidth_ + 1;
+    // By slot id: In, Kernel, Out, buffer.
+    const compiler::SlotExtent extents[] = {
+        {n, n}, {kwidth_, 1}, {out, out}, {out, n}};
+    return extents[slot];
 }
 
 std::string
@@ -232,7 +174,7 @@ ConvolutionBenchmark::makeBinding(int64_t n, Rng &rng) const
     binding.matrices.emplace(
         "Out", MatrixD(n - kwidth_ + 1, n - kwidth_ + 1));
     binding.matrices.emplace("buffer", MatrixD(n - kwidth_ + 1, n));
-    binding.params = {kwidth_};
+    binding.params = params(n);
     return binding;
 }
 

@@ -16,7 +16,7 @@
 #include <memory>
 
 #include "benchmarks/backend_util.h"
-#include "benchmarks/benchmark.h"
+#include "benchmarks/transform_style.h"
 #include "lang/transform.h"
 #include "support/rng.h"
 
@@ -24,38 +24,21 @@ namespace petabricks {
 namespace apps {
 
 /** See file comment. */
-class ConvolutionBenchmark : public Benchmark
+class ConvolutionBenchmark
+    : public TransformStyleBenchmark<ConvolutionBenchmark>
 {
   public:
     explicit ConvolutionBenchmark(int64_t kwidth = 7);
 
     std::string name() const override { return "SeparableConv."; }
-    tuner::Config seedConfig() const override;
-    using Benchmark::evaluate;
-    EvalContextPtr
-    makeEvalContext(int64_t n,
-                    const sim::MachineProfile &machine) const override;
-    double evaluate(const tuner::Config &config, int64_t n,
-                    const sim::MachineProfile &machine,
-                    const EvalContext *ctx) const override;
-    std::vector<std::string>
-    kernelSources(const tuner::Config &config, int64_t n) const override;
     int64_t testingInputSize() const override { return 3520; }
-    int openclKernelCount() const override;
     std::string describeConfig(const tuner::Config &config,
                                int64_t n) const override;
 
     int64_t kwidth() const { return kwidth_; }
 
     // Real-mode surface.
-    bool supportsRealMode() const override { return true; }
-    const lang::Transform &transform() const override
-    {
-        return *transform_;
-    }
     lang::Binding makeBinding(int64_t n, Rng &rng) const override;
-    compiler::TransformConfig planFor(const tuner::Config &config,
-                                      int64_t n) const override;
     double checkOutput(const lang::Binding &binding) const override;
     int64_t realModeProbeSize() const override { return 64; }
 
@@ -69,20 +52,16 @@ class ConvolutionBenchmark : public Benchmark
     static tuner::Config fixedMapping(bool separable, bool localMem);
 
   private:
-    /** The stage placement of @p config at size @p n, in a per-thread
-     * buffer: the one walk planFor(), describeConfig(), kernelSources()
-     * and the cost model share. */
-    const compiler::TransformConfig &stagePlan(const tuner::Config &config,
-                                               int64_t n) const;
+    friend TransformStyleBenchmark; // the model hooks below
+
+    void placeStages(const tuner::Config &config, int64_t n,
+                     compiler::TransformConfig &plan) const;
+    compiler::SlotExtent slotExtent(int64_t n, int slot) const;
+    lang::ParamEnv params(int64_t) const { return {kwidth_}; }
 
     int64_t kwidth_;
-    std::shared_ptr<lang::Transform> transform_;
-    // Model structure every evaluation context shares, built once.
-    compiler::TransformAnalysisPtr analysis_;
-    tuner::ConfigSchemaPtr schema_;
     size_t choiceSel_ = 0;
     StageChoiceIds rules_[3]; // Convolve2D, ConvolveRows, ConvolveColumns
-    StageKernelNames kernelNames_; // stageKernelNames(*analysis_)
     size_t splitTun_ = 0;
 };
 

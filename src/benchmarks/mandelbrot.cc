@@ -2,9 +2,6 @@
 
 #include <cmath>
 
-#include "benchmarks/backend_util.h"
-#include "compiler/simulator.h"
-
 namespace petabricks {
 namespace apps {
 
@@ -49,6 +46,26 @@ mandelbrotRule()
  * making each point strongly compute bound. */
 constexpr int64_t kMaxIter = 64;
 
+std::shared_ptr<lang::Transform>
+makeMandelbrotTransform()
+{
+    auto t = std::make_shared<lang::Transform>("Mandelbrot");
+    t->slot("Cr", lang::SlotRole::Input)
+        .slot("Ci", lang::SlotRole::Input)
+        .slot("Iter", lang::SlotRole::Output);
+    t->choice("escape", {mandelbrotRule()});
+    return t;
+}
+
+tuner::ConfigSchemaPtr
+mandelbrotSchema()
+{
+    tuner::ConfigSchema::Builder schema;
+    addBackendChoices(schema, "Mandelbrot", /*hasLocalVariant=*/false);
+    schema.addTunable({"Mandelbrot.split", 1, 256, 16, true});
+    return schema.build();
+}
+
 } // namespace
 
 double
@@ -66,73 +83,24 @@ mandelbrotEscape(double cr, double ci, int64_t maxIter)
 }
 
 MandelbrotBenchmark::MandelbrotBenchmark()
-{
-    transform_ = std::make_shared<lang::Transform>("Mandelbrot");
-    transform_->slot("Cr", lang::SlotRole::Input)
-        .slot("Ci", lang::SlotRole::Input)
-        .slot("Iter", lang::SlotRole::Output);
-    transform_->choice("escape", {mandelbrotRule()});
-    analysis_ = std::make_shared<compiler::TransformAnalysis>(*transform_);
-    kernelNames_ = stageKernelNames(*analysis_);
-    tuner::ConfigSchema::Builder schema;
-    addBackendChoices(schema, "Mandelbrot", /*hasLocalVariant=*/false);
-    schema.addTunable({"Mandelbrot.split", 1, 256, 16, true});
-    schema_ = schema.build();
-    rule_ = stageChoiceIds(*schema_, "Mandelbrot");
-    splitTun_ = schema_->tunableIndex("Mandelbrot.split");
-}
+    : TransformStyleBenchmark(makeMandelbrotTransform(), mandelbrotSchema()),
+      rule_(stageChoiceIds(schema(), "Mandelbrot")),
+      splitTun_(schema().tunableIndex("Mandelbrot.split"))
+{}
 
-tuner::Config
-MandelbrotBenchmark::seedConfig() const
+void
+MandelbrotBenchmark::placeStages(const tuner::Config &config, int64_t n,
+                                 compiler::TransformConfig &plan) const
 {
-    return tuner::Config(schema_);
-}
-
-const compiler::TransformConfig &
-MandelbrotBenchmark::stagePlan(const tuner::Config &config,
-                               int64_t n) const
-{
-    thread_local compiler::TransformConfig plan; // no allocation per call
-    plan.choiceIndex = 0;
-    plan.stages.clear();
     plan.stages.push_back(stageAt(
         config, rule_, n,
         static_cast<int>(config.tunableValueAt(splitTun_))));
-    return plan;
 }
 
-compiler::TransformConfig
-MandelbrotBenchmark::planFor(const tuner::Config &config,
-                             int64_t n) const
+lang::ParamEnv
+MandelbrotBenchmark::params(int64_t) const
 {
-    return stagePlan(config, n);
-}
-
-apps::EvalContextPtr
-MandelbrotBenchmark::makeEvalContext(
-    int64_t n, const sim::MachineProfile &machine) const
-{
-    return std::make_shared<EvalContext>(
-        analysis_, nearSquareExtents(n, transform_->slots().size()),
-        lang::ParamEnv{kMaxIter}, machine);
-}
-
-double
-MandelbrotBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                              const sim::MachineProfile &,
-                              const EvalContext *ctx) const
-{
-    PB_ASSERT(ctx != nullptr, name() << " priced without its context");
-    return compiler::simulateTransform(*ctx, stagePlan(config, n)).seconds;
-}
-
-std::vector<std::string>
-MandelbrotBenchmark::kernelSources(const tuner::Config &config,
-                                   int64_t n) const
-{
-    const compiler::SlotExtent extent = nearSquareExtent(n);
-    return stageKernelSources(*analysis_, kernelNames_, stagePlan(config, n),
-                              [extent](int) { return extent; });
+    return {kMaxIter};
 }
 
 std::string
@@ -155,7 +123,7 @@ MandelbrotBenchmark::makeBinding(int64_t n, Rng &rng) const
     binding.matrices.emplace("Cr", cr);
     binding.matrices.emplace("Ci", ci);
     binding.matrices.emplace("Iter", MatrixD(cols, rows));
-    binding.params = {kMaxIter};
+    binding.params = params(n);
     return binding;
 }
 

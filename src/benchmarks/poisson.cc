@@ -1,9 +1,5 @@
 #include "benchmarks/poisson.h"
 
-#include "benchmarks/backend_util.h"
-#include "compiler/admissibility.h"
-#include "compiler/simulator.h"
-
 namespace petabricks {
 namespace apps {
 
@@ -80,22 +76,14 @@ updateRule(const std::string &name, const std::string &outSlot,
         [](const ParamEnv &) { return 8.0; });
 }
 
-/** Extent of slot @p slot: In, then the packed Red/Black pairs. */
-compiler::SlotExtent
-poissonExtent(int64_t n, int slot)
+tuner::ConfigSchemaPtr
+poissonSchema()
 {
-    return slot == 0 ? compiler::SlotExtent{n, n}
-                     : compiler::SlotExtent{n / 2, n};
-}
-
-/** Slot extents by slot id. */
-std::vector<compiler::SlotExtent>
-poissonExtents(int64_t n, int iterations)
-{
-    std::vector<compiler::SlotExtent> extents;
-    for (int slot = 0; slot < 2 * iterations + 3; ++slot)
-        extents.push_back(poissonExtent(n, slot));
-    return extents;
+    tuner::ConfigSchema::Builder schema;
+    addBackendChoices(schema, "Poisson.split", /*hasLocalVariant=*/true);
+    addBackendChoices(schema, "Poisson.iterate", /*hasLocalVariant=*/true);
+    schema.addTunable({"Poisson.split.chunks", 1, 256, 16, true});
+    return schema.build();
 }
 
 } // namespace
@@ -129,89 +117,27 @@ makePoissonTransform(int iterations)
 }
 
 PoissonBenchmark::PoissonBenchmark(int iterations)
-    : iterations_(iterations),
-      transform_(makePoissonTransform(iterations)),
-      analysis_(std::make_shared<compiler::TransformAnalysis>(*transform_)),
-      kernelNames_(stageKernelNames(*analysis_))
-{
-    tuner::ConfigSchema::Builder schema;
-    addBackendChoices(schema, "Poisson.split", /*hasLocalVariant=*/true);
-    addBackendChoices(schema, "Poisson.iterate", /*hasLocalVariant=*/true);
-    schema.addTunable({"Poisson.split.chunks", 1, 256, 16, true});
-    schema_ = schema.build();
-    split_ = stageChoiceIds(*schema_, "Poisson.split");
-    iterate_ = stageChoiceIds(*schema_, "Poisson.iterate");
-    chunksTun_ = schema_->tunableIndex("Poisson.split.chunks");
-}
+    : TransformStyleBenchmark(makePoissonTransform(iterations),
+                              poissonSchema(), {8, /*evenOnly=*/true}),
+      iterations_(iterations),
+      split_(stageChoiceIds(schema(), "Poisson.split")),
+      iterate_(stageChoiceIds(schema(), "Poisson.iterate")),
+      chunksTun_(schema().tunableIndex("Poisson.split.chunks"))
+{}
 
-tuner::Config
-PoissonBenchmark::seedConfig() const
+void
+PoissonBenchmark::placeStages(const tuner::Config &config, int64_t n,
+                              compiler::TransformConfig &plan) const
 {
-    return tuner::Config(schema_);
-}
-
-const compiler::TransformConfig &
-PoissonBenchmark::stagePlan(const tuner::Config &config, int64_t n) const
-{
-    thread_local compiler::TransformConfig plan; // no allocation per call
     int chunks = static_cast<int>(config.tunableValueAt(chunksTun_));
     compiler::StageConfig split = stageAt(config, split_, n, chunks);
     compiler::StageConfig iterate = stageAt(config, iterate_, n, chunks);
-    plan.choiceIndex = 0;
-    plan.stages.clear();
     plan.stages.push_back(split);
     plan.stages.push_back(split);
     for (int k = 0; k < iterations_; ++k) {
         plan.stages.push_back(iterate);
         plan.stages.push_back(iterate);
     }
-    return plan;
-}
-
-compiler::TransformConfig
-PoissonBenchmark::planFor(const tuner::Config &config, int64_t n) const
-{
-    return stagePlan(config, n);
-}
-
-apps::EvalContextPtr
-PoissonBenchmark::makeEvalContext(int64_t n,
-                                  const sim::MachineProfile &machine) const
-{
-    if (n < 8 || n % 2 != 0)
-        return nullptr; // degenerate size: evaluate() is +inf anyway
-    return std::make_shared<EvalContext>(
-        analysis_, poissonExtents(n, iterations_),
-        lang::ParamEnv{n, n, 15000}, machine);
-}
-
-double
-PoissonBenchmark::evaluate(const tuner::Config &config, int64_t n,
-                           const sim::MachineProfile &,
-                           const EvalContext *ctx) const
-{
-    if (n < 8 || n % 2 != 0)
-        return std::numeric_limits<double>::infinity();
-    PB_ASSERT(ctx != nullptr, name() << " priced without its context");
-    return compiler::simulateTransform(*ctx, stagePlan(config, n)).seconds;
-}
-
-std::vector<std::string>
-PoissonBenchmark::kernelSources(const tuner::Config &config,
-                                int64_t n) const
-{
-    if (n < 8 || n % 2 != 0)
-        return {}; // priced +inf before any kernel runs
-    return stageKernelSources(*analysis_, kernelNames_, stagePlan(config, n),
-                              [n](int slot) { return poissonExtent(n, slot); });
-}
-
-int
-PoissonBenchmark::openclKernelCount() const
-{
-    // Count distinct rule names, not unrolled stages.
-    auto tiny = makePoissonTransform(1);
-    return compiler::countSynthesizedKernels(*tiny);
 }
 
 std::string
@@ -238,8 +164,7 @@ PoissonBenchmark::makeBinding(int64_t n, Rng &rng) const
         binding.matrices.emplace("Black" + std::to_string(k),
                                  MatrixD(n / 2, n));
     }
-    binding.params = {n, n,
-                      static_cast<int64_t>(kOmega * 1e4)};
+    binding.params = params(n);
     return binding;
 }
 

@@ -22,7 +22,7 @@
 #include <memory>
 
 #include "benchmarks/backend_util.h"
-#include "benchmarks/benchmark.h"
+#include "benchmarks/transform_style.h"
 #include "lang/transform.h"
 #include "support/rng.h"
 
@@ -36,25 +36,14 @@ namespace apps {
 std::shared_ptr<lang::Transform> makePoissonTransform(int iterations);
 
 /** See file comment. */
-class PoissonBenchmark : public Benchmark
+class PoissonBenchmark : public TransformStyleBenchmark<PoissonBenchmark>
 {
   public:
     /** @param iterations SOR half-sweep pairs the benchmark times. */
     explicit PoissonBenchmark(int iterations = 16);
 
     std::string name() const override { return "Poisson2D SOR"; }
-    tuner::Config seedConfig() const override;
-    using Benchmark::evaluate;
-    EvalContextPtr
-    makeEvalContext(int64_t n,
-                    const sim::MachineProfile &machine) const override;
-    double evaluate(const tuner::Config &config, int64_t n,
-                    const sim::MachineProfile &machine,
-                    const EvalContext *ctx) const override;
-    std::vector<std::string>
-    kernelSources(const tuner::Config &config, int64_t n) const override;
     int64_t testingInputSize() const override { return 2048; }
-    int openclKernelCount() const override;
     std::string describeConfig(const tuner::Config &config,
                                int64_t n) const override;
 
@@ -62,14 +51,7 @@ class PoissonBenchmark : public Benchmark
 
     // Real-mode surface. makeBinding() binds a random boundary-value
     // problem on an n x n grid (n must be even).
-    bool supportsRealMode() const override { return true; }
-    const lang::Transform &transform() const override
-    {
-        return *transform_;
-    }
     lang::Binding makeBinding(int64_t n, Rng &rng) const override;
-    compiler::TransformConfig planFor(const tuner::Config &config,
-                                      int64_t n) const override;
     double checkOutput(const lang::Binding &binding) const override;
     int64_t realModeProbeSize() const override { return 32; }
 
@@ -90,21 +72,28 @@ class PoissonBenchmark : public Benchmark
     static constexpr double kOmega = 1.5;
 
   private:
-    /** The stage placement of @p config at size @p n, in a per-thread
-     * buffer: the one walk planFor(), describeConfig(), kernelSources()
-     * and the cost model share. */
-    const compiler::TransformConfig &stagePlan(const tuner::Config &config,
-                                               int64_t n) const;
+    friend TransformStyleBenchmark; // the model hooks below
+
+    void placeStages(const tuner::Config &config, int64_t n,
+                     compiler::TransformConfig &plan) const;
+    /** In is n x n; each packed Red/Black slot n/2 x n. */
+    compiler::SlotExtent
+    slotExtent(int64_t n, int slot) const
+    {
+        return slot == 0 ? compiler::SlotExtent{n, n}
+                         : compiler::SlotExtent{n / 2, n};
+    }
+    /** Grid width, height and omega * 1e4. */
+    lang::ParamEnv
+    params(int64_t n) const
+    {
+        return {n, n, static_cast<int64_t>(kOmega * 1e4)};
+    }
 
     int iterations_;
-    std::shared_ptr<lang::Transform> transform_;
-    // Model structure every evaluation context shares, built once.
-    compiler::TransformAnalysisPtr analysis_;
-    tuner::ConfigSchemaPtr schema_;
     StageChoiceIds split_;
     StageChoiceIds iterate_;
     size_t chunksTun_ = 0;
-    StageKernelNames kernelNames_; // stageKernelNames(*analysis_)
 };
 
 } // namespace apps

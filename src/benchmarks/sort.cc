@@ -275,21 +275,24 @@ makeSortTransform(const ChoiceFilePtr &choices)
     return t;
 }
 
-} // namespace
-
-SortBenchmark::SortBenchmark()
-    : choices_(std::make_shared<ChoiceFile>()),
-      transform_(makeSortTransform(choices_))
+tuner::ConfigSchemaPtr
+sortSchema()
 {
     tuner::ConfigSchema::Builder schema;
     schema.addSelector("Sort.algorithm", kSortAlgCount, kSortInsertion);
     schema.addTunable({"Sort.taskCutoff", 16, 1 << 22, 512, true});
     schema.addTunable({"Sort.pmCutoff", 16, 1 << 22, 1 << 16, true});
-    schema_ = schema.build();
-    algorithmSel_ = schema_->selectorIndex("Sort.algorithm");
-    taskCutoffTun_ = schema_->tunableIndex("Sort.taskCutoff");
-    pmCutoffTun_ = schema_->tunableIndex("Sort.pmCutoff");
+    return schema.build();
 }
+
+} // namespace
+
+SortBenchmark::SortBenchmark()
+    : FunctionStyleBenchmark(makeSortTransform, sortSchema()),
+      algorithmSel_(schema().selectorIndex("Sort.algorithm")),
+      taskCutoffTun_(schema().tunableIndex("Sort.taskCutoff")),
+      pmCutoffTun_(schema().tunableIndex("Sort.pmCutoff"))
+{}
 
 lang::Binding
 SortBenchmark::makeBinding(int64_t n, Rng &rng) const
@@ -303,17 +306,6 @@ SortBenchmark::makeBinding(int64_t n, Rng &rng) const
     return binding;
 }
 
-compiler::TransformConfig
-SortBenchmark::planFor(const tuner::Config &config, int64_t n) const
-{
-    (void)n;
-    choices_->arm(config);
-    compiler::TransformConfig plan;
-    plan.choiceIndex = 0;
-    plan.stages = {compiler::StageConfig{}}; // region rule: CPU native
-    return plan;
-}
-
 double
 SortBenchmark::checkOutput(const lang::Binding &binding) const
 {
@@ -321,12 +313,6 @@ SortBenchmark::checkOutput(const lang::Binding &binding) const
     MatrixD expect = in.clone();
     std::sort(expect.data(), expect.data() + expect.size());
     return maxAbsDiff(binding.matrix("Out"), expect);
-}
-
-tuner::Config
-SortBenchmark::seedConfig() const
-{
-    return tuner::Config(schema_);
 }
 
 double

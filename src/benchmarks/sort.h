@@ -16,7 +16,7 @@
 
 #include <vector>
 
-#include "benchmarks/benchmark.h"
+#include "benchmarks/function_style.h"
 #include "support/rng.h"
 
 namespace petabricks {
@@ -36,13 +36,12 @@ enum SortAlg
 };
 
 /** See file comment. */
-class SortBenchmark : public Benchmark
+class SortBenchmark : public FunctionStyleBenchmark
 {
   public:
     SortBenchmark();
 
     std::string name() const override { return "Sort"; }
-    tuner::Config seedConfig() const override;
     using Benchmark::evaluate;
     double evaluate(const tuner::Config &config, int64_t n,
                     const sim::MachineProfile &machine,
@@ -56,18 +55,7 @@ class SortBenchmark : public Benchmark
 
     // Real-mode surface: a single region rule sorting In into Out with
     // the poly-algorithm the armed choice file selects.
-    bool supportsRealMode() const override { return true; }
-
-    /** The poly-algorithm arms a shared ChoiceFile in planFor(), so
-     * concurrent engine instances would clobber each other's plan. */
-    bool realModeConcurrencySafe() const override { return false; }
-    const lang::Transform &transform() const override
-    {
-        return *transform_;
-    }
     lang::Binding makeBinding(int64_t n, Rng &rng) const override;
-    compiler::TransformConfig planFor(const tuner::Config &config,
-                                      int64_t n) const override;
     double checkOutput(const lang::Binding &binding) const override;
     int64_t realModeProbeSize() const override { return 4096; }
 
@@ -90,9 +78,6 @@ class SortBenchmark : public Benchmark
                                         const sim::MachineProfile &m);
 
   private:
-    ChoiceFilePtr choices_;
-    std::shared_ptr<lang::Transform> transform_;
-    tuner::ConfigSchemaPtr schema_;
     size_t algorithmSel_ = 0;
     size_t taskCutoffTun_ = 0;
     size_t pmCutoffTun_ = 0;

@@ -399,17 +399,20 @@ makeStrassenTransform(const ChoiceFilePtr &choices)
     return t;
 }
 
-} // namespace
-
-StrassenBenchmark::StrassenBenchmark()
-    : choices_(std::make_shared<ChoiceFile>()),
-      transform_(makeStrassenTransform(choices_))
+tuner::ConfigSchemaPtr
+strassenSchema()
 {
     tuner::ConfigSchema::Builder schema;
     addMatmulChoices(schema, "Strassen");
-    schema_ = schema.build();
-    mm_ = matmulChoiceIds(*schema_, "Strassen");
+    return schema.build();
 }
+
+} // namespace
+
+StrassenBenchmark::StrassenBenchmark()
+    : FunctionStyleBenchmark(makeStrassenTransform, strassenSchema()),
+      mm_(matmulChoiceIds(schema(), "Strassen"))
+{}
 
 lang::Binding
 StrassenBenchmark::makeBinding(int64_t n, Rng &rng) const
@@ -426,17 +429,6 @@ StrassenBenchmark::makeBinding(int64_t n, Rng &rng) const
     return binding;
 }
 
-compiler::TransformConfig
-StrassenBenchmark::planFor(const tuner::Config &config, int64_t n) const
-{
-    (void)n;
-    choices_->arm(config);
-    compiler::TransformConfig plan;
-    plan.choiceIndex = 0;
-    plan.stages = {compiler::StageConfig{}}; // region rule: CPU native
-    return plan;
-}
-
 double
 StrassenBenchmark::checkOutput(const lang::Binding &binding) const
 {
@@ -445,12 +437,6 @@ StrassenBenchmark::checkOutput(const lang::Binding &binding) const
     MatrixD ref(a.width(), a.height());
     blas::gemm(a, b, ref);
     return maxAbsDiff(binding.matrix("C"), ref);
-}
-
-tuner::Config
-StrassenBenchmark::seedConfig() const
-{
-    return tuner::Config(schema_);
 }
 
 double

@@ -20,7 +20,7 @@
 #ifndef PETABRICKS_BENCHMARKS_STRASSEN_H
 #define PETABRICKS_BENCHMARKS_STRASSEN_H
 
-#include "benchmarks/benchmark.h"
+#include "benchmarks/function_style.h"
 #include "benchmarks/level_chain.h"
 #include "support/matrix.h"
 #include "support/rng.h"
@@ -88,13 +88,12 @@ void runMatmul(const tuner::Config &config, const std::string &prefix,
 std::string describeMatmul(const LevelChain &levels);
 
 /** See file comment. */
-class StrassenBenchmark : public Benchmark
+class StrassenBenchmark : public FunctionStyleBenchmark
 {
   public:
     StrassenBenchmark();
 
     std::string name() const override { return "Strassen"; }
-    tuner::Config seedConfig() const override;
     using Benchmark::evaluate;
     double evaluate(const tuner::Config &config, int64_t n,
                     const sim::MachineProfile &machine,
@@ -109,18 +108,7 @@ class StrassenBenchmark : public Benchmark
 
     // Real-mode surface: C = A * B via a region rule running the
     // selector-driven matmul poly-algorithm.
-    bool supportsRealMode() const override { return true; }
-
-    /** The poly-algorithm arms a shared ChoiceFile in planFor(), so
-     * concurrent engine instances would clobber each other's plan. */
-    bool realModeConcurrencySafe() const override { return false; }
-    const lang::Transform &transform() const override
-    {
-        return *transform_;
-    }
     lang::Binding makeBinding(int64_t n, Rng &rng) const override;
-    compiler::TransformConfig planFor(const tuner::Config &config,
-                                      int64_t n) const override;
     double checkOutput(const lang::Binding &binding) const override;
     /** Strassen's recursion loses a few digits to cancellation. */
     double realModeTolerance() const override { return 1e-8; }
@@ -135,9 +123,6 @@ class StrassenBenchmark : public Benchmark
                                          const sim::MachineProfile &m);
 
   private:
-    ChoiceFilePtr choices_;
-    std::shared_ptr<lang::Transform> transform_;
-    tuner::ConfigSchemaPtr schema_;
     MatmulChoiceIds mm_;
 };
 

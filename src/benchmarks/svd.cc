@@ -148,12 +148,8 @@ makeSvdTransform(const ChoiceFilePtr &choices)
     return t;
 }
 
-} // namespace
-
-SvdBenchmark::SvdBenchmark(double accuracyTarget)
-    : accuracyTarget_(accuracyTarget),
-      choices_(std::make_shared<ChoiceFile>()),
-      transform_(makeSvdTransform(choices_))
+tuner::ConfigSchemaPtr
+svdSchema()
 {
     tuner::ConfigSchema::Builder schema;
     schema.addSelector("SVD.phase1", 2, kSvdPhase1Cpu);
@@ -161,10 +157,18 @@ SvdBenchmark::SvdBenchmark(double accuracyTarget)
     // Rank fraction in eighths: the variable-accuracy knob. Start at
     // full rank (always meets the target).
     schema.addTunable({"SVD.k8", 1, 8, 8, false});
-    schema_ = schema.build();
-    mm_ = matmulChoiceIds(*schema_, "SVD");
-    phase1Sel_ = schema_->selectorIndex("SVD.phase1");
-    k8Tun_ = schema_->tunableIndex("SVD.k8");
+    return schema.build();
+}
+
+} // namespace
+
+SvdBenchmark::SvdBenchmark(double accuracyTarget)
+    : FunctionStyleBenchmark(makeSvdTransform, svdSchema()),
+      accuracyTarget_(accuracyTarget),
+      mm_(matmulChoiceIds(schema(), "SVD")),
+      phase1Sel_(schema().selectorIndex("SVD.phase1")),
+      k8Tun_(schema().tunableIndex("SVD.k8"))
+{
     for (int k8 = 1; k8 <= 8; ++k8)
         rankFeasible_[static_cast<size_t>(k8)] =
             modeledError(k8) <= accuracyTarget_;
@@ -187,17 +191,6 @@ SvdBenchmark::makeBinding(int64_t n, Rng &rng) const
     return binding;
 }
 
-compiler::TransformConfig
-SvdBenchmark::planFor(const tuner::Config &config, int64_t n) const
-{
-    (void)n;
-    choices_->arm(config);
-    compiler::TransformConfig plan;
-    plan.choiceIndex = 0;
-    plan.stages = {compiler::StageConfig{}}; // region rule: CPU native
-    return plan;
-}
-
 double
 SvdBenchmark::checkOutput(const lang::Binding &binding) const
 {
@@ -208,12 +201,6 @@ SvdBenchmark::checkOutput(const lang::Binding &binding) const
         base += a[i] * a[i];
     return blas::frobeniusDiff(a, ak) /
            std::max(std::sqrt(base), 1e-300);
-}
-
-tuner::Config
-SvdBenchmark::seedConfig() const
-{
-    return tuner::Config(schema_);
 }
 
 double

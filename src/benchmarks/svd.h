@@ -26,7 +26,7 @@
 
 #include <array>
 
-#include "benchmarks/benchmark.h"
+#include "benchmarks/function_style.h"
 #include "benchmarks/strassen.h"
 #include "support/matrix.h"
 #include "support/rng.h"
@@ -42,14 +42,13 @@ enum SvdPhase1
 };
 
 /** See file comment. */
-class SvdBenchmark : public Benchmark
+class SvdBenchmark : public FunctionStyleBenchmark
 {
   public:
     /** @param accuracyTarget max relative Frobenius error allowed. */
     explicit SvdBenchmark(double accuracyTarget = 0.30);
 
     std::string name() const override { return "SVD"; }
-    tuner::Config seedConfig() const override;
     using Benchmark::evaluate;
     double evaluate(const tuner::Config &config, int64_t n,
                     const sim::MachineProfile &machine,
@@ -76,18 +75,7 @@ class SvdBenchmark : public Benchmark
     // rule. checkOutput() returns the relative Frobenius error of the
     // approximation — the benchmark's variable-accuracy residual — so
     // the tolerance is the accuracy target itself.
-    bool supportsRealMode() const override { return true; }
-
-    /** The poly-algorithm arms a shared ChoiceFile in planFor(), so
-     * concurrent engine instances would clobber each other's plan. */
-    bool realModeConcurrencySafe() const override { return false; }
-    const lang::Transform &transform() const override
-    {
-        return *transform_;
-    }
     lang::Binding makeBinding(int64_t n, Rng &rng) const override;
-    compiler::TransformConfig planFor(const tuner::Config &config,
-                                      int64_t n) const override;
     double checkOutput(const lang::Binding &binding) const override;
     double realModeTolerance() const override { return accuracyTarget_; }
     int64_t realModeProbeSize() const override { return 32; }
@@ -115,9 +103,6 @@ class SvdBenchmark : public Benchmark
     Walk walk(const tuner::Config &config, int64_t n) const;
 
     double accuracyTarget_;
-    ChoiceFilePtr choices_;
-    std::shared_ptr<lang::Transform> transform_;
-    tuner::ConfigSchemaPtr schema_;
     MatmulChoiceIds mm_;
     size_t phase1Sel_ = 0;
     size_t k8Tun_ = 0;

@@ -196,19 +196,22 @@ makeTridiagTransform(const ChoiceFilePtr &choices)
     return t;
 }
 
-} // namespace
-
-TridiagBenchmark::TridiagBenchmark()
-    : choices_(std::make_shared<ChoiceFile>()),
-      transform_(makeTridiagTransform(choices_))
+tuner::ConfigSchemaPtr
+tridiagSchema()
 {
     tuner::ConfigSchema::Builder schema;
     schema.addSelector("Tridiag.algorithm", kTriAlgCount, kTriThomas);
     schema.addTunable({"Tridiag.lws", 1, 1024, 128, false});
-    schema_ = schema.build();
-    algorithmSel_ = schema_->selectorIndex("Tridiag.algorithm");
-    lwsTun_ = schema_->tunableIndex("Tridiag.lws");
+    return schema.build();
 }
+
+} // namespace
+
+TridiagBenchmark::TridiagBenchmark()
+    : FunctionStyleBenchmark(makeTridiagTransform, tridiagSchema()),
+      algorithmSel_(schema().selectorIndex("Tridiag.algorithm")),
+      lwsTun_(schema().tunableIndex("Tridiag.lws"))
+{}
 
 lang::Binding
 TridiagBenchmark::makeBinding(int64_t n, Rng &rng) const
@@ -223,28 +226,11 @@ TridiagBenchmark::makeBinding(int64_t n, Rng &rng) const
     return binding;
 }
 
-compiler::TransformConfig
-TridiagBenchmark::planFor(const tuner::Config &config, int64_t n) const
-{
-    (void)n;
-    choices_->arm(config);
-    compiler::TransformConfig plan;
-    plan.choiceIndex = 0;
-    plan.stages = {compiler::StageConfig{}}; // region rule: CPU native
-    return plan;
-}
-
 double
 TridiagBenchmark::checkOutput(const lang::Binding &binding) const
 {
     return maxAbsDiff(binding.matrix("X"),
                       referenceSolve(problemOf(binding)));
-}
-
-tuner::Config
-TridiagBenchmark::seedConfig() const
-{
-    return tuner::Config(schema_);
 }
 
 namespace {

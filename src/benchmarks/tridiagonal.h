@@ -17,7 +17,7 @@
 #ifndef PETABRICKS_BENCHMARKS_TRIDIAGONAL_H
 #define PETABRICKS_BENCHMARKS_TRIDIAGONAL_H
 
-#include "benchmarks/benchmark.h"
+#include "benchmarks/function_style.h"
 #include "support/matrix.h"
 #include "support/rng.h"
 
@@ -43,13 +43,12 @@ struct TridiagProblem
 };
 
 /** See file comment. */
-class TridiagBenchmark : public Benchmark
+class TridiagBenchmark : public FunctionStyleBenchmark
 {
   public:
     TridiagBenchmark();
 
     std::string name() const override { return "Tridiagonal Solver"; }
-    tuner::Config seedConfig() const override;
     using Benchmark::evaluate;
     double evaluate(const tuner::Config &config, int64_t n,
                     const sim::MachineProfile &machine,
@@ -76,27 +75,13 @@ class TridiagBenchmark : public Benchmark
 
     // Real-mode surface: solve the Lower/Diag/Upper/Rhs batch into X
     // with the algorithm the armed choice file selects.
-    bool supportsRealMode() const override { return true; }
-
-    /** The poly-algorithm arms a shared ChoiceFile in planFor(), so
-     * concurrent engine instances would clobber each other's plan. */
-    bool realModeConcurrencySafe() const override { return false; }
-    const lang::Transform &transform() const override
-    {
-        return *transform_;
-    }
     lang::Binding makeBinding(int64_t n, Rng &rng) const override;
-    compiler::TransformConfig planFor(const tuner::Config &config,
-                                      int64_t n) const override;
     double checkOutput(const lang::Binding &binding) const override;
     /** Cyclic reduction is less stable than the Thomas reference. */
     double realModeTolerance() const override { return 1e-7; }
     int64_t realModeProbeSize() const override { return 64; }
 
   private:
-    ChoiceFilePtr choices_;
-    std::shared_ptr<lang::Transform> transform_;
-    tuner::ConfigSchemaPtr schema_;
     size_t algorithmSel_ = 0;
     size_t lwsTun_ = 0;
     std::string crKernel_ = "pbcl:tridiag:cr";

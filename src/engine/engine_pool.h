@@ -34,9 +34,10 @@
  *
  * Correctness gate: the pool asks its engines whether concurrent
  * instances are safe for the benchmark (RuntimeEngine forwards to
- * Benchmark::realModeConcurrencySafe() — function-style benchmarks
- * share an armed ChoiceFile and are not). Unsafe pairings degrade to a
- * serial loop on the first engine instead of racing.
+ * Benchmark::realModeConcurrencySafe() — the function-style
+ * benchmarks share the one choice file FunctionStyleBenchmark arms and
+ * are not). Unsafe pairings degrade to a serial loop on the first
+ * engine instead of racing.
  */
 
 #ifndef PETABRICKS_ENGINE_ENGINE_POOL_H

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,8 @@
 #include "benchmarks/strassen.h"
 #include "benchmarks/svd.h"
 #include "benchmarks/tridiagonal.h"
+#include "support/hash.h"
+#include "tuner/mutators.h"
 
 namespace petabricks {
 namespace apps {
@@ -468,6 +471,91 @@ TEST(ModelSvd, TaskParallelPhase1HelpsOnDesktopOnly)
     double parLaptop =
         bench.evaluate(mk(kSvdPhase1TaskParallel), n, kLaptop);
     EXPECT_GT(parLaptop / cpuLaptop, 0.95); // no real win on Laptop
+}
+
+/**
+ * The simulator-backed models price only the sizes they can lay out:
+ * Poisson2D SOR even n >= 8, SeparableConv. n > kwidth (7), and
+ * Black-Scholes and Mandelbrot every size. At any other size a model
+ * builds no context, prices every configuration +inf and lists no
+ * kernel; at a priced size it builds a context, and pricing through it
+ * is the three-argument evaluate() bit for bit. Sizes run from 1 to two
+ * past the first priced one (plus an odd Poisson grid), configurations
+ * are the seed and 64 seeded mutants, and one digest pins every cost.
+ */
+TEST(ModelPricedSizes, UnpricedSizesBuildNoContextPriceInfAndListNoKernels)
+{
+    struct Case
+    {
+        const char *name;
+        int64_t firstPriced;
+        bool evenOnly;
+        std::vector<int64_t> extraSizes;
+    };
+    const Case cases[] = {{"Black-Scholes", 1, false, {}},
+                          {"Poisson2D SOR", 8, true, {2047}},
+                          {"SeparableConv.", 8, false, {}},
+                          {"Mandelbrot", 1, false, {}}};
+    auto price = [](const Benchmark &bench, const tuner::Config &config,
+                    int64_t n, const sim::MachineProfile &machine,
+                    const EvalContext *ctx, bool viaContext) {
+        try {
+            return viaContext ? bench.evaluate(config, n, machine, ctx)
+                              : bench.evaluate(config, n, machine);
+        } catch (const FatalError &) {
+            return std::numeric_limits<double>::infinity();
+        }
+    };
+    Fnv1a digest;
+    for (const Case &c : cases) {
+        BenchmarkPtr bench = findBenchmark(c.name);
+        std::vector<int64_t> sizes = c.extraSizes;
+        for (int64_t n = 1; n <= c.firstPriced + 2; ++n)
+            sizes.push_back(n);
+        for (const sim::MachineProfile &machine : sim::MachineProfile::all())
+            for (int64_t n : sizes) {
+                const bool priced =
+                    n >= c.firstPriced && !(c.evenOnly && n % 2 != 0);
+                EvalContextPtr ctx = bench->makeEvalContext(n, machine);
+                EXPECT_EQ(ctx != nullptr, priced)
+                    << c.name << " n=" << n << " on " << machine.name;
+                const tuner::Config seed = bench->seedConfig();
+                const std::vector<tuner::Mutator> &mutators =
+                    seed.schema().mutators();
+                Rng rng(Fnv1a()
+                            .mix(std::string_view(c.name))
+                            .mix(std::string_view(machine.name))
+                            .mix(static_cast<uint64_t>(n))
+                            .value());
+                for (int i = 0; i <= 64; ++i) {
+                    tuner::Config config = seed;
+                    for (int64_t e = i == 0 ? 0 : rng.uniformInt(1, 8);
+                         e > 0; --e)
+                        mutators[static_cast<size_t>(rng.uniformInt(
+                                     0, static_cast<int64_t>(
+                                            mutators.size()) - 1))]
+                            .apply(config, rng, n);
+                    const double direct =
+                        price(*bench, config, n, machine, nullptr, false);
+                    EXPECT_EQ(std::bit_cast<uint64_t>(price(
+                                  *bench, config, n, machine, ctx.get(),
+                                  true)),
+                              std::bit_cast<uint64_t>(direct))
+                        << c.name << " n=" << n << " on " << machine.name;
+                    if (!priced) {
+                        EXPECT_EQ(direct,
+                                  std::numeric_limits<double>::infinity())
+                            << c.name << " n=" << n;
+                        EXPECT_TRUE(bench->kernelSources(config, n).empty())
+                            << c.name << " n=" << n;
+                    }
+                    digest.mix(direct);
+                }
+            }
+    }
+    // Recorded against the library in which each of these benchmarks
+    // still checked its sizes itself.
+    EXPECT_EQ(digest.value(), 0xbc013bfa7ee47d92ull);
 }
 
 TEST(ModelRegistry, SevenBenchmarksEvaluateEverywhere)

@@ -11,11 +11,15 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <gtest/gtest.h>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -33,14 +37,34 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string
-freshDir(const char *name)
+/** An empty directory of one test's own under ::testing::TempDir(),
+ * removed when the test ends. mkdtemp names it, so concurrent copies of
+ * this binary never share one. */
+class FreshDir
 {
-    std::string path =
-        std::string(::testing::TempDir()) + "pb_dispatch_" + name;
-    fs::remove_all(path);
-    return path;
-}
+  public:
+    explicit FreshDir(const char *name)
+        : path_(std::string(::testing::TempDir()) + "pb_dispatch_" + name +
+                "_XXXXXX")
+    {
+        if (mkdtemp(path_.data()) == nullptr)
+            throw std::runtime_error("mkdtemp failed for " + path_);
+    }
+
+    ~FreshDir()
+    {
+        std::error_code ignored;
+        fs::remove_all(path_, ignored);
+    }
+
+    FreshDir(const FreshDir &) = delete;
+    FreshDir &operator=(const FreshDir &) = delete;
+
+    const std::string &path() const { return path_; }
+
+  private:
+    std::string path_;
+};
 
 /** Tune a small real ladder for Black-Scholes on @p machine. */
 void
@@ -166,14 +190,14 @@ TEST(Dispatcher, ExactHitServesTheStoredChampion)
 
 TEST(Dispatcher, DeterministicAcrossInstancesAndReload)
 {
-    std::string dir = freshDir("determinism");
+    const FreshDir dir("determinism");
     apps::BenchmarkPtr benchmark = apps::findBenchmark("Black-Scholes");
     const sim::MachineProfile machine = sim::MachineProfile::desktop();
 
     uint64_t firstFingerprint = 0;
     double firstSeconds = 0.0;
     {
-        ChampionPortfolio portfolio(dir);
+        ChampionPortfolio portfolio(dir.path());
         tuneLadder(portfolio, machine);
         Dispatcher dispatcher(portfolio);
         // 30000 sits between the 16384 and 65536 rungs: the priced
@@ -191,7 +215,7 @@ TEST(Dispatcher, DeterministicAcrossInstancesAndReload)
     }
     // A fresh portfolio instance loaded from disk (the restart case)
     // serves the identical config identity and the identical price.
-    ChampionPortfolio reloaded(dir);
+    ChampionPortfolio reloaded(dir.path());
     Dispatcher dispatcher(reloaded);
     DispatchDecision after =
         dispatcher.dispatch(*benchmark, 30000, machine);
