@@ -4,12 +4,14 @@
  *
  * Recipes: Sort, Strassen, SVD and Tridiagonal Solver (the serve
  * workload's benchmarks) x seeds 1..5, machines rotating through
- * Desktop, Server and Laptop, default search options. Four figures, each
+ * Desktop, Server and Laptop, default search options. Five figures, each
  * the median over rounds of a mean per operation:
  *
- *  - save_us:   HostedSession::save after every step of every recipe,
- *               into a directory on tmpfs when one is given (render,
- *               then open, write, fsync, close and rename).
+ *  - render_us: the checkpoint text HostedSession::save renders after
+ *               every step of every recipe (checkpointText()).
+ *  - write_us:  the slot write that follows it (SlotFile::write: pwrite,
+ *               ftruncate when shorter, fdatasync), into the directory
+ *               given, tmpfs by default. render_us + write_us is a save.
  *  - status_us: the daemon's own time for `GET /status` (its
  *               `command.status` timing in `/stats`): the session lookup
  *               plus the introspection body `/step` also renders.
@@ -36,6 +38,7 @@
 #include "service/http.h"
 #include "service/server.h"
 #include "support/logging.h"
+#include "support/slot_file.h"
 
 using namespace petabricks;
 using Clock = std::chrono::steady_clock;
@@ -98,26 +101,43 @@ recipes()
     return creates;
 }
 
-/** Mean microseconds per HostedSession::save over every step. */
-double
+/** Mean microseconds per checkpoint render and per slot write. */
+struct SaveTimes
+{
+    double renderMicros = 0.0;
+    double writeMicros = 0.0;
+};
+
+/** The two halves of HostedSession::save after every step, timed
+ * apart; each recipe writes fresh slots, as a new session does. */
+SaveTimes
 timeSaves(const std::vector<KvFile> &creates, const std::string &dir)
 {
-    double total = 0.0;
+    SaveTimes total;
     int64_t saves = 0;
     const std::string path = dir + "/serve_path.ckpt";
     for (const KvFile &create : creates) {
         service::HostedSession session(
             service::SessionSpec::fromCreateRequest(create));
+        SlotFile slots(path, "spool.ckpt");
         while (!session.done()) {
             session.stepMany(1);
             Clock::time_point start = Clock::now();
-            session.save(path);
-            total += microsSince(start);
+            const std::string text = session.checkpointText();
+            Clock::time_point rendered = Clock::now();
+            slots.write(text);
+            total.renderMicros +=
+                std::chrono::duration<double, std::micro>(rendered - start)
+                    .count();
+            total.writeMicros += microsSince(rendered);
             ++saves;
         }
     }
-    fs::remove(path);
-    return total / static_cast<double>(saves);
+    for (int slot = 0; slot < 2; ++slot)
+        fs::remove(SlotFile::slotPath(path, slot));
+    total.renderMicros /= static_cast<double>(saves);
+    total.writeMicros /= static_cast<double>(saves);
+    return total;
 }
 
 /** The `/step` request bytes and reply bodies of every recipe's steps,
@@ -200,9 +220,11 @@ main(int argc, char **argv)
     const int rounds = argc > 2 ? std::max(1, std::atoi(argv[2])) : 5;
     const std::vector<KvFile> creates = recipes();
 
-    std::vector<double> save, status, parse, reply;
+    std::vector<double> render, write, status, parse, reply;
     for (int round = 0; round < rounds; ++round) {
-        save.push_back(timeSaves(creates, dir));
+        const SaveTimes saves = timeSaves(creates, dir);
+        render.push_back(saves.renderMicros);
+        write.push_back(saves.writeMicros);
         Served served = serve(creates, dir, 20000);
         status.push_back(served.statusMicros);
         size_t parsed = 0;
@@ -223,7 +245,9 @@ main(int argc, char **argv)
     }
     std::printf("serve_path: %zu recipes, %d rounds (medians)\n",
                 creates.size(), rounds);
-    std::printf("save_us %.2f status_us %.2f parse_ns %.0f reply_ns %.0f\n",
-                median(save), median(status), median(parse), median(reply));
+    std::printf("render_us %.2f write_us %.2f status_us %.2f parse_ns %.0f "
+                "reply_ns %.0f\n",
+                median(render), median(write), median(status), median(parse),
+                median(reply));
     return 0;
 }

@@ -7,11 +7,11 @@
 #      must finish the in-flight stepping, checkpoint every session,
 #      and exit 0 — and a restart must resume to the identical champion.
 #   3. Corrupt-spool boot: drain a stepped session and change one digit
-#      of a member's score in its checkpoint, and plant torn .meta/.ckpt
-#      files in the spool; the daemon must quarantine all three (the
-#      edited pair by its seal), report the count in /stats, and keep
-#      serving new sessions. `pbfsck list` must name the quarantined
-#      files and exit 1; after `pbfsck purge` it exits 0.
+#      of a member's score in both of its checkpoint slots, and plant
+#      torn .meta/.ckpt files in the spool; the daemon must quarantine
+#      all three (the edited session by its seals), report the count in
+#      /stats, and keep serving new sessions. `pbfsck list` must name
+#      the quarantined files and exit 1; after `pbfsck purge` it exits 0.
 #   4. Shared-cache persistence: run a search with --cache-dir, SIGTERM
 #      drain, plant a torn cache segment, restart on the same cache
 #      dir; the rerun must be served shared-cache hits (cross-session,
@@ -197,15 +197,18 @@ EDITED=$("$CLIENT" --port "$PORT" create "${SEARCH_ARGS[@]}")
 "$CLIENT" --port "$PORT" step --session "$EDITED" --steps 2 \
     || fail "fsck leg: steps failed"
 stop_daemon || fail "fsck leg: drain exited nonzero"
-# One digit of the first finite population.*.seconds value: the file
-# still parses, and only the checkpoint's seal can tell.
-CKPT="$SPOOL/$EDITED.ckpt"
-awk '!done && /^population\.[0-9]+\.seconds = [0-9]/ {
-         $3 = (substr($3, 1, 1) + 1) % 10 substr($3, 2); done = 1 }
-     { print }' "$CKPT" > "$WORK/edited.ckpt"
-cmp -s "$CKPT" "$WORK/edited.ckpt" \
-    && fail "fsck leg: no population seconds value to edit in $CKPT"
-mv "$WORK/edited.ckpt" "$CKPT"
+# One digit of the first finite population.*.seconds value, in each
+# checkpoint slot (with one good slot the session would resume): the
+# files still parse, and only the checkpoint's seal can tell.
+for CKPT in "$SPOOL/$EDITED.ckpt" "$SPOOL/$EDITED.ckpt.1"; do
+    [ -f "$CKPT" ] || fail "fsck leg: no checkpoint slot $CKPT"
+    awk '!done && /^population\.[0-9]+\.seconds = [0-9]/ {
+             $3 = (substr($3, 1, 1) + 1) % 10 substr($3, 2); done = 1 }
+         { print }' "$CKPT" > "$WORK/edited.ckpt"
+    cmp -s "$CKPT" "$WORK/edited.ckpt" \
+        && fail "fsck leg: no population seconds value to edit in $CKPT"
+    mv "$WORK/edited.ckpt" "$CKPT"
+done
 printf 'spec.benchmark = Sort\ntrunca' > "$SPOOL/s90.meta" # torn mid-write
 printf 'not a checkpoint at all' > "$SPOOL/s92.ckpt"       # orphan garbage
 start_daemon
@@ -219,9 +222,11 @@ QUARANTINED=$(sed -n 's/^table.spoolQuarantined = //p' "$WORK/fsck-stats.txt")
 [ -f "$SPOOL/s90.meta.quarantine" ] || fail "torn meta was not quarantined"
 [ -f "$SPOOL/s92.ckpt.quarantine" ] || fail "orphan ckpt was not quarantined"
 [ -f "$SPOOL/$EDITED.ckpt.quarantine" ] \
-    || fail "edited checkpoint was not quarantined"
+    && [ -f "$SPOOL/$EDITED.ckpt.1.quarantine" ] \
+    || fail "edited checkpoint slots were not quarantined"
 check_pbfsck "fsck leg" "$SPOOL" s90.meta.quarantine s92.ckpt.quarantine \
-    "$EDITED.meta.quarantine" "$EDITED.ckpt.quarantine"
+    "$EDITED.meta.quarantine" "$EDITED.ckpt.quarantine" \
+    "$EDITED.ckpt.1.quarantine"
 
 # The daemon must still serve real work off the fsck'd spool.
 "$CLIENT" --port "$PORT" run "${SEARCH_ARGS[@]}" > "$WORK/fsck-run.txt" \
@@ -374,7 +379,7 @@ SPOOL="$WORK/spool-supervise"
 rm -f "$PORT_FILE"
 "$TUNERD" --port 0 --port-file "$PORT_FILE" --spool "$SPOOL" \
     --cap 4 --workers 2 --supervise \
-    --crash-at "spool.ckpt.pre_rename@4=kill" \
+    --crash-at "spool.ckpt.pre_sync@4=kill" \
     >"$WORK/supervisor.log" 2>&1 &
 SUPERVISOR_PID=$!
 for _ in $(seq 1 100); do

@@ -1,18 +1,25 @@
 #include "service/hosted_session.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <filesystem>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "engine/fault_injection.h"
 #include "service/http.h"
-#include "support/crashpoint.h"
 #include "support/error.h"
+#include "support/fsck.h"
+#include "support/logging.h"
 #include "tuner/portfolio_tuner.h"
 
 namespace petabricks {
 namespace service {
 
 namespace {
+
+/** The crash-point family of checkpoint writes (support/crashpoint.h). */
+const char *const kCheckpointCrashPrefix = "spool.ckpt";
 
 /** Engine for @p spec (the machine lookup validates the name). */
 engine::ModelEngine
@@ -202,16 +209,75 @@ HostedSession::championKv() const
 }
 
 void
-HostedSession::save(const std::string &path) const
+HostedSession::save(const std::string &path)
 {
-    KvFile::saveTextAtomic(path, session_.checkpointText(), "spool.ckpt");
+    if (!checkpoint_ || checkpoint_->path() != path)
+        checkpoint_.emplace(path, kCheckpointCrashPrefix);
+    checkpoint_->write(session_.checkpointText());
 }
 
-void
+int
 HostedSession::load(const std::string &path)
 {
-    session_.load(path);
+    struct Slot
+    {
+        int index = 0;
+        std::string path;
+        KvFile kv;
+        std::pair<int64_t, int64_t> cursor; ///< (sizeIndex, generation)
+    };
+    std::vector<Slot> sealed;
+    std::vector<std::string> failed;
+    std::string errors;
+    auto fail = [&](const std::string &slot, const FatalError &e) {
+        failed.push_back(slot);
+        errors += (errors.empty() ? "" : "; ") + std::string(e.what());
+    };
+    for (int index = 0; index < 2; ++index) {
+        const std::string slot = SlotFile::slotPath(path, index);
+        std::error_code ec;
+        if (!std::filesystem::exists(slot, ec))
+            continue;
+        try {
+            KvFile kv = KvFile::load(slot);
+            tuner::TuningSession::verifySeal(kv, slot);
+            const std::pair cursor{kv.getInt("session.sizeIndex"),
+                                   kv.getInt("session.generation")};
+            sealed.push_back({index, slot, std::move(kv), cursor});
+        } catch (const FatalError &e) {
+            fail(slot, e);
+        }
+    }
+    std::sort(sealed.begin(), sealed.end(),
+              [](const Slot &a, const Slot &b) { return a.cursor > b.cursor; });
+
+    int restored = -1;
+    for (const Slot &slot : sealed) {
+        try {
+            session_.restore(slot.kv, slot.path);
+            restored = slot.index;
+            break;
+        } catch (const FatalError &e) {
+            fail(slot.path, e);
+        }
+    }
+    if (restored < 0) {
+        if (!failed.empty())
+            PB_FATAL("no checkpoint slot of '" << path << "' verifies ("
+                                               << errors << ")");
+        return 0;
+    }
+    // The evidence stays: a failed slot is renamed aside, and the next
+    // save rewrites that slot from scratch.
+    for (const std::string &slot : failed) {
+        fsck::quarantine(slot);
+        PB_WARN("service: set aside checkpoint slot '"
+                << slot << "' beside a good one (" << errors << ")");
+    }
+    checkpoint_.emplace(path, kCheckpointCrashPrefix);
+    checkpoint_->setNewest(restored);
     refreshSnapshot();
+    return static_cast<int>(failed.size());
 }
 
 void

@@ -25,11 +25,13 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "benchmarks/registry.h"
 #include "engine/execution_engine.h"
 #include "support/kvfile.h"
+#include "support/slot_file.h"
 #include "tuner/session.h"
 
 namespace petabricks {
@@ -123,12 +125,30 @@ class HostedSession
     /** Champion snapshot as a TuningResult (see TuningSession). */
     tuner::TuningResult result() const { return session_.result(); }
 
-    /** Checkpoint atomically (write-to-temp + rename, so a daemon
-     * killed mid-save never leaves a torn file behind). */
-    void save(const std::string &path) const;
+    /** The sealed `session` v2 text save() writes. */
+    std::string checkpointText() const { return session_.checkpointText(); }
 
-    /** Restore a checkpoint written by save() for the same spec. */
-    void load(const std::string &path);
+    /**
+     * Checkpoint to one of two slots: @p path itself and
+     * `<path>.1` (SlotFile). Each save overwrites the slot that does not
+     * hold the newest good copy, so a daemon killed mid-save leaves the
+     * other slot intact. The session keeps both files open from its
+     * first save until it is destroyed. Throws IoError with the newest
+     * good copy untouched.
+     */
+    void save(const std::string &path);
+
+    /**
+     * Restore the newest slot of the checkpoint at @p path that passes
+     * its seal and TuningSession's content checks, falling back to the
+     * other slot; the records' own (size index, generation) order the
+     * slots, and the next save() goes to the other one. A slot that
+     * fails beside a good one is renamed aside (fsck::quarantine).
+     * FatalError when no slot passes. With no slot at all (a session
+     * never saved) the session stays at generation 0.
+     * @return the number of slots renamed aside.
+     */
+    int load(const std::string &path);
 
   private:
     void refreshSnapshot();
@@ -140,6 +160,8 @@ class HostedSession
     std::unique_ptr<engine::ExecutionEngine> engine_;
     engine::EngineEvaluator evaluator_;
     tuner::TuningSession session_;
+    /** The slots save() writes, once it or load() has named them. */
+    std::optional<SlotFile> checkpoint_;
 
     mutable std::mutex snapshotMutex_;
     tuner::SessionIntrospection snapshot_;

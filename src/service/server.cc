@@ -740,6 +740,7 @@ TuningServer::statsKv() const
     kv.setInt("server.deadlineRejections", deadlineRejections_.load());
     SessionTableStats table = table_.stats();
     kv.setInt("table.spoolQuarantined", table.spoolQuarantined);
+    kv.setInt("table.slotsQuarantined", table.slotsQuarantined);
     kv.setInt("table.spoolWriteFailures", table.spoolWriteFailures);
     kv.setInt("table.evaluationFailures", table.evaluationFailures);
     kv.setInt("table.created", table.created);

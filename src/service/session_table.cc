@@ -64,8 +64,7 @@ SessionTable::fsckSpoolDir()
     // post-mortem while becoming invisible to every later spool scan
     // (resume, id allocation, this fsck on the next boot).
     auto quarantine = [&](const std::string &id, const char *why) {
-        for (const std::string &path :
-             {metaPath(id), checkpointPath(id)}) {
+        for (const std::string &path : spoolFiles(id)) {
             std::error_code ec;
             if (fs::exists(path, ec))
                 fsck::quarantine(path);
@@ -75,10 +74,14 @@ SessionTable::fsckSpoolDir()
                                                          << why << ")");
     };
 
+    // A spool file's session id is its name up to the first '.' (ids
+    // are `s<digits>`), whichever checkpoint slot it is.
     auto ids = [&](fsck::FileKind kind) {
         std::vector<std::string> out;
-        for (const std::string &path : fsck::list(options_.spoolDir, kind))
-            out.push_back(fs::path(path).stem().string());
+        for (const std::string &path : fsck::list(options_.spoolDir, kind)) {
+            const std::string name = fs::path(path).filename().string();
+            out.push_back(name.substr(0, name.find('.')));
+        }
         return out;
     };
     const std::vector<std::string> metaIds =
@@ -91,21 +94,22 @@ SessionTable::fsckSpoolDir()
             // The full rehydration path: spec parse, session build,
             // checkpoint restore. Anything a later resume would trip
             // over trips here instead, once, at boot.
-            SessionSpec spec = loadSpec(metaPath(id));
-            const std::string ckpt = checkpointPath(id);
-            if (fs::exists(ckpt)) {
-                HostedSession probe(spec);
-                probe.load(ckpt);
-            }
+            HostedSession probe(loadSpec(metaPath(id)));
+            stats_.slotsQuarantined += probe.load(checkpointPath(id));
         } catch (const std::exception &e) {
             quarantine(id, e.what());
         }
     }
-    // A ckpt whose meta was just quarantined was renamed with it —
-    // re-check existence so it is not counted twice.
-    for (const std::string &id : orphanCkptIds)
-        if (!fs::exists(metaPath(id)) && fs::exists(checkpointPath(id)))
+    // A ckpt whose meta was just quarantined was renamed with it, and
+    // both slots of one session are listed — re-check existence so
+    // nothing is counted twice.
+    for (const std::string &id : orphanCkptIds) {
+        const std::string ckpt = checkpointPath(id);
+        if (!fs::exists(metaPath(id)) &&
+            (fs::exists(SlotFile::slotPath(ckpt, 0)) ||
+             fs::exists(SlotFile::slotPath(ckpt, 1))))
             quarantine(id, "checkpoint without a .meta spec");
+    }
 }
 
 std::string
@@ -118,6 +122,14 @@ std::string
 SessionTable::metaPath(const std::string &id) const
 {
     return options_.spoolDir + "/" + id + ".meta";
+}
+
+std::vector<std::string>
+SessionTable::spoolFiles(const std::string &id) const
+{
+    const std::string ckpt = checkpointPath(id);
+    return {metaPath(id), SlotFile::slotPath(ckpt, 0),
+            SlotFile::slotPath(ckpt, 1)};
 }
 
 SessionTable::EntryPtr
@@ -180,9 +192,8 @@ SessionTable::acquireIdleResident(Entry &entry,
             // is held throughout, so the idle check above still holds.
             auto session = std::make_unique<HostedSession>(
                 entry.spec, options_.sharedCache);
-            const std::string ckpt = checkpointPath(entry.id);
-            if (fs::exists(ckpt))
-                session->load(ckpt);
+            stats_.slotsQuarantined +=
+                session->load(checkpointPath(entry.id));
             entry.session = std::move(session);
             entry.lastStatus = entry.session->introspect();
             ++resident_;
@@ -281,8 +292,8 @@ SessionTable::step(const std::string &id, int steps)
     // The long part runs without the table mutex: other sessions keep
     // stepping, status stays responsive, only *this* session is held
     // (busy flag). Checkpoint after every generation when configured —
-    // an atomic rename per step, so SIGKILL at any instant leaves a
-    // loadable on-trajectory checkpoint.
+    // one slot written in place per step, the other left intact, so
+    // SIGKILL at any instant leaves a loadable on-trajectory checkpoint.
     int advanced = 0;
     std::exception_ptr error;
     // A failed checkpoint write must not fail the step: the in-memory
@@ -457,8 +468,8 @@ SessionTable::stats() const
 void
 SessionTable::removeSpoolFiles(const std::string &id)
 {
-    std::remove(checkpointPath(id).c_str());
-    std::remove(metaPath(id).c_str());
+    for (const std::string &path : spoolFiles(id))
+        std::remove(path.c_str());
 }
 
 } // namespace service

@@ -52,18 +52,21 @@ namespace service {
 /** Construction knobs for SessionTable. */
 struct SessionTableOptions
 {
-    /** Directory for spec (.meta) and checkpoint (.ckpt) files.
-     * Created if missing. */
+    /** Directory for spec (.meta) and checkpoint (.ckpt, .ckpt.1)
+     * files. Created if missing. */
     std::string spoolDir;
 
     /** Maximum sessions held live in memory at once. */
     size_t residentCap = 64;
 
     /**
-     * Checkpoint after every generation while stepping. Keeps the
-     * spool current enough that a SIGKILLed daemon loses at most one
-     * generation of progress (and none of its determinism: resuming an
-     * on-trajectory checkpoint replays to the identical champion).
+     * Checkpoint after every generation while stepping: one checkpoint
+     * slot rewritten in place per generation (HostedSession::save).
+     * Keeps the spool current enough that a SIGKILLed daemon loses at
+     * most one generation of progress (and none of its determinism:
+     * resuming an on-trajectory checkpoint replays to the identical
+     * champion). When off, a step command checkpoints once, after its
+     * last generation.
      */
     bool checkpointEachStep = true;
 
@@ -98,8 +101,13 @@ struct SessionTableStats
     size_t peakResident = 0;   ///< high-water mark of `resident`
 
     /** Spooled sessions set aside by the startup fsck (corrupt .meta
-     * or .ckpt, renamed `*.quarantine`). */
+     * or no checkpoint slot that loads, renamed `*.quarantine`). */
     int64_t spoolQuarantined = 0;
+
+    /** Checkpoint slots set aside (renamed `*.quarantine`) because
+     * they failed to load beside a good slot, which the session
+     * resumed from (HostedSession::load). */
+    int64_t slotsQuarantined = 0;
 
     /** Spool writes (meta or checkpoint) that failed with an IoError
      * (ENOSPC/EIO, injected or real). The session keeps serving from
@@ -209,17 +217,22 @@ class SessionTable
     /** Evict a resident, non-busy entry (table mutex held). */
     void evict(Entry &entry);
 
+    /** @p id's spool files: its .meta and both checkpoint slots. */
+    std::vector<std::string> spoolFiles(const std::string &id) const;
+
     /** Delete @p entry's spool files (best-effort). */
     void removeSpoolFiles(const std::string &id);
 
     /**
      * Startup spool verification: each .meta must parse into a spec
-     * and its .ckpt (if any) must restore into a live session, seals
-     * included. Corrupt or edited pairs are quarantined (renamed with
-     * a `.quarantine` suffix) and counted, so one torn file can never
-     * take the daemon down or poison a later resume. Orphan
-     * .ckpt files (no .meta) are quarantined too. Runs before the id
-     * scan, so quarantined files are invisible.
+     * and its checkpoint (if any) must restore into a live session,
+     * seals included, from at least one slot. A session with a corrupt
+     * or edited .meta, or with no slot that loads, is quarantined
+     * (every file renamed with a `.quarantine` suffix) and counted, so
+     * one torn file can never take the daemon down or poison a later
+     * resume; a failed slot beside a good one is set aside alone.
+     * Orphan checkpoint slots (no .meta) are quarantined too. Runs
+     * before the id scan, so quarantined files are invisible.
      */
     void fsckSpoolDir();
 

@@ -44,10 +44,14 @@ struct State {
         // what each binary happens to link. This TU is always pulled
         // in (anything that arms or fires a point calls into it).
         for (const char *prefix :
-             {"spool.meta", "spool.ckpt", "cache.seg", "portfolio.champ"})
+             {"spool.meta", "cache.seg", "portfolio.champ"})
             for (const char *suffix :
                  {".pre_write", ".write", ".pre_rename", ".post_rename"})
                 registry.insert(std::string(prefix) + suffix);
+        // Checkpoints are rewritten in place (support/slot_file.h).
+        for (const char *suffix :
+             {".pre_write", ".write", ".pre_sync", ".post_sync"})
+            registry.insert(std::string("spool.ckpt") + suffix);
 
         if (const char *env = std::getenv("PB_CRASH_SCHEDULE");
             env && *env) {

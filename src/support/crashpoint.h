@@ -2,25 +2,30 @@
  * @file
  * Deterministic crash/IO-fault injection at the persistence boundary.
  *
- * Every write-temp + fsync + rename sequence in the repo passes through
- * four named crash points: `<prefix>.pre_write`, `<prefix>.write`,
- * `<prefix>.pre_rename`, `<prefix>.post_rename` (prefixes: spool.meta,
- * spool.ckpt, cache.seg, portfolio.champ). A *schedule* — set
- * programmatically, via the `PB_CRASH_SCHEDULE` environment variable,
- * or via `tunerd --crash-at` — arms specific points:
+ * Every persistence write passes through four named crash points.
+ * A write-temp + fsync + rename sequence (KvFile::saveTextAtomic;
+ * prefixes spool.meta, cache.seg, portfolio.champ) traverses
+ * `<prefix>.pre_write`, `<prefix>.write`, `<prefix>.pre_rename` and
+ * `<prefix>.post_rename`. A checkpoint rewritten in place in one of two
+ * slots (SlotFile; prefix spool.ckpt) traverses `<prefix>.pre_write`,
+ * `<prefix>.write`, `<prefix>.pre_sync` and `<prefix>.post_sync`. A
+ * *schedule* — set programmatically, via the `PB_CRASH_SCHEDULE`
+ * environment variable, or via `tunerd --crash-at` — arms specific
+ * points:
  *
- *     spool.ckpt.pre_rename=kill            kill on the 1st hit
+ *     spool.ckpt.pre_sync=kill              kill on the 1st hit
  *     cache.seg.write@3=torn:17             3rd hit: keep 17 bytes
  *     portfolio.champ.write=enospc          1st hit: fail with ENOSPC
  *     spool.meta.write=eio,spool.ckpt.write@2=kill
  *
  * Actions: `kill` aborts the process with _exit(kCrashExitCode) —
  * valid at any point; `torn` truncates the write but lets the sequence
- * continue (so the rename lands a torn file for boot fsck to find);
- * `enospc` / `eio` make the write fail with an IoError after a partial
- * write (temp file left behind, no rename). `torn`/`enospc`/`eio` are
- * only meaningful at `.write` points. Hit counters are per point name,
- * so `@3` fires on exactly the third traversal — identically across
+ * continue (so the rename lands a torn file, or the slot is left torn,
+ * for boot fsck to find); `enospc` / `eio` make the write fail with an
+ * IoError after a partial write (temp file left behind and no rename,
+ * or the slot left partly written). `torn`/`enospc`/`eio` are only
+ * meaningful at `.write` points. Hit counters are per point name, so
+ * `@3` fires on exactly the third traversal — identically across
  * runs, which is what makes the crash matrix reproducible.
  *
  * The layer is a no-op (one relaxed atomic load) when no schedule is

@@ -57,7 +57,8 @@ class TransientError : public EvaluationError
  * The in-memory state is still good; only durability is degraded.
  * Persistence call sites catch this, bump a counter, warn, and keep
  * serving from memory — an IoError must never corrupt prior on-disk
- * state, because every write goes through write-temp + rename.
+ * state, because every write goes through write-temp + rename or into
+ * the slot that does not hold the newest copy (SlotFile).
  */
 class IoError : public FatalError
 {

@@ -54,7 +54,8 @@ classify(const std::string &path)
         return FileKind::Temp;
     if (endsWith(name, ".meta"))
         return FileKind::SpoolMeta;
-    if (endsWith(name, ".ckpt"))
+    // Either slot of a checkpoint (SlotFile::slotPath).
+    if (endsWith(name, ".ckpt") || endsWith(name, ".ckpt.1"))
         return FileKind::SpoolCheckpoint;
     if (isSegmentName(name))
         return FileKind::CacheSegment;

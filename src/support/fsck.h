@@ -24,7 +24,8 @@ namespace fsck {
 /** What kind of artifact a file in a store directory is. */
 enum class FileKind {
     SpoolMeta,       ///< `<id>.meta` — session spec, sealed `spec` v1
-    SpoolCheckpoint, ///< `<id>.ckpt` — session checkpoint, `session` v2
+    SpoolCheckpoint, ///< `<id>.ckpt`, `<id>.ckpt.1` — the two slots of a
+                     ///< session checkpoint, `session` v2
     CacheSegment,    ///< `seg-<digits>.kv` — cache segment, `segment` v2
     Champion,        ///< `champ-*.kv` — portfolio champion, `portfolio` v1
     Temp,            ///< `*.tmp` — in-flight write, crash debris

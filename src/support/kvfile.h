@@ -89,9 +89,12 @@ class KvFile
      * complete file, never a partial one. @p crashPrefix names the
      * crash-point family traversed during the sequence (see
      * support/crashpoint.h); pass the prefix registered for this
-     * store, e.g. "spool.ckpt". Throws IoError (not FatalError) on
+     * store, e.g. "spool.meta". Throws IoError (not FatalError) on
      * write/rename failure — injected or real — with the temp file
-     * left behind and the destination untouched.
+     * left behind and the destination untouched. For records written
+     * once (specs, segments, champions); a checkpoint rewritten every
+     * step goes to a SlotFile instead, which needs no temp file and no
+     * rename.
      */
     void saveAtomic(const std::string &path,
                     const std::string &crashPrefix) const;

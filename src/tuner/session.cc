@@ -17,6 +17,7 @@ namespace tuner {
 TuningSession::TuningSession(Evaluator &evaluator, Config seedConfig,
                              TunerOptions options)
     : evaluator_(evaluator), seed_(std::move(seedConfig)),
+      schemaText_(std::to_string(seed_.valueFingerprint())),
       options_(options), rng_(options.seed),
       compileModel_(options.kernelCompileSeconds, options.irCacheSavings)
 {
@@ -438,7 +439,7 @@ std::string
 TuningSession::checkpointText() const
 {
     KvWriter kv;
-    kv.set(kSchemaKey, std::to_string(seed_.valueFingerprint()));
+    kv.set(kSchemaKey, schemaText_);
     // The options that shape the search trajectory: load() rejects a
     // checkpoint whose schedule disagrees with the session's, since a
     // mismatched cursor would silently corrupt or truncate the search.
@@ -489,10 +490,23 @@ void
 TuningSession::load(const std::string &path)
 {
     KvFile kv = KvFile::load(path);
-    // A v1 checkpoint predates the seal; the content checks below remain.
+    verifySeal(kv, path);
+    restore(kv, path);
+}
+
+void
+TuningSession::verifySeal(const KvFile &kv, const std::string &path)
+{
+    // A v1 checkpoint predates the seal; restore()'s content checks
+    // remain.
     if (kv.has("session.checksum") || kv.getIntOr("session.version", 0) != 1)
         kv.verifySeal("session", kCheckpointVersion, path);
-    if (kv.get(kSchemaKey) != std::to_string(seed_.valueFingerprint()))
+}
+
+void
+TuningSession::restore(const KvFile &kv, const std::string &path)
+{
+    if (kv.get(kSchemaKey) != schemaText_)
         PB_FATAL("checkpoint '"
                  << path
                  << "' was saved for a different seed configuration");

@@ -187,8 +187,7 @@ class TuningSession
     /**
      * The sealed checkpoint text save() writes, rendered in one pass
      * (KvWriter) without touching disk: callers that need crash-safe
-     * persistence hand it to KvFile::saveTextAtomic (the daemon's
-     * spool does).
+     * persistence hand it to a SlotFile (the daemon's spool does).
      */
     std::string checkpointText() const;
 
@@ -208,6 +207,14 @@ class TuningSession
      * FatalError and leaves the session unchanged.
      */
     void load(const std::string &path);
+
+    /** load()'s seal check alone, of checkpoint @p kv read from
+     * @p path: FatalError unless it verifies. */
+    static void verifySeal(const KvFile &kv, const std::string &path);
+
+    /** load() of checkpoint @p kv, read from @p path and already passed
+     * through verifySeal(). */
+    void restore(const KvFile &kv, const std::string &path);
 
   private:
     struct Member
@@ -232,6 +239,9 @@ class TuningSession
 
     Evaluator &evaluator_;
     Config seed_;
+    /** seed_'s value fingerprint as checkpoints store it
+     * (`session.schema`); seed_ never changes after construction. */
+    std::string schemaText_;
     TunerOptions options_;
     Rng rng_;
     ocl::ProgramCache compileModel_;

@@ -14,6 +14,8 @@
 #include "cache/segment_store.h"
 #include "support/kvfile.h"
 
+#include "fresh_dir.h"
+
 using namespace petabricks;
 using namespace petabricks::cache;
 
@@ -25,10 +27,7 @@ namespace fs = std::filesystem;
 std::string
 cacheDir(const char *name)
 {
-    std::string path =
-        std::string(::testing::TempDir()) + "pb_segment_store_" + name;
-    fs::remove_all(path);
-    return path;
+    return freshPath(std::string("segment_store_") + name);
 }
 
 SegmentRecord

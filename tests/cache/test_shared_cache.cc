@@ -19,6 +19,8 @@
 
 #include "cache/shared_cache.h"
 
+#include "fresh_dir.h"
+
 using namespace petabricks;
 using namespace petabricks::cache;
 
@@ -29,10 +31,7 @@ namespace fs = std::filesystem;
 std::string
 cacheDir(const char *name)
 {
-    std::string path =
-        std::string(::testing::TempDir()) + "pb_shared_cache_" + name;
-    fs::remove_all(path);
-    return path;
+    return freshPath(std::string("shared_cache_") + name);
 }
 
 SharedCacheOptions

@@ -11,15 +11,12 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <gtest/gtest.h>
 #include <limits>
 #include <map>
 #include <numeric>
-#include <stdexcept>
 #include <string>
-#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -30,41 +27,14 @@
 #include "support/error.h"
 #include "tuner/portfolio_tuner.h"
 
+#include "fresh_dir.h"
+
 using namespace petabricks;
 using namespace petabricks::portfolio;
 
 namespace {
 
 namespace fs = std::filesystem;
-
-/** An empty directory of one test's own under ::testing::TempDir(),
- * removed when the test ends. mkdtemp names it, so concurrent copies of
- * this binary never share one. */
-class FreshDir
-{
-  public:
-    explicit FreshDir(const char *name)
-        : path_(std::string(::testing::TempDir()) + "pb_dispatch_" + name +
-                "_XXXXXX")
-    {
-        if (mkdtemp(path_.data()) == nullptr)
-            throw std::runtime_error("mkdtemp failed for " + path_);
-    }
-
-    ~FreshDir()
-    {
-        std::error_code ignored;
-        fs::remove_all(path_, ignored);
-    }
-
-    FreshDir(const FreshDir &) = delete;
-    FreshDir &operator=(const FreshDir &) = delete;
-
-    const std::string &path() const { return path_; }
-
-  private:
-    std::string path_;
-};
 
 /** Tune a small real ladder for Black-Scholes on @p machine. */
 void

@@ -18,6 +18,8 @@
 #include "portfolio/portfolio.h"
 #include "sim/machine.h"
 
+#include "fresh_dir.h"
+
 using namespace petabricks;
 using namespace petabricks::portfolio;
 
@@ -28,10 +30,7 @@ namespace fs = std::filesystem;
 std::string
 freshDir(const char *name)
 {
-    std::string path =
-        std::string(::testing::TempDir()) + "pb_portfolio_" + name;
-    fs::remove_all(path);
-    return path;
+    return freshPath(std::string("portfolio_") + name);
 }
 
 ChampionRecord

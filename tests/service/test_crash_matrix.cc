@@ -32,9 +32,10 @@
 #include "service/hosted_session.h"
 #include "service/session_table.h"
 #include "support/crashpoint.h"
-#include "support/error.h"
 #include "support/fsck.h"
 #include "support/kvfile.h"
+
+#include "fresh_dir.h"
 
 using namespace petabricks;
 using namespace petabricks::service;
@@ -46,9 +47,7 @@ namespace fs = std::filesystem;
 std::string
 freshDir(const std::string &name)
 {
-    std::string path =
-        std::string(::testing::TempDir()) + "pb_crash_matrix_" + name;
-    fs::remove_all(path);
+    std::string path = freshPath("crash_matrix_" + name);
     fs::create_directories(path);
     return path;
 }
@@ -162,12 +161,13 @@ killHit(const std::string &prefix)
 
 /**
  * Scheduled hit for the torn-write sweep: the LAST traversal the
- * workload makes. Checkpoints reuse one filename (s1.ckpt), so a torn
- * write anywhere earlier would just be overwritten by the next good
- * checkpoint — the torn file must be the final state on disk for the
- * next boot's fsck to have anything to quarantine. The tiny session
- * runs exactly 6 steps (two sizes, 64 and 256 at growth 4, times 3
- * generations), so its 6th checkpoint write is the last.
+ * workload makes. Checkpoints alternate between two slots (s1.ckpt,
+ * s1.ckpt.1), so a torn slot anywhere earlier would just be
+ * overwritten two checkpoints later — the torn slot must be on disk
+ * when the workload ends for the next boot to have anything to set
+ * aside. The tiny session runs exactly 6 steps (two sizes, 64 and 256
+ * at growth 4, times 3 generations), so its 6th checkpoint write is
+ * the last.
  */
 int
 tornHit(const std::string &prefix)
@@ -283,8 +283,8 @@ TEST(CrashMatrix, EveryRegisteredPointRecovers)
 
 /**
  * Non-kill injection sweep: `torn` at every .write point lands a
- * truncated live file; the next boot must quarantine exactly that
- * artifact and keep everything older byte-intact.
+ * truncated live file or checkpoint slot; the next boot must set
+ * aside exactly that artifact and keep everything older byte-intact.
  */
 TEST(CrashMatrix, TornWritesAreQuarantinedOnNextBoot)
 {
@@ -320,23 +320,11 @@ TEST(CrashMatrix, TornWritesAreQuarantinedOnNextBoot)
         ASSERT_EQ(WEXITSTATUS(status), 0)
             << prefix << ": torn workload should complete";
 
+        // A torn checkpoint slot fails its seal beside the other slot,
+        // which holds the step before: s1 resumes from it and replays
+        // to the identical champion.
         const std::string point = prefix + ".write(torn)";
-        if (prefix == "spool.ckpt") {
-            // A torn checkpoint is indistinguishable from a tampered
-            // one, so the spool fsck quarantines the whole session
-            // (meta + ckpt) rather than resuming from a half-written
-            // state — the established SessionTable policy. The boot
-            // must not throw and the table must still do real work.
-            crashpoint::clearSchedule();
-            SessionTable table(tableOptions(spool));
-            EXPECT_GE(table.stats().spoolQuarantined, 1);
-            EXPECT_THROW(table.resume("s1"), FatalError);
-            const std::string id =
-                table.create(SessionSpec::fromCreateRequest(tinyCreate()));
-            EXPECT_EQ(table.step(id, 1), 1);
-        } else {
-            recoverAndCheck(point, prefix, spool, cacheDir, champDir);
-        }
+        recoverAndCheck(point, prefix, spool, cacheDir, champDir);
 
         // The torn artifact really was set aside.
         const std::string dir = prefix == "cache.seg" ? cacheDir
@@ -344,6 +332,38 @@ TEST(CrashMatrix, TornWritesAreQuarantinedOnNextBoot)
                                     ? champDir
                                     : spool;
         EXPECT_GE(countQuarantined(dir), 1u) << prefix;
+    }
+}
+
+/**
+ * A slot write torn at every byte offset of its record: the next boot
+ * never throws and resumes the step the other slot holds. The third
+ * checkpoint overwrites slot 0 (step 1) while slot 1 holds step 2.
+ */
+TEST(CrashMatrix, SlotTornAtEveryOffsetResumesTheOtherSlot)
+{
+    const SessionSpec spec = SessionSpec::fromCreateRequest(tinyCreate());
+    HostedSession third(spec);
+    third.stepMany(3);
+    const size_t length = third.checkpointText().size();
+
+    for (size_t keep = 0; keep < length; ++keep) {
+        SCOPED_TRACE("torn after " + std::to_string(keep) + " of " +
+                     std::to_string(length) + " bytes");
+        const std::string spool = freshDir("torn_offset");
+        {
+            SessionTable table(tableOptions(spool));
+            const std::string id = table.create(spec);
+            table.step(id, 2);
+            crashpoint::setSchedule("spool.ckpt.write=torn:" +
+                                    std::to_string(keep));
+            table.step(id, 1);
+            crashpoint::clearSchedule();
+        }
+        SessionTable table(tableOptions(spool));
+        ASSERT_EQ(table.stats().spoolQuarantined, 0);
+        table.resume("s1");
+        ASSERT_EQ(table.status("s1").completedSteps, 2);
     }
 }
 

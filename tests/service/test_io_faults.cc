@@ -1,12 +1,16 @@
 /**
  * @file
- * IO-error hardening: injected ENOSPC/EIO on every persistence path
- * must degrade to a warning plus a counter — never corrupt previously
- * persisted state, never take the daemon down. Also covers the
- * triple-torn boot (wreckage in spool + cache + portfolio at once),
- * the new /stats surface (io.writeFailures, server.uptimeSeconds,
- * server.restartCount), and the client's Retry-After-driven retry.
+ * IO-error hardening: injected ENOSPC/EIO on every persistence path,
+ * and running out of file descriptors, must degrade to a warning plus
+ * a counter — never corrupt previously persisted state, never take the
+ * daemon down. Also covers the triple-torn boot (wreckage in spool +
+ * cache + portfolio at once), the new /stats surface
+ * (io.writeFailures, server.uptimeSeconds, server.restartCount), and
+ * the client's Retry-After-driven retry.
  */
+
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -18,8 +22,12 @@
 #include "portfolio/portfolio.h"
 #include "service/client.h"
 #include "service/server.h"
+#include "service/session_table.h"
 #include "support/crashpoint.h"
 #include "support/error.h"
+#include "support/slot_file.h"
+
+#include "fresh_dir.h"
 
 using namespace petabricks;
 using namespace petabricks::service;
@@ -39,9 +47,7 @@ class IoFaultTest : public ::testing::Test
     std::string
     freshDir(const char *name)
     {
-        std::string path =
-            std::string(::testing::TempDir()) + "pb_io_faults_" + name;
-        fs::remove_all(path);
+        std::string path = freshPath(std::string("io_faults_") + name);
         fs::create_directories(path);
         return path;
     }
@@ -106,6 +112,80 @@ TEST_F(IoFaultTest, EnospcCheckpointsNeverKillTheDaemon)
     EXPECT_EQ(champion.getDouble("champion.seconds"),
               reference.bestSeconds);
     server.stop();
+}
+
+/**
+ * A failed checkpoint write, then a torn one: the failed write leaves
+ * the next save on the same slot, so the torn write lands there too and
+ * the other slot keeps the last good checkpoint, which replays to the
+ * identical champion.
+ */
+TEST_F(IoFaultTest, FailedThenTornCheckpointKeepsTheOtherSlot)
+{
+    SessionTableOptions options;
+    options.spoolDir = freshDir("failed_then_torn");
+    const SessionSpec spec = SessionSpec::fromCreateRequest(tinyCreate());
+    std::string id;
+    {
+        SessionTable table(options);
+        id = table.create(spec);
+        table.step(id, 2); // slot 0 holds step 1, slot 1 step 2
+        crashpoint::setSchedule("spool.ckpt.write=enospc");
+        table.step(id, 1); // slot 0 partly written, then ENOSPC
+        crashpoint::setSchedule("spool.ckpt.write=torn");
+        table.step(id, 1); // slot 0 again, torn
+        crashpoint::clearSchedule();
+        EXPECT_EQ(table.stats().spoolWriteFailures, 1);
+    }
+    SessionTable table(options);
+    EXPECT_EQ(table.stats().spoolQuarantined, 0);
+    EXPECT_EQ(table.stats().slotsQuarantined, 1);
+    table.resume(id);
+    EXPECT_EQ(table.status(id).completedSteps, 2);
+    table.step(id, 1000);
+    KvFile champion = table.champion(id);
+    tuner::TuningResult reference = runSpecLocally(spec);
+    KvFile expected = reference.best.toKv();
+    for (const std::string &key : expected.keys())
+        EXPECT_EQ(champion.get(key), expected.get(key)) << key;
+    EXPECT_EQ(champion.getDouble("champion.seconds"),
+              reference.bestSeconds);
+}
+
+/**
+ * Out of file descriptors (EMFILE) when a session first opens a
+ * checkpoint slot: a spool write failure like ENOSPC, and the slot
+ * opens on the next save once descriptors are free.
+ */
+TEST_F(IoFaultTest, DescriptorExhaustionIsASpoolWriteFailure)
+{
+    SessionTableOptions options;
+    options.spoolDir = freshDir("emfile");
+    SessionTable table(options);
+    const std::string id =
+        table.create(SessionSpec::fromCreateRequest(tinyCreate()));
+    table.step(id, 1); // slot 0 open
+
+    // The lowest free descriptor becomes the limit: the next open
+    // (slot 1's) fails.
+    rlimit saved{};
+    ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+    const int lowestFree = ::dup(0);
+    ASSERT_GE(lowestFree, 0);
+    ::close(lowestFree);
+    rlimit lowered = saved;
+    lowered.rlim_cur = static_cast<rlim_t>(lowestFree);
+    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &lowered), 0);
+    const int advanced = table.step(id, 1);
+    ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);
+
+    EXPECT_EQ(advanced, 1);
+    EXPECT_EQ(table.stats().spoolWriteFailures, 1);
+    const std::string slot1 = SlotFile::slotPath(table.checkpointPath(id), 1);
+    EXPECT_FALSE(fs::exists(slot1));
+    table.step(id, 1);
+    EXPECT_TRUE(fs::exists(slot1));
+    EXPECT_EQ(table.stats().spoolWriteFailures, 1);
 }
 
 /**

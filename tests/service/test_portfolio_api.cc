@@ -15,6 +15,8 @@
 #include "sim/machine.h"
 #include "support/error.h"
 
+#include "fresh_dir.h"
+
 using namespace petabricks;
 using namespace petabricks::service;
 
@@ -25,10 +27,7 @@ namespace fs = std::filesystem;
 std::string
 freshDir(const char *name)
 {
-    std::string path =
-        std::string(::testing::TempDir()) + "pb_portfolio_api_" + name;
-    fs::remove_all(path);
-    return path;
+    return freshPath(std::string("portfolio_api_") + name);
 }
 
 ServerOptions

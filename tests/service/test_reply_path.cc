@@ -9,10 +9,12 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -20,12 +22,16 @@
 #include <gtest/gtest.h>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "service/client.h"
 #include "service/server.h"
 #include "support/error.h"
 #include "support/hash.h"
+#include "support/slot_file.h"
 #include "support/socket.h"
+
+#include "fresh_dir.h"
 
 using namespace petabricks;
 using namespace petabricks::service;
@@ -37,10 +43,7 @@ namespace fs = std::filesystem;
 std::string
 spoolDir(const char *name)
 {
-    std::string path =
-        std::string(::testing::TempDir()) + "pb_reply_path_" + name;
-    fs::remove_all(path);
-    return path;
+    return freshPath(std::string("reply_path_") + name);
 }
 
 ServerOptions
@@ -103,13 +106,24 @@ class RawConnection
             PB_FATAL("connect() failed");
     }
 
+    /** Write @p bytes; fatal error if the daemon takes none of them
+     * for @p timeoutMillis. Safe to call from one thread while another
+     * reads replies with next(). */
     void
-    send(const std::string &bytes)
+    send(const std::string &bytes, int timeoutMillis = 10000)
     {
         size_t sent = 0;
         while (sent < bytes.size()) {
+            pollfd writable{fd_.get(), POLLOUT, 0};
+            if (::poll(&writable, 1, timeoutMillis) <= 0)
+                PB_FATAL("send stalled: the daemon took none of the last "
+                         << bytes.size() - sent << " of " << bytes.size()
+                         << " request bytes for " << timeoutMillis << " ms");
             ssize_t n = ::send(fd_.get(), bytes.data() + sent,
-                               bytes.size() - sent, MSG_NOSIGNAL);
+                               bytes.size() - sent,
+                               MSG_NOSIGNAL | MSG_DONTWAIT);
+            if (n < 0 && (errno == EAGAIN || errno == EINTR))
+                continue;
             if (n <= 0)
                 PB_FATAL("send() failed");
             sent += static_cast<size_t>(n);
@@ -249,7 +263,17 @@ TEST(ReplyPath, ClientReadingLateThroughATinyWindowGetsEveryReply)
     std::string burst;
     for (int i = 0; i < kRequests; ++i)
         burst += wire("POST", "/step?session=" + id + "&steps=1");
-    raw.send(burst);
+    // The burst goes out from a thread of its own: a daemon that stops
+    // reading requests while its replies back up must not leave this
+    // thread stuck in send() and never reading them.
+    std::string sendError;
+    std::jthread sender([&] {
+        try {
+            raw.send(burst);
+        } catch (const std::exception &e) {
+            sendError = e.what();
+        }
+    });
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
 
     int64_t completed = 0;
@@ -262,6 +286,8 @@ TEST(ReplyPath, ClientReadingLateThroughATinyWindowGetsEveryReply)
             << "reply " << i;
         ASSERT_EQ(advanced, i < totalSteps ? 1 : 0) << "reply " << i;
     }
+    sender.join();
+    EXPECT_EQ(sendError, "");
     EXPECT_EQ(client.introspect(id).completedSteps,
               std::min(kRequests, totalSteps));
     server.stop();
@@ -274,7 +300,7 @@ namespace {
 /** FNV-1a digests of everything one session wrote, step by step. */
 struct Digests
 {
-    uint64_t checkpoints = 0; ///< the spool `.ckpt` after every step
+    uint64_t checkpoints = 0; ///< the newest checkpoint slot after every step
     uint64_t steps = 0;       ///< every `/step` body
     uint64_t statuses = 0;    ///< every `/status` body after a step
 };
@@ -328,6 +354,29 @@ readFile(const std::string &path)
     return text.str();
 }
 
+/** The text of the checkpoint slot at @p ckpt whose record is furthest
+ * along (size index, then generation). */
+std::string
+newestSlot(const std::string &ckpt)
+{
+    std::string newest;
+    std::pair<int64_t, int64_t> newestCursor{-1, -1};
+    for (int slot = 0; slot < 2; ++slot) {
+        const std::string path = SlotFile::slotPath(ckpt, slot);
+        if (!fs::exists(path))
+            continue;
+        std::string text = readFile(path);
+        const KvFile kv = KvFile::fromString(text);
+        const std::pair cursor{kv.getInt("session.sizeIndex"),
+                               kv.getInt("session.generation")};
+        if (cursor > newestCursor) {
+            newest = std::move(text);
+            newestCursor = cursor;
+        }
+    }
+    return newest;
+}
+
 } // namespace
 
 TEST(ReplyPath, CheckpointsAndBodiesMatchGoldenDigests)
@@ -361,7 +410,7 @@ TEST(ReplyPath, CheckpointsAndBodiesMatchGoldenDigests)
 
             // Every written checkpoint parses, renders back to the same
             // text and carries an intact seal.
-            const std::string text = readFile(ckpt);
+            const std::string text = newestSlot(ckpt);
             const KvFile parsed = KvFile::fromString(text);
             ASSERT_EQ(parsed.toString(), text) << ckpt;
             EXPECT_NO_THROW(parsed.verifySeal("session", 2, ckpt));

@@ -3,7 +3,8 @@
  * The seal every persisted record kind carries (KvFile::seal). A file
  * of each kind (cache segment, champion, spool spec, checkpoint) with
  * one value edited, and still parseable, is quarantined at boot and
- * counted in its store's `/stats` counter. Files written before the
+ * counted in its store's `/stats` counter; a checkpoint with one of its
+ * two slots edited resumes from the other. Files written before the
  * seal, kept below byte for byte, upgrade as documented: the champion
  * loads and re-saves to the same bytes, the version 1 segment is
  * quarantined and counted, and the version 1 checkpoint and unsealed
@@ -24,6 +25,9 @@
 #include "service/session_table.h"
 #include "sim/machine.h"
 #include "support/fsck.h"
+#include "support/slot_file.h"
+
+#include "fresh_dir.h"
 
 using namespace petabricks;
 using namespace petabricks::service;
@@ -35,9 +39,7 @@ namespace fs = std::filesystem;
 std::string
 freshDir(const std::string &name)
 {
-    std::string path =
-        std::string(::testing::TempDir()) + "pb_sealed_records_" + name;
-    fs::remove_all(path);
+    std::string path = freshPath("sealed_records_" + name);
     fs::create_directories(path);
     return path;
 }
@@ -199,8 +201,11 @@ TEST(SealedRecords, EditedValueOfEveryKindIsQuarantinedAtBoot)
               "0000000000005eed 64 0000000000005678 3d719799812dea11");
     editValue(champion, "champion.secondsBits", "3d719799812dea11");
     editValue(spool + "/" + specEdited + ".meta", "spec.machine", "Laptop");
-    editValue(spool + "/" + checkpointEdited + ".ckpt",
-              "population.0.seconds", "1e-12");
+    // Both checkpoint slots: with one good slot the session resumes.
+    for (int slot = 0; slot < 2; ++slot)
+        editValue(SlotFile::slotPath(spool + "/" + checkpointEdited + ".ckpt",
+                                     slot),
+                  "population.0.seconds", "1e-12");
 
     ServerOptions options;
     options.port = 0;
@@ -219,12 +224,48 @@ TEST(SealedRecords, EditedValueOfEveryKindIsQuarantinedAtBoot)
     EXPECT_EQ(stats.getInt("portfolio.loaded"), 0);
     EXPECT_TRUE(fs::exists(segment + ".quarantine"));
     EXPECT_TRUE(fs::exists(champion + ".quarantine"));
+    EXPECT_EQ(stats.getInt("table.slotsQuarantined"), 0);
     for (const std::string &id : {specEdited, checkpointEdited}) {
         EXPECT_TRUE(fs::exists(spool + "/" + id + ".meta.quarantine")) << id;
         EXPECT_TRUE(fs::exists(spool + "/" + id + ".ckpt.quarantine")) << id;
+        EXPECT_TRUE(fs::exists(spool + "/" + id + ".ckpt.1.quarantine"))
+            << id;
         EXPECT_THROW(client.resume(id), FatalError) << id;
     }
     server.stop();
+}
+
+TEST(SealedRecords, EditedNewestSlotIsSetAsideAndTheOtherResumes)
+{
+    const std::string spool = freshDir("edited_slot");
+    std::string id;
+    {
+        SessionTableOptions options;
+        options.spoolDir = spool;
+        SessionTable table(options);
+        id = table.create(tinySpec(8));
+        table.step(id, 2); // slot 0 holds step 1, slot 1 step 2
+    }
+    const std::string newest =
+        SlotFile::slotPath(spool + "/" + id + ".ckpt", 1);
+    ASSERT_EQ(KvFile::load(newest).getInt("session.generation"), 2);
+    editValue(newest, "population.0.seconds", "1e-12");
+
+    SessionTableOptions options;
+    options.spoolDir = spool;
+    SessionTable table(options);
+    EXPECT_EQ(table.stats().spoolQuarantined, 0);
+    EXPECT_EQ(table.stats().slotsQuarantined, 1);
+    EXPECT_TRUE(fs::exists(newest + ".quarantine"));
+    table.resume(id);
+    EXPECT_EQ(table.status(id).completedSteps, 1);
+    table.step(id, 1000);
+    tuner::TuningResult reference = runSpecLocally(tinySpec(8));
+    KvFile champion = table.champion(id);
+    KvFile expected = reference.best.toKv();
+    for (const std::string &key : expected.keys())
+        EXPECT_EQ(champion.get(key), expected.get(key)) << key;
+    EXPECT_EQ(champion.getDouble("champion.seconds"), reference.bestSeconds);
 }
 
 TEST(SealedRecords, ChampionFromBeforeTheSealResavesByteIdentical)

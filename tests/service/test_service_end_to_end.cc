@@ -15,6 +15,8 @@
 #include "service/server.h"
 #include "support/error.h"
 
+#include "fresh_dir.h"
+
 using namespace petabricks;
 using namespace petabricks::service;
 
@@ -25,10 +27,7 @@ namespace fs = std::filesystem;
 std::string
 spoolDir(const char *name)
 {
-    std::string path =
-        std::string(::testing::TempDir()) + "pb_service_e2e_" + name;
-    fs::remove_all(path);
-    return path;
+    return freshPath(std::string("service_e2e_") + name);
 }
 
 ServerOptions

@@ -6,14 +6,19 @@
  * abandoned sessions, and restart + resume picks searches back up.
  */
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <thread>
+#include <vector>
 
 #include "service/session_table.h"
 #include "sim/machine.h"
 #include "support/error.h"
+#include "support/slot_file.h"
+
+#include "fresh_dir.h"
 
 using namespace petabricks;
 using namespace petabricks::service;
@@ -26,10 +31,7 @@ namespace fs = std::filesystem;
 std::string
 spoolDir(const char *name)
 {
-    std::string path = std::string(::testing::TempDir()) +
-                       "pb_session_table_" + name;
-    fs::remove_all(path);
-    return path;
+    return freshPath(std::string("session_table_") + name);
 }
 
 /** A spec small enough that a full search is milliseconds. */
@@ -360,6 +362,54 @@ TEST(SessionTable, SpoolFsckQuarantinesCorruptPairsAndKeepsHealthyOnes)
                           runSpecLocally(tinySpec(7)));
 }
 
+namespace {
+
+/** Open file descriptors of this process. */
+size_t
+openFds()
+{
+    size_t count = 0;
+    for (const auto &entry : fs::directory_iterator("/proc/self/fd")) {
+        (void)entry;
+        ++count;
+    }
+    return count;
+}
+
+} // namespace
+
+TEST(SessionTable, ResidentSessionsHoldAtMostTwoDescriptorsEach)
+{
+    SessionTableOptions options;
+    options.spoolDir = spoolDir("fds");
+    options.residentCap = 4;
+    SessionTable table(options);
+    const size_t baseline = openFds();
+    size_t peak = baseline;
+
+    // 200 sessions through the cap: each created and stepped (both
+    // slots open), the oldest of the last seven rehydrated (evicting
+    // another), stepped and stopped.
+    std::vector<std::string> live;
+    for (uint64_t seed = 0; seed < 200; ++seed) {
+        const std::string id = table.create(tinySpec(seed));
+        table.step(id, 2);
+        live.push_back(id);
+        if (live.size() > 6) {
+            table.step(live.front(), 1);
+            table.stop(live.front());
+            live.erase(live.begin());
+        }
+        peak = std::max(peak, openFds());
+    }
+    EXPECT_GT(table.stats().evictions, 0);
+    EXPECT_GT(table.stats().rehydrations, 200);
+    for (const std::string &id : live)
+        table.stop(id);
+    EXPECT_LE(peak, baseline + 2 * options.residentCap);
+    EXPECT_EQ(openFds(), baseline);
+}
+
 TEST(SessionTable, CheckpointAllFlushesEveryResidentSession)
 {
     SessionTableOptions options;
@@ -371,14 +421,17 @@ TEST(SessionTable, CheckpointAllFlushesEveryResidentSession)
     std::string b = table.create(tinySpec(2));
     table.step(a, 2);
     table.step(b, 3);
-    // step() saved once per step command; remove those to isolate what
-    // checkpointAll() itself writes.
+    // step() saved once per step command, to slot 0; checkpointAll()
+    // writes the other slot, so it alone can be what a restart finds.
+    const std::string slotA = SlotFile::slotPath(table.checkpointPath(a), 1);
+    const std::string slotB = SlotFile::slotPath(table.checkpointPath(b), 1);
+    EXPECT_FALSE(fs::exists(slotA));
+    EXPECT_FALSE(fs::exists(slotB));
+    table.checkpointAll();
+    EXPECT_TRUE(fs::exists(slotA));
+    EXPECT_TRUE(fs::exists(slotB));
     fs::remove(table.checkpointPath(a));
     fs::remove(table.checkpointPath(b));
-
-    table.checkpointAll();
-    EXPECT_TRUE(fs::exists(table.checkpointPath(a)));
-    EXPECT_TRUE(fs::exists(table.checkpointPath(b)));
 
     // A fresh table on the same spool resumes both at the flushed
     // cursor — the drain-then-restart contract.

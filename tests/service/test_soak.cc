@@ -16,6 +16,8 @@
 #include "cache/shared_cache.h"
 #include "service/session_table.h"
 
+#include "fresh_dir.h"
+
 using namespace petabricks;
 using namespace petabricks::service;
 
@@ -70,8 +72,7 @@ stepRoundRobin(SessionTable &table, const std::vector<std::string> &ids,
 
 TEST(ServiceSoak, SixtyFourSessionsUnderCapEightFinishIdentically)
 {
-    std::string spool = std::string(::testing::TempDir()) + "pb_soak";
-    std::filesystem::remove_all(spool);
+    std::string spool = freshPath("soak");
 
     SessionTableOptions options;
     options.spoolDir = spool;
@@ -127,8 +128,7 @@ TEST(ServiceSoak, FaultInjectedSessionsReachTheCleanChampions)
     // champion must be byte-identical to the *clean* in-process run of
     // the same search — and no injected fault may ever surface as an
     // evaluation failure or a cached cost.
-    std::string spool = std::string(::testing::TempDir()) + "pb_soak_fault";
-    std::filesystem::remove_all(spool);
+    std::string spool = freshPath("soak_fault");
 
     SessionTableOptions options;
     options.spoolDir = spool;
@@ -183,8 +183,7 @@ TEST(ServiceSoak, SharedCacheSoakSharesWorkAndKeepsChampions)
     // happened, and every champion is still byte-identical to the
     // private-cache in-process run — the L2 changes accounting, never
     // the search.
-    std::string spool = std::string(::testing::TempDir()) + "pb_soak_shared";
-    std::filesystem::remove_all(spool);
+    std::string spool = freshPath("soak_shared");
 
     cache::SharedCacheOptions cacheOptions;
     cacheOptions.maxBytes = 8u << 20;

@@ -12,12 +12,15 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <initializer_list>
 #include <sstream>
 
 #include "support/crashpoint.h"
 #include "support/error.h"
 #include "support/fsck.h"
 #include "support/kvfile.h"
+
+#include "fresh_dir.h"
 
 using namespace petabricks;
 
@@ -34,9 +37,7 @@ class CrashpointTest : public ::testing::Test
     std::string
     tempPath(const char *name)
     {
-        std::string path =
-            std::string(::testing::TempDir()) + "pb_crashpoint_" + name;
-        fs::remove_all(path);
+        std::string path = freshPath(std::string("crashpoint_") + name);
         fs::create_directories(path);
         return path;
     }
@@ -55,16 +56,21 @@ class CrashpointTest : public ::testing::Test
 TEST_F(CrashpointTest, CatalogContainsEveryPersistencePath)
 {
     std::vector<std::string> points = crashpoint::catalog();
-    for (const char *prefix :
-         {"spool.meta", "spool.ckpt", "cache.seg", "portfolio.champ"}) {
-        for (const char *suffix :
-             {".pre_write", ".write", ".pre_rename", ".post_rename"}) {
+    auto expectFamily = [&](const char *prefix,
+                            std::initializer_list<const char *> suffixes) {
+        for (const char *suffix : suffixes) {
             const std::string name = std::string(prefix) + suffix;
             EXPECT_NE(std::find(points.begin(), points.end(), name),
                       points.end())
                 << "missing point " << name;
         }
-    }
+    };
+    for (const char *prefix : {"spool.meta", "cache.seg", "portfolio.champ"})
+        expectFamily(prefix,
+                     {".pre_write", ".write", ".pre_rename", ".post_rename"});
+    // Checkpoints are rewritten in place: no rename to crash around.
+    expectFamily("spool.ckpt",
+                 {".pre_write", ".write", ".pre_sync", ".post_sync"});
     EXPECT_GE(points.size(), 16u);
 }
 
@@ -183,7 +189,7 @@ TEST_F(CrashpointTest, ExplicitScheduleOverridesAndClears)
     crashpoint::setSchedule("");
     EXPECT_FALSE(crashpoint::armed());
     crashpoint::setSchedule(
-        "portfolio.champ.write=enospc, spool.ckpt.pre_rename=kill");
+        "portfolio.champ.write=enospc, spool.ckpt.pre_sync=kill");
     EXPECT_TRUE(crashpoint::armed());
     crashpoint::clearSchedule();
     EXPECT_FALSE(crashpoint::armed());

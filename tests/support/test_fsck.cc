@@ -10,6 +10,8 @@
 
 #include "support/fsck.h"
 
+#include "fresh_dir.h"
+
 using namespace petabricks;
 
 namespace {
@@ -19,9 +21,7 @@ namespace fs = std::filesystem;
 std::string
 tempDir(const char *name)
 {
-    std::string path =
-        std::string(::testing::TempDir()) + "pb_fsck_" + name;
-    fs::remove_all(path);
+    std::string path = freshPath(std::string("fsck_") + name);
     fs::create_directories(path);
     return path;
 }
@@ -39,6 +39,10 @@ TEST(Fsck, ClassifiesEveryStoreArtifact)
     EXPECT_EQ(fsck::classify("/spool/s12.meta"), FileKind::SpoolMeta);
     EXPECT_EQ(fsck::classify("/spool/s12.ckpt"),
               FileKind::SpoolCheckpoint);
+    EXPECT_EQ(fsck::classify("/spool/s12.ckpt.1"),
+              FileKind::SpoolCheckpoint);
+    EXPECT_EQ(fsck::classify("/spool/s12.ckpt.1.quarantine"),
+              FileKind::Quarantine);
     EXPECT_EQ(fsck::classify("/cache/seg-00000004.kv"),
               FileKind::CacheSegment);
     EXPECT_EQ(fsck::classify("/cache/seg-100000000.kv"),

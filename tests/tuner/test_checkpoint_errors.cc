@@ -19,6 +19,8 @@
 #include "support/kvfile.h"
 #include "tuner/session.h"
 
+#include "fresh_dir.h"
+
 namespace petabricks {
 namespace tuner {
 namespace {
@@ -60,7 +62,7 @@ bowlSeed()
 std::string
 tempPath(const char *name)
 {
-    return std::string(::testing::TempDir()) + name;
+    return freshPath(name);
 }
 
 /** @p kv without the keys in @p drop. */

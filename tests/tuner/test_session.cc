@@ -15,6 +15,8 @@
 #include "support/error.h"
 #include "tuner/session.h"
 
+#include "fresh_dir.h"
+
 namespace petabricks {
 namespace tuner {
 namespace {
@@ -102,7 +104,7 @@ bowlSeed()
 std::string
 tempPath(const char *name)
 {
-    return std::string(::testing::TempDir()) + name;
+    return freshPath(name);
 }
 
 TEST(TuningSession, StepAdvancesAndRunCompletes)

@@ -82,7 +82,7 @@ usage()
         "                     them back across restarts (default: memory only)\n"
         "  --no-step-checkpoints  checkpoint per step command, not per generation\n"
         "  --crash-at SPEC    arm the crash/IO-fault schedule, e.g.\n"
-        "                     'spool.ckpt.pre_rename=kill' or\n"
+        "                     'spool.ckpt.pre_sync=kill' or\n"
         "                     'cache.seg.write@2=enospc' (testing)\n"
         "  --supervise        run under a restarting supervisor\n"
         "  --max-crashes N    crash-loop breaker: give up after N crashes\n"
